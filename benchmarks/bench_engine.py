@@ -21,7 +21,7 @@ from repro.config import Design, scaled_config
 from repro.exec import ResultCache, run_matrix as exec_run_matrix
 from repro.sim import Simulator
 
-from .common import ALL_APPS, record_bench
+from .common import ALL_APPS, record
 
 SMOKE = os.environ.get("NDPBRIDGE_BENCH_SMOKE", "0") not in ("0", "")
 
@@ -65,7 +65,7 @@ def test_engine_event_throughput(benchmark):
     )
     wall_s = time.perf_counter() - t0
     events_per_s = sim.events_processed / wall_s
-    record_bench(_suffix("engine_microbench"), {
+    record("BENCH_engine.json", _suffix("engine_microbench"), {
         "events": sim.events_processed,
         "wall_s": round(wall_s, 4),
         "events_per_s": round(events_per_s),
@@ -90,7 +90,7 @@ def test_tree_on_o_wallclock(benchmark):
                                 warmup_rounds=0)
     wall_s = time.perf_counter() - t0
     events = result.system.sim.events_processed
-    record_bench(_suffix("tree_on_O"), {
+    record("BENCH_engine.json", _suffix("tree_on_O"), {
         "units": TREE_UNITS,
         "scale": TREE_SCALE,
         "seed": TREE_SEED,
@@ -129,7 +129,7 @@ def test_fig10_matrix_cold_vs_warm(benchmark, tmp_path):
     warm_s = time.perf_counter() - t0
 
     jobs = int(os.environ.get("NDPBRIDGE_JOBS", "0")) or os.cpu_count()
-    record_bench(_suffix("fig10_matrix"), {
+    record("BENCH_engine.json", _suffix("fig10_matrix"), {
         "apps": len(apps),
         "designs": len(designs),
         "jobs": jobs,

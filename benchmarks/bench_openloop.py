@@ -25,22 +25,16 @@ fan out like every other figure's cells.
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from typing import Dict, List
 
 from repro.config import Design
 from repro.exec.runner import CellRequest, execute_cells
 from repro.workloads.openloop import OpenLoopSpec, TenantSpec
 
-from .common import BENCH_SEED, bench_config, format_table
+from .common import BENCH_SEED, bench_config, format_table, record
 
 SMOKE = os.environ.get("NDPBRIDGE_BENCH_SMOKE", "0") not in ("0", "")
-
-BENCH_OPENLOOP_JSON = (
-    Path(__file__).resolve().parent.parent / "BENCH_openloop.json"
-)
 
 APP = "tree"
 SCALE = 0.1 if SMOKE else 0.35
@@ -95,20 +89,6 @@ def openloop_spec(gap_factor: float = 1.0) -> OpenLoopSpec:
 
 def _suffix(key: str) -> str:
     return f"{key}_smoke" if SMOKE else key
-
-
-def record_openloop(key: str, payload: dict) -> None:
-    """Merge one measurement into ``BENCH_openloop.json`` under ``key``."""
-    data: Dict[str, object] = {}
-    if BENCH_OPENLOOP_JSON.exists():
-        try:
-            data = json.loads(BENCH_OPENLOOP_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[key] = payload
-    BENCH_OPENLOOP_JSON.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n"
-    )
 
 
 def _cell(design: Design, gap_factor: float) -> CellRequest:
@@ -208,7 +188,7 @@ def test_openloop_tail_latency_and_throughput():
         tp_rows,
     ))
 
-    record_openloop(_suffix(f"openloop_{APP}"), payload)
+    record("BENCH_openloop.json", _suffix(f"openloop_{APP}"), payload)
 
     # -- shape assertions ----------------------------------------------
     # The bridge designs time every message through real fabric models,

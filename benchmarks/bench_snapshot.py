@@ -22,21 +22,16 @@ the workload and records under ``_smoke`` keys.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
-from typing import Dict
 
 from repro import Design, make_app, run_app
 from repro.config import scaled_config
 from repro.state.snapshot import restore, snapshot
 
-SMOKE = os.environ.get("NDPBRIDGE_BENCH_SMOKE", "0") not in ("0", "")
+from .common import record
 
-BENCH_SNAPSHOT_JSON = (
-    Path(__file__).resolve().parent.parent / "BENCH_snapshot.json"
-)
+SMOKE = os.environ.get("NDPBRIDGE_BENCH_SMOKE", "0") not in ("0", "")
 
 APP = "tree"
 DESIGN = Design.O
@@ -47,20 +42,6 @@ SCALE = 0.1 if SMOKE else 0.35
 
 def _suffix(key: str) -> str:
     return f"{key}_smoke" if SMOKE else key
-
-
-def record_snapshot(key: str, payload: dict) -> None:
-    """Merge one measurement into ``BENCH_snapshot.json`` under ``key``."""
-    data: Dict[str, object] = {}
-    if BENCH_SNAPSHOT_JSON.exists():
-        try:
-            data = json.loads(BENCH_SNAPSHOT_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[key] = payload
-    BENCH_SNAPSHOT_JSON.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n"
-    )
 
 
 def test_snapshot_capture_resume_cost():
@@ -105,7 +86,7 @@ def test_snapshot_capture_resume_cost():
 
     checkpoint_wall = pause_wall + capture_s + fork_s + resume_wall
     overhead = checkpoint_wall / base_wall if base_wall > 0 else None
-    record_snapshot(_suffix("snapshot_tree_on_O"), {
+    record("BENCH_snapshot.json", _suffix("snapshot_tree_on_O"), {
         "units": UNITS,
         "scale": SCALE,
         "seed": SEED,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -39,20 +40,30 @@ SWEEP_APPS = ["ll", "tree", "pr"]
 BENCH_SEED = 17
 
 
-#: Where the engine perf trajectory is recorded (repo root).
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+#: The ``BENCH_*.json`` records live at the repo root.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def record_bench(key: str, payload: dict) -> None:
-    """Merge one measurement into ``BENCH_engine.json`` under ``key``."""
+def record(json_name: str, key: str, payload: dict) -> None:
+    """Merge one measurement into ``REPO_ROOT/json_name`` under ``key``.
+
+    Every record is stamped with the machine's ``cpu_count`` and the
+    Python version, so a number is never read without the box it was
+    measured on.  A torn or missing file starts a fresh record set.
+    """
+    path = REPO_ROOT / json_name
     data: Dict[str, object] = {}
-    if BENCH_JSON.exists():
+    if path.exists():
         try:
-            data = json.loads(BENCH_JSON.read_text())
+            data = json.loads(path.read_text())
         except ValueError:
             data = {}
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    data[key] = {
+        **payload,
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+    }
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def bench_config(

@@ -6,11 +6,6 @@ bench_engine.py`` times) under cProfile, prints the top functions by
 cumulative time, and records wall-clock + events/sec into
 ``BENCH_engine.json`` under the ``profile_tree_on_O`` key.
 
-With ``--shards N`` the same workload instead runs on the sharded
-engine (inline, so the profile covers one process executing every
-shard's hot loop plus the window/barrier machinery) and records under
-``profile_tree_on_O_shardedN``.
-
 With ``--snapshot-at N`` the serial workload pauses at cycle N for a
 snapshot + fork and finishes from the restored clone (see
 ``repro.state.snapshot``), so the profile covers the deep-clone
@@ -19,7 +14,7 @@ capture/restore cost alongside the hot loop; records under
 
 Usage:
     PYTHONPATH=src python scripts/profile_engine.py [--smoke]
-        [--units N] [--scale F] [--shards N] [--snapshot-at N]
+        [--units N] [--scale F] [--snapshot-at N]
         [--sort cumulative|tottime] [--top N] [--dump profile.prof]
 """
 
@@ -45,9 +40,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny run for CI (scale 0.1)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="profile the sharded engine (inline) with "
-                             "this many shards")
     parser.add_argument("--snapshot-at", type=int, default=None,
                         dest="snapshot_at", metavar="N",
                         help="pause the serial run at cycle N, snapshot, "
@@ -61,7 +53,7 @@ def main() -> int:
     if args.smoke:
         args.scale = 0.1
 
-    from benchmarks.common import record_bench
+    from benchmarks.common import record
     from repro import Design, make_app, run_app
     from repro.config import scaled_config
 
@@ -69,24 +61,10 @@ def main() -> int:
 
     profiler = cProfile.Profile()
     snap_size = None
-    if args.shards > 1 and args.snapshot_at is not None:
-        parser.error("--snapshot-at profiles the serial engine only")
-    if args.shards > 1:
-        from repro.runtime.shards import run_app_sharded
-
-        t0 = time.perf_counter()
-        profiler.enable()
-        result = run_app_sharded(
-            "tree", cfg, scale=args.scale, seed=args.seed,
-            shards=args.shards, verify=False, parallel=False,
-        )
-        profiler.disable()
-        wall_s = time.perf_counter() - t0
-        events = result.system.events_processed
-    elif args.snapshot_at is not None:
+    app = make_app("tree", scale=args.scale, seed=args.seed)
+    if args.snapshot_at is not None:
         from repro.state.snapshot import run_app_with_snapshot
 
-        app = make_app("tree", scale=args.scale, seed=args.seed)
         t0 = time.perf_counter()
         profiler.enable()
         result, snap = run_app_with_snapshot(
@@ -97,7 +75,6 @@ def main() -> int:
         events = result.system.sim.events_processed
         snap_size = snap.size_bytes()
     else:
-        app = make_app("tree", scale=args.scale, seed=args.seed)
         t0 = time.perf_counter()
         profiler.enable()
         result = run_app(app, cfg)
@@ -106,7 +83,7 @@ def main() -> int:
         events = result.system.sim.events_processed
 
     print(f"tree-on-O: units={args.units} scale={args.scale} "
-          f"seed={args.seed} shards={args.shards}")
+          f"seed={args.seed}")
     print(f"makespan={result.metrics.makespan} events={events} "
           f"wall={wall_s:.3f}s ({events / wall_s:,.0f} events/s under "
           f"profiler)\n")
@@ -121,15 +98,12 @@ def main() -> int:
         print(f"raw profile written to {args.dump}")
 
     key = "profile_tree_on_O_smoke" if args.smoke else "profile_tree_on_O"
-    if args.shards > 1:
-        key = f"{key}_sharded{args.shards}"
     if args.snapshot_at is not None:
         key = f"{key}_snapshot{args.snapshot_at}"
     payload = {
         "units": args.units,
         "scale": args.scale,
         "seed": args.seed,
-        "shards": args.shards,
         "makespan": result.metrics.makespan,
         "events": events,
         "wall_s_profiled": round(wall_s, 4),
@@ -138,7 +112,7 @@ def main() -> int:
     if snap_size is not None:
         payload["snapshot_at"] = args.snapshot_at
         payload["snapshot_bytes"] = snap_size
-    record_bench(key, payload)
+    record("BENCH_engine.json", key, payload)
     return 0
 
 

@@ -3,8 +3,8 @@
 The open-loop driver (:mod:`repro.runtime.requests`) records one integer
 birth->completion latency per request per tenant.  Tail percentiles must
 be *exact and bit-reproducible* -- they feed golden tests and the
-bit-identity oracles (plain vs sanitized, serial vs sharded, snapshot
-fork vs run-through) -- so this recorder keeps every sample and computes
+bit-identity oracles (plain vs sanitized, snapshot fork vs
+run-through) -- so this recorder keeps every sample and computes
 nearest-rank percentiles with pure integer arithmetic.  Paper-scale runs
 are a few 10^5 requests, so exactness is cheap; no P^2 or t-digest
 approximation sneaks non-determinism into the tail.
@@ -47,9 +47,7 @@ REPORT_PERMILLES = (500, 990, 999)
 class LatencyRecorder:
     """Per-tenant integer latency samples with exact percentile reports.
 
-    ``record`` appends; ``merge`` folds another recorder in (sharded
-    runs collect one recorder per shard and merge by tenant -- samples
-    are re-sorted at query time, so merge order never matters).
+    ``record`` appends; samples are sorted at query time.
     """
 
     def __init__(self) -> None:
@@ -59,10 +57,6 @@ class LatencyRecorder:
         if latency < 0:
             raise ValueError(f"negative latency {latency} for {tenant}")
         self.samples.setdefault(tenant, []).append(latency)
-
-    def merge(self, other: "LatencyRecorder") -> None:
-        for tenant, samples in other.samples.items():
-            self.samples.setdefault(tenant, []).extend(samples)
 
     def count(self, tenant: str) -> int:
         return len(self.samples.get(tenant, []))

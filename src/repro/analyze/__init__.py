@@ -7,8 +7,8 @@ The repo carries four house analyzers with one shared finding model
 * **simflow** (``repro.flow``)  -- message-protocol invariants (FL rules),
 * **simstate** (``repro.state``) -- state inventory & snapshottability
   (ST rules),
-* **simrace** (``repro.race``)  -- shard isolation & process-boundary
-  safety for the parallel engine (RC rules).
+* **simrace** (``repro.race``)  -- process-boundary safety for the
+  exec pool (RC rules).
 
 Running them separately means four CI steps, four exit codes, and
 four SARIF artifacts for what is conceptually a single gate.  This

@@ -81,11 +81,6 @@ class NDPApplication(abc.ABC):
         """Install ``listener(req_id, completion_cycle)`` for chain ends."""
         self._request_listener = listener
 
-    def shard_payload(self):
-        """App-specific per-shard results merged by the open-loop driver
-        (``None`` keeps the sharded payload format unchanged)."""
-        return None
-
     def _request_end(self, task) -> None:
         """A task chain terminated; report completion in request mode."""
         if self._request_listener is not None:

@@ -11,7 +11,7 @@ instantiates the one matching the configured design:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..config import Design, SystemConfig
 from ..messages import Message
@@ -21,22 +21,6 @@ from .host_path import HostForwardingFabric
 from .level1 import Level1Bridge
 from .level2 import Level2Bridge
 from .rowclone import RowCloneFabric
-
-
-def subtree_partition(config: SystemConfig) -> Tuple[Tuple[int, ...], ...]:
-    """The fabric's level-1 subtrees as per-rank unit-id tuples.
-
-    This is the partition map the sharded engine splits along: each
-    level-1 (rank) bridge owns one contiguous run of unit ids, and a
-    shard must take whole subtrees so that every bridge lives entirely
-    inside one shard (see :func:`repro.sim.plan_partition`).
-    """
-    topo = config.topology
-    per_rank = topo.chips_per_rank * topo.banks_per_chip
-    return tuple(
-        tuple(range(rank * per_rank, (rank + 1) * per_rank))
-        for rank in range(topo.ranks)
-    )
 
 
 class BridgeFabric:
@@ -53,7 +37,6 @@ class BridgeFabric:
         self.sim = sim
         self.config = config
         self.system = system
-        self.partition_map = subtree_partition(config)
         self.rank_bridges: List[Level1Bridge] = [
             Level1Bridge(
                 sim, config, stats, system, rank,
@@ -96,11 +79,7 @@ def build_fabric(
     if design in (Design.B, Design.W, Design.O):
         return BridgeFabric(sim, config, stats, system, rng)
     if design is Design.C:
-        fabric = HostForwardingFabric(sim, config, stats, system)
-        # Host forwarding has no bridges, but the same per-rank subtree
-        # partition applies: each rank's units share one channel path.
-        fabric.partition_map = subtree_partition(config)
-        return fabric
+        return HostForwardingFabric(sim, config, stats, system)
     if design is Design.R:
         return RowCloneFabric(sim, config, stats, system)
     raise ValueError(

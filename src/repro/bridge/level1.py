@@ -73,9 +73,7 @@ class Level1Bridge:
         unit_ids = list(system.addr_map.units_in_rank(global_rank))
         self.units: List[NDPUnit] = [system.units[i] for i in unit_ids]
         self._unit_ids = set(unit_ids)
-        # First unit id of this rank; unit ids need not start at
-        # rank * banks_per_rank when the system is a shard of a larger
-        # machine (the shard's address map rebases the hierarchy).
+        # First unit id of this rank: chip links are indexed from it.
         self._unit_base = unit_ids[0] if unit_ids else 0
         scope = f"bridge{global_rank}"
         self.chip_links: List[Link] = [

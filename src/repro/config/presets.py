@@ -36,61 +36,23 @@ def tiny_config(design: Design = Design.O, seed: int = 42) -> SystemConfig:
 
 
 def scaled_config(
-    num_units: int,
-    design: Design = Design.O,
-    seed: int = 42,
-    channels: int = None,
-    dimms_per_channel: int = 1,
+    num_units: int, design: Design = Design.O, seed: int = 42
 ) -> SystemConfig:
     """Scaling study configurations (Fig. 12): 64 to 1024+ units.
 
     The paper keeps 64 units per rank and varies the rank count from 1 to
-    16, splitting ranks evenly over at most 2 channels; with ``channels``
-    left ``None`` that historical layout is reproduced.  Passing
-    ``channels`` (and optionally ``dimms_per_channel``) spreads the same
-    rank count over a wider multi-channel / multi-DIMM host instead --
-    the >128-unit systems the sharded engine partitions.
+    16, splitting ranks evenly over at most 2 channels.
     """
     if num_units % 64 != 0:
         raise ValueError("scaling configs use 64 units (one rank) per step")
     ranks = num_units // 64
-    if channels is None:
-        if ranks <= 1:
-            topo = TopologyConfig(channels=1, ranks_per_channel=1)
-        elif ranks % 2 == 0:
-            topo = TopologyConfig(channels=2, ranks_per_channel=ranks // 2)
-        else:
-            topo = TopologyConfig(channels=1, ranks_per_channel=ranks)
+    if ranks <= 1:
+        topo = TopologyConfig(channels=1, ranks_per_channel=1)
+    elif ranks % 2 == 0:
+        topo = TopologyConfig(channels=2, ranks_per_channel=ranks // 2)
     else:
-        if channels < 1 or ranks % channels != 0:
-            raise ValueError(
-                f"{ranks} ranks do not spread evenly over {channels} channels"
-            )
-        topo = TopologyConfig(
-            channels=channels,
-            ranks_per_channel=ranks // channels,
-            dimms_per_channel=dimms_per_channel,
-        )
+        topo = TopologyConfig(channels=1, ranks_per_channel=ranks)
     return SystemConfig(topology=topo, seed=seed).with_design(design)
-
-
-def multi_dimm_config(
-    num_units: int = 1024,
-    design: Design = Design.O,
-    seed: int = 42,
-    channels: int = 4,
-    dimms_per_channel: int = 2,
-) -> SystemConfig:
-    """A large multi-channel, multi-DIMM system (default 1024 units).
-
-    The shape the sharded engine targets: several channels, each carrying
-    multiple DIMMs' worth of ranks, so the fabric partitions into whole
-    channel or DIMM subtrees.
-    """
-    return scaled_config(
-        num_units, design=design, seed=seed,
-        channels=channels, dimms_per_channel=dimms_per_channel,
-    )
 
 
 def dq_width_config(

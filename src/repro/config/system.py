@@ -46,11 +46,7 @@ class TopologyConfig:
     """Physical organization of the memory system.
 
     ``ranks_per_channel`` counts every rank a channel addresses across all
-    of its DIMMs; ``dimms_per_channel`` records how those ranks are
-    grouped into physical modules.  The grouping does not change timing
-    (ranks on one channel share its bus either way) but large multi-DIMM
-    systems (>128 units) declare it so topology validation and fabric
-    partitioning can reason about whole physical subtrees.
+    of its DIMMs (ranks on one channel share its bus either way).
     """
 
     channels: int = 2
@@ -61,15 +57,10 @@ class TopologyConfig:
     channel_bits: int = 64
     mega_transfers_per_s: int = 2400
     bank_capacity_mb: int = 64
-    dimms_per_channel: int = 1
 
     @property
     def ranks(self) -> int:
         return self.channels * self.ranks_per_channel
-
-    @property
-    def ranks_per_dimm(self) -> int:
-        return self.ranks_per_channel // self.dimms_per_channel
 
     @property
     def banks_per_rank(self) -> int:

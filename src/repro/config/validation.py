@@ -8,8 +8,6 @@ them, Section V-B) plus basic sanity bounds.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .system import Design, SystemConfig
 
 
@@ -31,13 +29,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             "chip DQ widths must tile the channel: "
             f"{topo.chips_per_rank} chips x {topo.dq_bits_per_chip} bits "
             f"!= {topo.channel_bits}-bit channel"
-        )
-    if topo.dimms_per_channel < 1:
-        raise ConfigError("need at least one DIMM per channel")
-    if topo.ranks_per_channel % topo.dimms_per_channel != 0:
-        raise ConfigError(
-            f"{topo.ranks_per_channel} ranks per channel cannot be spread "
-            f"evenly over {topo.dimms_per_channel} DIMMs"
         )
 
     comm = cfg.comm
@@ -80,51 +71,3 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     return cfg
-
-
-def validate_shardable(cfg: SystemConfig, shards: int) -> Tuple[int, int]:
-    """Check that the topology splits into ``shards`` equal subtrees.
-
-    A shard must be a *complete* sub-topology -- whole channels, or whole
-    rank groups within one channel -- so that each shard hosts a full
-    bridge hierarchy (level-1 bridges plus its own level-2 domain) and all
-    cross-shard traffic crosses the host hop.  Returns the per-shard
-    ``(channels, ranks_per_channel)``; raises :class:`ConfigError` with a
-    precise reason when the topology cannot be sharded that way.
-    """
-    topo = cfg.topology
-    if shards < 1:
-        raise ConfigError(f"shard count must be >= 1, got {shards}")
-    if shards == 1:
-        return (topo.channels, topo.ranks_per_channel)
-    if cfg.design in (Design.H, Design.R):
-        raise ConfigError(
-            f"design {cfg.design.value} has no partitionable bridge "
-            "fabric; sharded execution supports designs C/B/W/O"
-        )
-    if shards > topo.ranks:
-        raise ConfigError(
-            f"cannot split {topo.ranks} level-1 (rank) subtrees into "
-            f"{shards} shards; a shard needs at least one whole rank"
-        )
-    if shards <= topo.channels:
-        if topo.channels % shards != 0:
-            raise ConfigError(
-                f"{topo.channels} channels do not divide into "
-                f"{shards} shards; channel-level shards must take whole "
-                "channels"
-            )
-        return (topo.channels // shards, topo.ranks_per_channel)
-    if shards % topo.channels != 0:
-        raise ConfigError(
-            f"{shards} shards over {topo.channels} channels would split "
-            "a rank group across channels; the shard count must be a "
-            "multiple of the channel count"
-        )
-    per_channel = shards // topo.channels
-    if topo.ranks_per_channel % per_channel != 0:
-        raise ConfigError(
-            f"{topo.ranks_per_channel} ranks per channel do not divide "
-            f"into {per_channel} shards per channel"
-        )
-    return (1, topo.ranks_per_channel // per_channel)

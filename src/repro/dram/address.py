@@ -98,69 +98,3 @@ class AddressMap:
 
     def same_rank(self, unit_a: int, unit_b: int) -> bool:
         return self.rank_of_unit(unit_a) == self.rank_of_unit(unit_b)
-
-
-class ShardAddressMap(AddressMap):
-    """Address map for one shard of a partitioned system.
-
-    The shard's components see *global* unit ids and the *global* address
-    space -- ``unit_of_addr`` must resolve any address in the machine so
-    a unit can discover that a task's home lies in another shard -- but
-    hierarchy queries (coordinates, ranks, fabric wiring) are answered
-    against the shard's own sub-topology, rebased so that the shard's
-    first unit is local unit 0 of local rank 0.
-
-    Passing a remote unit id to a local-facing query raises ``ValueError``
-    loudly: a bridge or unit holding a reference to a unit outside its
-    shard is a partitioning bug, never valid routing.
-    """
-
-    def __init__(
-        self,
-        sub_config: SystemConfig,
-        global_config: SystemConfig,
-        base_unit: int,
-    ):
-        super().__init__(sub_config)
-        self.base_unit = base_unit
-        self.global_total_units = global_config.topology.total_units
-        self.global_total_bytes = self.global_total_units * self.bank_bytes
-
-    def _local(self, unit_id: int) -> int:
-        local = unit_id - self.base_unit
-        if not 0 <= local < self.total_units:
-            raise ValueError(
-                f"unit {unit_id} is outside this shard "
-                f"[{self.base_unit}, {self.base_unit + self.total_units})"
-            )
-        return local
-
-    # -- global-facing: any address resolves to its (global) home unit --
-    def unit_of_addr(self, addr: int) -> int:
-        if not 0 <= addr < self.global_total_bytes:
-            raise ValueError(f"address {addr:#x} out of range")
-        return addr // self.bank_bytes
-
-    # -- local-facing: rebased onto the shard's sub-topology ------------
-    def coord_of_unit(self, unit_id: int) -> UnitCoord:
-        return super().coord_of_unit(self._local(unit_id))
-
-    def unit_of_coord(self, coord: UnitCoord) -> int:
-        return super().unit_of_coord(coord) + self.base_unit
-
-    def rank_of_unit(self, unit_id: int) -> int:
-        """Shard-local rank index (indexes the shard's own bridge list)."""
-        return self._local(unit_id) // self.topology.banks_per_rank
-
-    def units_in_rank(self, local_rank: int) -> range:
-        per = self.topology.banks_per_rank
-        base = self.base_unit + local_rank * per
-        return range(base, base + per)
-
-    def same_chip(self, unit_a: int, unit_b: int) -> bool:
-        ca = super().coord_of_unit(self._local(unit_a))
-        cb = super().coord_of_unit(self._local(unit_b))
-        return (ca.channel, ca.rank, ca.chip) == (cb.channel, cb.rank, cb.chip)
-
-    def same_rank(self, unit_a: int, unit_b: int) -> bool:
-        return self.rank_of_unit(unit_a) == self.rank_of_unit(unit_b)

@@ -33,16 +33,17 @@ from typing import Any, Dict, Optional
 from ..analysis.metrics import RunMetrics
 from ..config import SystemConfig
 from ..energy import EnergyBreakdown
+from . import knobs
 
 #: Bump to invalidate caches when the serialization format changes.
 FORMAT_VERSION = 1
 
-#: Every field :func:`cell_key` can put into the key blob.  The simrace
-#: fingerprint registry (:mod:`repro.race.fingerprints`) declares which
-#: environment knobs influence results and which cache-key field carries
-#: each one; the cross-check below fails at import time if a knob claims
-#: a field this module does not actually hash, closing the gap that let
-#: ``NDPBRIDGE_SHARDS`` poison the cache before it became a key field.
+#: Every field :func:`cell_key` can put into the key blob.  The knob
+#: registry (:mod:`repro.exec.knobs`) declares which environment knobs
+#: influence results and which cache-key field carries each one; the
+#: cross-check below fails at import time if a knob claims a field this
+#: module does not actually hash, so a result-affecting knob can never
+#: reach the simulation without reaching the key.
 CELL_KEY_FIELDS = (
     "format",
     "app",
@@ -51,8 +52,6 @@ CELL_KEY_FIELDS = (
     "scale",
     "seed",
     "verify",
-    "shards",
-    "partition",
     "code",
     "snapshot_at",
     "openloop",
@@ -60,9 +59,7 @@ CELL_KEY_FIELDS = (
 
 
 def _check_fingerprint_registry() -> None:
-    from ..race.fingerprints import fingerprint_field_of
-
-    for knob, field in fingerprint_field_of().items():
+    for knob, field in knobs.fingerprint_field_of().items():
         if field not in CELL_KEY_FIELDS:
             raise RuntimeError(
                 f"environment knob {knob} declares cache-key field "
@@ -124,18 +121,10 @@ def cell_key(
     scale: float,
     seed: int,
     verify: bool = True,
-    shards: int = 1,
-    partition: str = "",
     snapshot_at: "Optional[int]" = None,
     openloop: "Optional[object]" = None,
 ) -> str:
     """Cache key for one simulation cell.
-
-    ``shards``/``partition`` fingerprint sharded execution: an N-shard
-    run simulates a different machine than the serial run of the same
-    config, so its results must never alias the serial cell.  The
-    partition hash (see :class:`repro.sim.PartitionPlan`) covers the
-    window/lookahead parameters as well as the split itself.
 
     ``snapshot_at`` fingerprints snapshot-resume execution (the cell is
     paused, snapshotted, and finished from the restored clone).  Its
@@ -158,8 +147,6 @@ def cell_key(
         "scale": scale,
         "seed": seed,
         "verify": verify,
-        "shards": shards,
-        "partition": partition,
         "code": code_version(),
     }
     if snapshot_at is not None:

@@ -20,11 +20,11 @@ Environment knobs:
 * ``NDPBRIDGE_CACHE_DIR`` / ``NDPBRIDGE_CACHE=0`` -- see
   :mod:`repro.exec.cache`.
 
-Every knob read here is declared in the simrace fingerprint registry
-(:mod:`repro.race.fingerprints`): knobs that influence results must map
-onto a cache-key field, and pure execution knobs (like these) carry a
-justification for why they cannot change a cached value.  The RC003
-analyzer rule flags any ``os.environ`` read missing from the registry.
+Every knob read here is declared in the knob registry
+(:mod:`repro.exec.knobs`): knobs that influence results must map onto a
+cache-key field, and pure execution knobs (like these) carry a
+justification for why they cannot change a cached value.  The simrace
+rule RC003 flags any ``os.environ`` read missing from the registry.
 """
 
 from __future__ import annotations
@@ -47,12 +47,7 @@ _UNSET = object()
 class CellRequest:
     """One simulation cell: everything needed to run it anywhere.
 
-    ``shards > 1`` runs the cell on the sharded engine (inline inside
-    its worker -- the cell pool is already the process-level
-    parallelism); the cache key then includes the shard count and the
-    partition-map hash so sharded results never alias serial ones.
-
-    ``snapshot_at`` (serial cells only) routes execution through
+    ``snapshot_at`` routes execution through
     :func:`repro.state.snapshot.run_app_with_snapshot`: pause at that
     cycle, snapshot, and finish from the restored clone -- exercising
     the checkpoint machinery on real workloads.  The metrics are
@@ -66,25 +61,18 @@ class CellRequest:
     scale: float
     seed: int
     verify: bool = True
-    shards: int = 1
     snapshot_at: Optional[int] = None
     #: An :class:`~repro.workloads.openloop.OpenLoopSpec` switches the
     #: cell to open-loop request driving via
     #: :func:`repro.runtime.requests.run_openloop`; the spec is part of
-    #: the cache key, so open-loop cells cache/shard like closed-loop
-    #: ones without ever aliasing them.
+    #: the cache key, so open-loop cells cache like closed-loop ones
+    #: without ever aliasing them.
     openloop: Optional[OpenLoopSpec] = None
 
     @property
     def key(self) -> str:
-        partition = ""
-        if self.shards > 1:
-            from ..sim.partition import plan_partition
-
-            partition = plan_partition(self.config, self.shards).plan_hash
         return cell_key(
             self.app, self.config, self.scale, self.seed, self.verify,
-            shards=self.shards, partition=partition,
             snapshot_at=self.snapshot_at, openloop=self.openloop,
         )
 
@@ -105,22 +93,7 @@ def _execute_cell(request: CellRequest) -> Dict[str, object]:
         result = run_openloop(
             request.app, request.config, request.openloop,
             scale=request.scale, seed=request.seed, verify=request.verify,
-            shards=request.shards if request.shards > 1 else None,
-            snapshot_at=request.snapshot_at, parallel=False,
-        )
-        return metrics_to_payload(result.metrics)
-    if request.shards > 1:
-        from ..runtime.shards import run_app_sharded
-
-        if request.snapshot_at is not None:
-            raise ValueError(
-                "snapshot_at requires a serial cell (shards=1); "
-                "sharded checkpoints go through BarrierSnapshotter"
-            )
-        result = run_app_sharded(
-            request.app, request.config, scale=request.scale,
-            seed=request.seed, shards=request.shards,
-            verify=request.verify, parallel=False,
+            snapshot_at=request.snapshot_at,
         )
         return metrics_to_payload(result.metrics)
     if request.snapshot_at is not None:
@@ -133,10 +106,7 @@ def _execute_cell(request: CellRequest) -> Dict[str, object]:
         )
         return metrics_to_payload(forked.metrics)
     app = make_app(request.app, scale=request.scale, seed=request.seed)
-    # shards is pinned from the request (never the NDPBRIDGE_SHARDS env
-    # knob): the cache key fingerprints request.shards, so an env-routed
-    # sharded run here would poison serial cache entries.
-    result = run_app(app, request.config, verify=request.verify, shards=1)
+    result = run_app(app, request.config, verify=request.verify)
     return metrics_to_payload(result.metrics)
 
 

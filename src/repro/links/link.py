@@ -18,35 +18,6 @@ import math
 from ..sim import Simulator, StatsRegistry
 
 
-def transfer_cycles_for(
-    bytes_per_cycle: float, nbytes: int, fixed_latency: int = 0
-) -> int:
-    """Serialization time of ``nbytes`` on a link of the given bandwidth.
-
-    Module-level so code that has no :class:`Link` instance (the sharded
-    partition planner, which must bound cross-shard latency *before* any
-    shard builds its fabric) computes byte-identical timings to the live
-    link model.
-    """
-    if bytes_per_cycle <= 0:
-        raise ValueError("link bandwidth must be positive")
-    return fixed_latency + max(1, math.ceil(nbytes / bytes_per_cycle))
-
-
-def min_message_latency(
-    bytes_per_cycle: float, message_bytes: int, fixed_latency: int = 0
-) -> int:
-    """Lower bound on any transfer's latency on such a link.
-
-    Every fabric message is framed to at least ``message_bytes`` (the
-    64 B wire format), so this is the minimum per-link latency -- the
-    quantity conservative-window synchronization uses as its lookahead
-    bound: no cross-shard message can arrive sooner than the sum of the
-    minimum latencies of the links it crosses.
-    """
-    return transfer_cycles_for(bytes_per_cycle, max(1, message_bytes), fixed_latency)
-
-
 class Link:
     """A serializing, bandwidth-limited transfer resource."""
 
@@ -71,16 +42,9 @@ class Link:
 
     def transfer_cycles(self, nbytes: int) -> int:
         """Pure serialization time for ``nbytes`` on this link."""
-        return transfer_cycles_for(self.bytes_per_cycle, nbytes, self.fixed_latency)
-
-    @property
-    def min_latency(self) -> int:
-        """Smallest possible transfer latency (one byte) on this link.
-
-        The per-link lookahead bound for conservative synchronization;
-        see :func:`min_message_latency` for the framed-message variant.
-        """
-        return transfer_cycles_for(self.bytes_per_cycle, 1, self.fixed_latency)
+        return self.fixed_latency + max(
+            1, math.ceil(nbytes / self.bytes_per_cycle)
+        )
 
     def transfer(self, now: int, nbytes: int) -> int:
         """Reserve the link for ``nbytes`` starting no earlier than ``now``.

@@ -212,14 +212,7 @@ class NoGlobalRandom(Rule):
 # ----------------------------------------------------------------------
 # SL003 -- hash-ordered iteration in scheduling modules
 # ----------------------------------------------------------------------
-_SCHEDULE_NAMES = frozenset(
-    {
-        "schedule",
-        "schedule_at",
-        "schedule_cancellable",
-        "schedule_cancellable_at",
-    }
-)
+_SCHEDULE_NAMES = frozenset({"schedule", "schedule_at"})
 
 _SET_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference"}

@@ -1,27 +1,16 @@
-"""simrace -- shard-isolation static analysis + deterministic race
-detection for the sharded engine.
+"""simrace -- process-boundary static analysis for the exec pool.
 
-Two halves:
-
-* **Static** (``python -m repro.race src``): rules RC001--RC005 over the
-  tree (:mod:`repro.race.rules`), sharing simlint's finding model,
-  suppression syntax (``# simrace: ignore[RC001]``), justified allowlist
-  (:mod:`repro.race.allowlist`), and SARIF output.  The env-knob
-  registry the rules enforce lives in :mod:`repro.race.fingerprints`.
-* **Runtime** (:mod:`repro.race.detector`, imported lazily -- it pulls
-  in the whole NDP model): a seeded interleaving fuzzer proving
-  bit-identical state digests against canonical execution order, plus
-  the :mod:`repro.race.ledger` boundary hash ledger that
-  ``ForkTransport`` engages under ``NDPBRIDGE_SANITIZE=1``.
+``python -m repro.race src`` runs rules RC002, RC003 and RC005 over the
+tree (:mod:`repro.race.rules`), sharing simlint's finding model,
+suppression syntax (``# simrace: ignore[RC002]``) and SARIF output.  The
+env-knob registry RC003 enforces lives with the runtime, in
+:mod:`repro.exec.knobs`, so pool workers never load the analyzers.
 """
 
 from .checker import analyze_paths, race_file, race_source
-from .fingerprints import ENV_REGISTRY, EnvKnob
 from .rules import RACE_RULE_CODES, RACE_RULES
 
 __all__ = [
-    "ENV_REGISTRY",
-    "EnvKnob",
     "RACE_RULES",
     "RACE_RULE_CODES",
     "analyze_paths",

@@ -3,9 +3,8 @@
 Reuses simlint's :class:`~repro.lint.checker.Diagnostic` and suppression
 machinery with ``tool="simrace"``::
 
-    from ..exec.shardpool import X   # simrace: ignore[RC001] why...
+    pid = os.getpid()   # simrace: ignore[RC005] why...
 
-Module-wide sanctioned sites live in :mod:`repro.race.allowlist`.
 Unlike simflow/simstate, the RC rules are per-module passes (like
 simlint), so the checker is a straight file loop.
 """
@@ -24,7 +23,6 @@ from ..lint.checker import (
     suppressed_lines,
 )
 from ..lint.rules import ModuleContext
-from .allowlist import is_allowlisted
 from .rules import RACE_RULES
 
 __all__ = ["analyze_paths", "race_file", "race_source"]
@@ -38,8 +36,8 @@ def race_source(
     """Analyse one module's source text with the RC rules.
 
     ``module_path`` overrides the package-relative path used for rule
-    scoping and the allowlist (tests use this to place fixture snippets
-    in a virtual location like ``repro/sim/partition.py``).
+    scoping (tests use this to place fixture snippets in a virtual
+    location like ``repro/ndp/unit.py``).
     """
     path = Path(path)
     if module_path is None:
@@ -64,8 +62,6 @@ def race_source(
     suppressed = suppressed_lines(source, tool="simrace")
     diagnostics: List[Diagnostic] = []
     for rule in RACE_RULES:
-        if is_allowlisted(rule.code, module_path):
-            continue
         for line, col, message in rule.check(ctx):
             if is_suppressed(suppressed, line, rule.code):
                 continue

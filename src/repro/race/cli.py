@@ -1,12 +1,9 @@
 """``python -m repro.race`` -- the simrace command line.
 
-Static mode follows the ``repro.lint`` / ``repro.flow`` / ``repro.state``
+Follows the ``repro.lint`` / ``repro.flow`` / ``repro.state``
 conventions: exit 0 when clean, 1 when findings survive suppression, 2
 on usage errors; ``--format sarif`` emits SARIF 2.1.0 for CI
-annotation.  ``--fuzz APP`` switches to the runtime race detector: a
-seeded interleaving fuzz of one (app, design, shards) cell, exiting 1
-if any interleaving changes the per-shard state digests (CI runs this
-as the race-detector smoke).
+annotation.
 """
 
 from __future__ import annotations
@@ -28,48 +25,18 @@ def _list_rules() -> str:
         lines.append(f"         {rule.description}")
     lines.append("")
     lines.append(
-        "suppress a single line with `# simrace: ignore[RC001]` "
+        "suppress a single line with `# simrace: ignore[RC002]` "
         "(comma-separate codes; bare `# simrace: ignore` silences all)"
     )
     return "\n".join(lines)
-
-
-def _run_fuzz(args: argparse.Namespace) -> int:
-    from ..config import Design
-    from ..config.presets import scaled_config
-    from .detector import RaceError, detect_races
-
-    config = scaled_config(args.units, design=Design(args.design.upper()))
-    try:
-        report = detect_races(
-            args.fuzz, config, shards=args.shards,
-            seeds=tuple(range(1, args.seeds + 1)), scale=args.scale,
-            seed=args.seed, parallel_also=args.forked,
-        )
-    except RaceError as exc:  # pragma: no cover - detect_races reports
-        print(f"simrace: {exc}")
-        return 1
-    print(
-        f"simrace fuzz: {args.fuzz} x {args.design.upper()} "
-        f"shards={args.shards} seeds={report.seeds} runs={report.runs}"
-    )
-    for shard_id, digest in enumerate(report.canonical_digests):
-        print(f"  shard {shard_id}: {digest[:16]}")
-    if report.ok:
-        print("simrace fuzz: bit-identical across every interleaving")
-        return 0
-    for mismatch in report.mismatches:
-        print(f"simrace fuzz: {mismatch}")
-    return 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.race",
         description=(
-            "simrace: shard-isolation static analysis (RC001-RC005) and "
-            "the deterministic interleaving race detector for the "
-            "sharded engine"
+            "simrace: process-boundary static analysis for the exec "
+            "pool (RC002, RC003, RC005)"
         ),
     )
     parser.add_argument(
@@ -102,47 +69,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="suppress the summary line",
     )
-    fuzz = parser.add_argument_group("runtime race detector")
-    fuzz.add_argument(
-        "--fuzz",
-        metavar="APP",
-        default=None,
-        help="fuzz interleavings of APP instead of static analysis",
-    )
-    fuzz.add_argument(
-        "--design", default="O", help="design letter (default: O)"
-    )
-    fuzz.add_argument(
-        "--units", type=int, default=128,
-        help="total NDP units (default: 128)",
-    )
-    fuzz.add_argument(
-        "--shards", type=int, default=2, help="shard count (default: 2)"
-    )
-    fuzz.add_argument(
-        "--seeds", type=int, default=3,
-        help="number of interleaving seeds (default: 3)",
-    )
-    fuzz.add_argument(
-        "--scale", type=float, default=0.1,
-        help="workload scale (default: 0.1)",
-    )
-    fuzz.add_argument(
-        "--seed", type=int, default=7, help="workload seed (default: 7)"
-    )
-    fuzz.add_argument(
-        "--forked",
-        action="store_true",
-        help="also compare one forked-parallel run against canonical",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
         print(_list_rules())
         return 0
-
-    if args.fuzz is not None:
-        return _run_fuzz(args)
 
     diagnostics = analyze_paths(args.paths)
 

@@ -1,25 +1,20 @@
-"""The simrace rule set: static race/isolation analysis.
+"""The simrace rule set: static analysis of the exec pool's boundary.
 
-The sharded engine's correctness argument has four legs -- shard
-isolation, a picklable process boundary, a complete cache fingerprint,
-and a sound lookahead.  Each leg is a *convention* today; these rules
-make every leg a build failure instead:
+Sweep cells run in :class:`concurrent.futures.ProcessPoolExecutor`
+workers and their results are cached on disk.  Serial, pooled and cached
+results are bit-identical only while three conventions hold; these rules
+make each one a build failure instead:
 
-* **RC001** shard isolation -- simulation modules may not reach
-  cross-shard state except via the declared boundary APIs,
 * **RC002** process-boundary payload safety -- nothing unpicklable may
-  statically reach ``ForkTransport`` / ``ProcessPoolExecutor``,
+  statically reach a ``ProcessPoolExecutor`` or a ``Process``,
 * **RC003** cache-fingerprint completeness -- every environment read
-  must name a knob declared in :mod:`repro.race.fingerprints`,
-* **RC004** lookahead soundness -- the window lookahead must be derived
-  from (and never shrink below) the link-latency model,
+  must name a knob declared in :mod:`repro.exec.knobs`,
 * **RC005** worker-context independence -- worker-executed modules may
   not observe pid/cwd/start-method/host identity.
 
 Rules reuse simlint's :class:`~repro.lint.rules.ModuleContext` and yield
 ``(line, col, message)`` findings; suppression (``# simrace:
-ignore[RC001]``) and the allowlist are applied by
-:mod:`repro.race.checker`.
+ignore[RC002]``) is applied by :mod:`repro.race.checker`.
 """
 
 from __future__ import annotations
@@ -27,50 +22,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..exec.knobs import is_registered
 from ..lint.rules import Finding, ModuleContext, Rule, resolve_dotted
-from .fingerprints import is_registered
 
 __all__ = [
     "RACE_RULES",
     "RACE_RULE_CODES",
-    "absolute_import_module",
 ]
-
-
-def absolute_import_module(
-    node: ast.ImportFrom, ctx: ModuleContext
-) -> Optional[str]:
-    """The absolute dotted module an ``ImportFrom`` targets.
-
-    Unlike :meth:`ModuleContext.aliases`, this resolves *relative*
-    imports against the module path (``from ..exec.shardpool import X``
-    inside ``repro/sim/sharded.py`` -> ``repro.exec.shardpool``), which
-    is exactly the form boundary-crossing imports take in this tree.
-    """
-    if node.level == 0:
-        return node.module
-    if not ctx.module_path.endswith(".py"):
-        return node.module
-    pieces = ctx.module_path[:-3].split("/")
-    # The package of the importing module: its directory (for
-    # __init__.py, the directory *is* the package).
-    pieces = pieces[:-1] if pieces[-1] != "__init__" else pieces[:-1]
-    drop = node.level - 1
-    if drop >= len(pieces):
-        pieces = []
-    elif drop:
-        pieces = pieces[:-drop]
-    base = ".".join(pieces)
-    if node.module:
-        return f"{base}.{node.module}" if base else node.module
-    return base or None
-
-
-def _module_is(dotted: Optional[str], tail: Tuple[str, ...]) -> bool:
-    """Does ``dotted`` end in the package-qualified ``tail``?"""
-    if not dotted:
-        return False
-    return tuple(dotted.split(".")[-len(tail):]) == tail
 
 
 def _terminal_name(func: ast.AST) -> Optional[str]:
@@ -83,80 +41,8 @@ def _terminal_name(func: ast.AST) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# RC001 -- shard isolation
-# ----------------------------------------------------------------------
-#: Simulation-model packages: everything here runs *inside* one shard
-#: and must stay ignorant of sibling shards and the transport layer.
-_RC001_SCOPE = (
-    "repro/sim/",
-    "repro/bridge/",
-    "repro/ndp/",
-    "repro/balance/",
-)
-_SHARDPOOL = ("exec", "shardpool")
-_SHARDED = ("sim", "sharded")
-
-
-class ShardIsolation(Rule):
-    code = "RC001"
-    name = "shard-isolation"
-    description = (
-        "simulation modules must not reach cross-shard state except via "
-        "the declared boundary APIs (ShardAddressMap, the transport's "
-        "broadcast protocol); importing exec.shardpool or private "
-        "sim.sharded internals from model code collapses the isolation "
-        "the conservative-window proof rests on"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.module_path.startswith(_RC001_SCOPE):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if _module_is(alias.name, _SHARDPOOL):
-                        yield (
-                            node.lineno,
-                            node.col_offset,
-                            f"import of transport internals "
-                            f"`{alias.name}` from simulation module "
-                            f"{ctx.module_path} -- only the coordinator "
-                            f"may touch the fork transport",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                target = absolute_import_module(node, ctx)
-                if _module_is(target, _SHARDPOOL):
-                    names = ", ".join(a.name for a in node.names)
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f"import of `{names}` from transport module "
-                        f"`{target}` in simulation module "
-                        f"{ctx.module_path} -- cross-shard state is only "
-                        f"reachable via the declared boundary APIs",
-                    )
-                elif _module_is(target, _SHARDED):
-                    private = [
-                        a.name
-                        for a in node.names
-                        if a.name == "*" or a.name.startswith("_")
-                    ]
-                    if private:
-                        yield (
-                            node.lineno,
-                            node.col_offset,
-                            f"import of coordinator internals "
-                            f"`{', '.join(private)}` from `{target}` -- "
-                            f"simulation modules may only use the public "
-                            f"shard protocol (ShardRuntime, "
-                            f"BoundaryMessage, ...)",
-                        )
-
-
-# ----------------------------------------------------------------------
 # RC002 -- process-boundary payload safety
 # ----------------------------------------------------------------------
-_BOUNDARY_CONSTRUCTORS = frozenset({"ForkTransport", "ProcessPoolExecutor"})
 _POOL_METHODS = frozenset({"submit", "map"})
 _PROCESS_KEYWORDS = frozenset({"target", "args"})
 
@@ -165,8 +51,8 @@ class PayloadSafety(Rule):
     code = "RC002"
     name = "boundary-payload-safety"
     description = (
-        "objects crossing a process boundary (ForkTransport builders, "
-        "ProcessPoolExecutor.submit/map arguments, Process targets) must "
+        "objects crossing a process boundary (ProcessPoolExecutor "
+        "arguments and submit/map payloads, Process targets) must "
         "be picklable, snapshot-clean data -- lambdas, closures, "
         "generators, and open file handles either fail to pickle or "
         "silently capture per-process state"
@@ -316,7 +202,7 @@ class PayloadSafety(Rule):
         self, call: ast.Call, pools: Dict[str, bool]
     ) -> Optional[str]:
         terminal = _terminal_name(call.func)
-        if terminal in _BOUNDARY_CONSTRUCTORS:
+        if terminal == "ProcessPoolExecutor":
             return f"{terminal}(...)"
         if terminal == "Process":
             return "Process(...)"
@@ -360,7 +246,7 @@ class FingerprintCompleteness(Rule):
     name = "fingerprint-completeness"
     description = (
         "every os.environ/os.getenv read that can influence simulation "
-        "results must name a knob declared in repro.race.fingerprints; "
+        "results must name a knob declared in repro.exec.knobs; "
         "the registry maps result-affecting knobs onto cache-key fields "
         "(enforced by repro.exec.cache at import), so an undeclared knob "
         "is a latent cache-poisoning hazard"
@@ -393,7 +279,7 @@ class FingerprintCompleteness(Rule):
                     node.col_offset,
                     f"read of undeclared environment knob "
                     f"{name_expr.value!r} -- declare it in "
-                    f"repro/race/fingerprints.py as fingerprinted (cache-"
+                    f"repro/exec/knobs.py as fingerprinted (cache-"
                     f"key field) or execution_only (with justification)",
                 )
 
@@ -411,174 +297,10 @@ class FingerprintCompleteness(Rule):
 
 
 # ----------------------------------------------------------------------
-# RC004 -- lookahead soundness
-# ----------------------------------------------------------------------
-#: The modules where lookahead/horizon expressions live.
-_RC004_MODULES = ("repro/sim/partition.py", "repro/sim/sharded.py")
-#: The latency model in repro/links/link.py: the only sound origins for
-#: a lookahead value.
-_LATENCY_FUNCS = frozenset({"min_message_latency", "transfer_cycles_for"})
-
-
-class LookaheadSoundness(Rule):
-    code = "RC004"
-    name = "lookahead-soundness"
-    description = (
-        "the conservative-window lookahead must be derived from the "
-        "link-latency constants in links/link.py through non-shrinking "
-        "arithmetic (+, * by a positive constant, max), and horizon() "
-        "must add the full lookahead -- a lookahead that exceeds the "
-        "true minimum latency silently desynchronizes shards"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.module_path not in _RC004_MODULES:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name == "horizon":
-                    yield from self._check_horizon(node)
-                else:
-                    yield from self._check_assignments(node)
-
-    # -- lookahead derivation ------------------------------------------
-    def _check_assignments(self, fn: ast.AST) -> Iterator[Finding]:
-        derived: set = set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if not isinstance(target, ast.Name):
-                    continue
-                if self._is_latency(node.value, derived) and not (
-                    self._shrinks(node.value, derived)
-                ):
-                    derived.add(target.id)
-                if target.id == "lookahead":
-                    yield from self._judge(node.value, derived, node)
-            elif isinstance(node, ast.Call):
-                for kw in node.keywords:
-                    if kw.arg == "lookahead":
-                        yield from self._judge(kw.value, derived, kw.value)
-
-    def _judge(
-        self, value: ast.AST, derived: set, site: ast.AST
-    ) -> Iterator[Finding]:
-        lineno = getattr(site, "lineno", 1)
-        col = getattr(site, "col_offset", 0)
-        if self._shrinks(value, derived):
-            yield (
-                lineno,
-                col,
-                "lookahead expression shrinks a latency-derived term "
-                "(subtraction/division/min) -- the lookahead may never "
-                "undercut the links/link.py bound",
-            )
-        elif not self._is_latency(value, derived):
-            yield (
-                lineno,
-                col,
-                "lookahead is not derived from the link-latency model "
-                "(min_message_latency / transfer_cycles_for in "
-                "links/link.py) -- a free constant here voids the "
-                "conservative-window proof",
-            )
-
-    def _is_latency(self, expr: ast.AST, derived: set) -> bool:
-        if isinstance(expr, ast.Call):
-            terminal = _terminal_name(expr.func)
-            if terminal in _LATENCY_FUNCS:
-                return True
-            if terminal == "max":
-                return any(self._is_latency(a, derived) for a in expr.args)
-            return False
-        if isinstance(expr, ast.Name):
-            return expr.id in derived
-        if isinstance(expr, ast.Attribute):
-            return expr.attr in derived
-        if isinstance(expr, ast.BinOp):
-            if isinstance(expr.op, ast.Add):
-                return self._is_latency(
-                    expr.left, derived
-                ) or self._is_latency(expr.right, derived)
-            if isinstance(expr.op, ast.Mult):
-                if self._is_latency(expr.left, derived):
-                    return self._grows(expr.right)
-                if self._is_latency(expr.right, derived):
-                    return self._grows(expr.left)
-        return False
-
-    @staticmethod
-    def _grows(scale: ast.AST) -> bool:
-        """A multiplier provably >= 1 (constant propagation)."""
-        return (
-            isinstance(scale, ast.Constant)
-            and isinstance(scale.value, (int, float))
-            and scale.value >= 1
-        )
-
-    def _shrinks(self, expr: ast.AST, derived: set) -> bool:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.Sub, ast.Div, ast.FloorDiv, ast.Mod, ast.RShift)
-            ):
-                if self._is_latency(node.left, derived) or self._is_latency(
-                    node.right, derived
-                ):
-                    return True
-            elif isinstance(node, ast.BinOp) and isinstance(
-                node.op, ast.Mult
-            ):
-                lat_l = self._is_latency(node.left, derived)
-                lat_r = self._is_latency(node.right, derived)
-                if lat_l and not lat_r and not self._grows(node.right):
-                    if isinstance(node.right, ast.Constant):
-                        return True
-                if lat_r and not lat_l and not self._grows(node.left):
-                    if isinstance(node.left, ast.Constant):
-                        return True
-            elif isinstance(node, ast.Call):
-                if _terminal_name(node.func) == "min" and any(
-                    self._is_latency(a, derived) for a in node.args
-                ):
-                    return True
-        return False
-
-    # -- horizon bound --------------------------------------------------
-    def _check_horizon(self, fn: ast.AST) -> Iterator[Finding]:
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Return) or node.value is None:
-                continue
-            if not self._mentions_lookahead(node.value):
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    "horizon() return does not add the declared lookahead "
-                    "-- every horizon bound must include the full minimum "
-                    "cross-shard latency",
-                )
-            elif self._shrinks(node.value, {"lookahead"}):
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    "horizon() shrinks the lookahead term -- the window "
-                    "bound may never undercut the declared lookahead",
-                )
-
-    @staticmethod
-    def _mentions_lookahead(expr: ast.AST) -> bool:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Attribute) and node.attr == "lookahead":
-                return True
-            if isinstance(node, ast.Name) and node.id == "lookahead":
-                return True
-        return False
-
-
-# ----------------------------------------------------------------------
 # RC005 -- worker-context independence
 # ----------------------------------------------------------------------
-#: Worker-executed packages: everything that can run inside a forked
-#: shard worker (the same scope simstate audits for snapshottability).
+#: Worker-executed packages: everything a pool worker runs to simulate
+#: a cell (the same scope simstate audits for snapshottability).
 _RC005_SCOPE = (
     "repro/sim/",
     "repro/bridge/",
@@ -623,7 +345,7 @@ class WorkerContextIndependence(Rule):
     description = (
         "worker-executed modules must not observe process identity "
         "(pid, cwd, start method, thread ids, hostname, object "
-        "addresses) -- any such read makes inline and forked shards "
+        "addresses) -- any such read makes in-process and pooled cells "
         "diverge, breaking the bit-identity contract"
     )
 
@@ -639,16 +361,14 @@ class WorkerContextIndependence(Rule):
                     node.lineno,
                     node.col_offset,
                     f"process-context read `{dotted}()` in worker-executed "
-                    f"module {ctx.module_path} -- inline and forked shards "
-                    f"would observe different values and desynchronize",
+                    f"module {ctx.module_path} -- in-process and pooled "
+                    f"cells would observe different values and diverge",
                 )
 
 
 RACE_RULES: Tuple[Rule, ...] = (
-    ShardIsolation(),
     PayloadSafety(),
     FingerprintCompleteness(),
-    LookaheadSoundness(),
     WorkerContextIndependence(),
 )
 

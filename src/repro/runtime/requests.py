@@ -9,23 +9,18 @@ up front and report makespan.  This module drives the index apps as
 latency is recorded per tenant by an exact
 :class:`~repro.analysis.latency.LatencyRecorder`.
 
-Design notes (all three composition oracles depend on these):
+Design notes (the composition oracles depend on these):
 
 * **The run is held open by a sentinel.**  The tracker finishes a run
   when the current epoch is quiescent with no future work -- which,
   open-loop, would happen in the first idle gap between arrivals.
   ``seed_tasks`` therefore registers one sentinel task at ts=0 that is
   only completed by the *last* injection event, so quiescence is
-  unreachable until the full stream is in.  This works unchanged for
-  the sharded engine's finish consensus: a shard with an open sentinel
-  reports non-quiescent, so no barrier can finish the run early.
+  unreachable until the full stream is in.
 * **Injection is a chain of simulator events.**  ``_pump`` (a bound
   method -- snapshot-safe, lint-safe) injects every request of the
   current cycle through ``system.seed_task`` and schedules itself at
-  the next arrival cycle.  Under the sharded engine every shard runs
-  the identical pump over the identical request list; ``seed_task``
-  already filters non-home seeds, so each request enters exactly once,
-  on its home shard.
+  the next arrival cycle.
 * **The request list is pure data.**  Generated deterministically
   before the run starts and stored on the app, so snapshot/fork clones
   carry the stream (and the not-yet-fired pump event) with them.
@@ -39,7 +34,8 @@ from ..analysis.latency import LatencyRecorder
 from ..analysis.metrics import collect_metrics
 from ..config import ConfigError, Design, SystemConfig
 from ..workloads.openloop import OpenLoopSpec, Request, generate_requests
-from .runner import RunResult, VerificationError, build_system
+from .runner import RunResult, VerificationError, build_system, \
+    check_serial
 
 if TYPE_CHECKING:  # avoid a circular import; apps build on the runtime
     from ..apps.base import NDPApplication
@@ -58,9 +54,8 @@ class OpenLoopApp:
     delegates to the inner app and installs the completion listener;
     ``seed_tasks`` schedules the arrival pump instead of seeding tasks.
     Because it satisfies the same ``attach``/``seed_tasks``/``verify``
-    protocol, every existing harness -- ``run_app``, the sharded
-    replicator, ``run_app_with_snapshot``, exec cells -- drives it
-    unmodified.
+    protocol, every existing harness -- ``run_app``,
+    ``run_app_with_snapshot``, exec cells -- drives it unmodified.
     """
 
     def __init__(self, inner: "NDPApplication", spec: OpenLoopSpec) -> None:
@@ -92,8 +87,7 @@ class OpenLoopApp:
     def seed_tasks(self, system) -> None:
         # The sentinel: one ts=0 task that only the last pump completes,
         # holding epoch 0 (and therefore the run) open across idle gaps.
-        # Registered directly on the tracker -- each shard replica needs
-        # its own, and seed_task's home filter must not see it.
+        # Registered directly on the tracker: it is not a real task.
         system.tracker.task_created(0)
         system.sim.schedule_at(self._requests[0].arrival, self._pump)
 
@@ -134,20 +128,6 @@ class OpenLoopApp:
             self.recorder.record(req.tenant, now - req.arrival)
 
     # -- result plumbing ---------------------------------------------------
-    def shard_payload(self) -> Dict[str, object]:
-        """Per-shard latency samples, merged by :func:`run_openloop`."""
-        return {
-            "completions": self.completions,
-            "requests": len(self._requests),
-            "last_arrival": (
-                self._requests[-1].arrival if self._requests else 0
-            ),
-            "samples": {
-                tenant: list(samples)
-                for tenant, samples in sorted(self.recorder.samples.items())
-            },
-        }
-
     def latency_extra(self) -> Dict[str, float]:
         """The flat ``RunMetrics.extra`` entries for this run."""
         out = {
@@ -169,7 +149,7 @@ class OpenLoopApp:
 class RequestDriver:
     """Explicit start/advance/finish control over one open-loop run.
 
-    ``run_openloop`` uses it for the serial path; tests use the split
+    ``run_openloop`` uses it for plain runs; tests use the split
     form to pause mid-stream (e.g. to snapshot between arrivals).
     """
 
@@ -212,19 +192,18 @@ def run_openloop(
     scale: float = 1.0,
     seed: int = 1,
     verify: bool = True,
-    shards: Optional[int] = None,
+    shards: int = 1,
     snapshot_at: Optional[int] = None,
-    parallel: Optional[bool] = None,
 ) -> RunResult:
     """Run one open-loop cell; the ``run_app`` twin for request driving.
 
     Returns a :class:`~repro.runtime.runner.RunResult` whose metrics
     carry the per-tenant latency report in ``extra`` (flat ``lat/...``
-    keys -- cache- and JSON-safe).  ``shards`` follows ``run_app``
-    semantics (explicit count is strict; ``None`` stays serial);
-    ``snapshot_at`` routes the serial path through the snapshot oracle
-    (pause, snapshot, finish from the restored fork).
+    keys -- cache- and JSON-safe).  ``shards`` follows ``run_app``:
+    only ``1`` is accepted.  ``snapshot_at`` routes the run through the
+    snapshot oracle (pause, snapshot, finish from the restored fork).
     """
+    check_serial(shards)
     if config.design is Design.H:
         raise ConfigError(
             "open-loop driving targets the NDP designs (C/B/W/O); "
@@ -233,53 +212,6 @@ def run_openloop(
     from ..apps import make_app
 
     ol_app = OpenLoopApp(make_app(app, scale=scale, seed=seed), spec)
-
-    if shards is not None and shards > 1:
-        if snapshot_at is not None:
-            raise ValueError(
-                "snapshot_at requires a serial open-loop run (shards=1)"
-            )
-        from .shards import run_app_sharded
-
-        result = run_app_sharded(
-            cast(Any, ol_app), config, seed=seed, shards=shards,
-            verify=False, parallel=parallel,
-        )
-        # Merge each shard's recorder: chains complete on whichever
-        # shard they end on, so the shards hold disjoint sample sets.
-        # result.app is the unattached prototype (no request list), so
-        # stream-level facts come from the payloads -- every shard
-        # generated the identical stream.
-        merged = LatencyRecorder()
-        completions = 0
-        n_requests = 0
-        last_arrival = 0
-        for payload in result.system.payloads:
-            extra = payload.get("app_extra")
-            if not extra:
-                continue
-            completions += int(extra["completions"])
-            n_requests = int(extra["requests"])
-            last_arrival = int(extra["last_arrival"])
-            for tenant, samples in extra["samples"].items():
-                for sample in samples:
-                    merged.record(tenant, int(sample))
-        merged_app: OpenLoopApp = result.app
-        merged_app.recorder = merged
-        merged_app.completions = completions
-        result.metrics.extra.update({
-            "ol/requests": float(n_requests),
-            "ol/completed": float(completions),
-            "ol/warmup": float(spec.warmup),
-            "ol/last_arrival": float(last_arrival),
-        })
-        result.metrics.extra.update(merged.summary())
-        if verify and completions != n_requests:
-            raise VerificationError(
-                f"{merged_app.name} (sharded): completed {completions} of "
-                f"{n_requests} requests"
-            )
-        return result
 
     if snapshot_at is not None:
         from ..state.snapshot import run_app_with_snapshot

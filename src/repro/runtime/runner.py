@@ -10,10 +10,10 @@ paper-style metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..analysis.metrics import RunMetrics, collect_metrics
-from ..config import Design, SystemConfig
+from ..config import ConfigError, Design, SystemConfig
 from .system import NDPSystem
 
 if TYPE_CHECKING:  # avoid a circular import; apps build on the runtime
@@ -33,6 +33,16 @@ class RunResult:
     metrics: RunMetrics
 
 
+def check_serial(shards: int) -> None:
+    """Reject any engine but the serial one (``shards`` must be 1)."""
+    if shards != 1:
+        raise ConfigError(
+            f"shards={shards!r}: the sharded engine was removed; every "
+            "run uses the serial engine (shards=1).  Sweeps scale across "
+            "cells through repro.exec instead"
+        )
+
+
 def build_system(config: SystemConfig):
     """The system model matching the configured design."""
     if config.design is Design.H:
@@ -46,30 +56,15 @@ def run_app(
     app: "NDPApplication",
     config: SystemConfig,
     verify: bool = True,
-    shards: Optional[int] = None,
+    shards: int = 1,
 ) -> RunResult:
     """Execute ``app`` on a fresh system built from ``config``.
 
-    ``shards`` opts into the sharded engine (``docs/ARCHITECTURE.md``,
-    "Sharded engine"): ``None`` (the default) consults
-    ``NDPBRIDGE_SHARDS`` best-effort -- serial when the knob is unset or
-    the design/topology cannot shard -- while an explicit integer is
-    strict (``1`` forces the serial engine, ``> 1`` the sharded one,
-    raising on an unshardable topology).  A sharded run replicates
-    ``app`` per shard from its pre-attachment state, returns a
-    ``RunResult`` whose ``system`` is a
-    :class:`~repro.runtime.shards.ShardedRunInfo`, and defers
-    verification to the sharded engine's conservation checks.
+    ``shards`` is kept for callers that pin the engine explicitly: ``1``
+    (the only engine) is accepted, any other value raises
+    :class:`~repro.config.ConfigError`.
     """
-    if shards is None and config.design is not Design.H:
-        from .shards import resolve_shards
-
-        shards = resolve_shards(config)
-    if shards is not None and shards > 1:
-        return run_app_sharded(
-            app, config, seed=getattr(app, "seed", 1), shards=shards,
-            verify=verify,
-        )
+    check_serial(shards)
     system = build_system(config)
     app.attach(system)
     app.seed_tasks(system)
@@ -83,14 +78,9 @@ def run_app(
     return RunResult(app=app, system=system, metrics=metrics)
 
 
-# The sharded twin lives in .shards (which imports this module lazily);
-# re-exported here so callers have one entry-point module.
-from .shards import run_app_sharded  # noqa: E402
-
 __all__ = [
     "RunResult",
     "VerificationError",
     "build_system",
     "run_app",
-    "run_app_sharded",
 ]

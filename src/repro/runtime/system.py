@@ -8,7 +8,7 @@ tasks, then :meth:`run` to completion.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List
 
 from ..bridge.fabric import build_fabric
 from ..config import SystemConfig, validate_config
@@ -22,13 +22,7 @@ from .tracker import RunTracker
 
 
 class NDPSystem:
-    """One simulated DRAM-bank NDP machine.
-
-    Subclasses (the sharded engine's per-shard systems) customize
-    construction through the ``_build_*`` hooks below rather than by
-    re-running ``__init__``; each hook has exactly one serial behavior
-    so the plain system is unaffected.
-    """
+    """One simulated DRAM-bank NDP machine."""
 
     def __init__(self, config: SystemConfig):
         validate_config(config)
@@ -36,17 +30,17 @@ class NDPSystem:
         self.sim = Simulator(max_cycles=config.max_cycles)
         self.stats = StatsRegistry()
         self.rng = DeterministicRNG(config.seed)
-        self.addr_map = self._build_addr_map(config)
-        self.partition = self._build_partition()
+        self.addr_map = AddressMap(config)
+        self.partition = PartitionMap(self.addr_map)
         self.registry = TaskRegistry()
-        self.tracker = self._build_tracker()
-        self.units: Sequence[NDPUnit] = self._wrap_units([
+        self.tracker = RunTracker()
+        self.units: List[NDPUnit] = [
             NDPUnit(
                 self.sim, config, self.stats, unit_id, self,
                 self.rng.substream(f"unit{unit_id}"),
             )
-            for unit_id in self._unit_ids(config)
-        ])
+            for unit_id in range(config.topology.total_units)
+        ]
         self.fabric = build_fabric(
             self.sim, config, self.stats, self, self.rng.substream("fabric")
         )
@@ -61,22 +55,6 @@ class NDPSystem:
             self.auditor.attach(self)
         self.tracker.on_epoch_advance(self._on_epoch_advance)
         self._ran = False
-
-    # -- construction hooks (overridden by sharded subclasses) ----------
-    def _build_addr_map(self, config: SystemConfig) -> AddressMap:
-        return AddressMap(config)
-
-    def _build_partition(self) -> PartitionMap:
-        return PartitionMap(self.addr_map)
-
-    def _build_tracker(self) -> RunTracker:
-        return RunTracker()
-
-    def _unit_ids(self, config: SystemConfig) -> Iterable[int]:
-        return range(config.topology.total_units)
-
-    def _wrap_units(self, units: List[NDPUnit]) -> Sequence[NDPUnit]:
-        return units
 
     # ------------------------------------------------------------------
     @property

@@ -110,42 +110,3 @@ class RunTracker:
             for fn in self._finish_listeners:
                 fn()
             return
-
-
-class ShardTracker(RunTracker):
-    """A :class:`RunTracker` whose barrier is driven externally.
-
-    One shard cannot decide alone that an epoch has drained: another
-    shard may still hold epoch tasks, or a boundary message may be in
-    flight between them.  So :meth:`check_progress` is a no-op and the
-    sharded engine's consensus policy calls :meth:`force_advance` /
-    :meth:`force_finish` at window barriers once *every* shard reports
-    quiescent and no boundary message is pending.
-    """
-
-    def check_progress(self) -> None:
-        return
-
-    def force_advance(self) -> None:
-        """Advance one epoch; caller has established global quiescence."""
-        if self.finished:
-            raise RuntimeError("cannot advance a finished run")
-        if not self.epoch_quiescent:
-            raise RuntimeError(
-                f"epoch {self.epoch} not quiescent: "
-                f"{self.outstanding(self.epoch)} tasks outstanding, "
-                f"{self.task_messages_in_flight} task messages in flight"
-            )
-        self.epoch += 1
-        for fn in self._epoch_listeners:
-            fn(self.epoch)
-
-    def force_finish(self) -> None:
-        """Terminate the run; caller has established global drain."""
-        if self.finished:
-            return
-        if not self.epoch_quiescent or self._future_work_exists():
-            raise RuntimeError("cannot finish: shard still holds work")
-        self.finished = True
-        for fn in self._finish_listeners:
-            fn()

@@ -1,24 +1,12 @@
 """Discrete-event simulation kernel used by the NDPBridge model."""
 
-from .engine import Event, SimulationError, Simulator, sanitize_from_env
+from .engine import SimulationError, Simulator, sanitize_from_env
 from .component import Component
 from .rng import DeterministicRNG
 from .tracing import NULL_TRACER, TraceRecord, Tracer, TracerError
 from .stats import Accumulator, Counter, Histogram, StatsRegistry
-from .partition import PartitionPlan, plan_partition, shards_from_env
-from .sharded import (
-    BoundaryMessage,
-    ControlDecision,
-    FixedLookaheadPlan,
-    ShardedResult,
-    ShardedSimulator,
-    ShardReport,
-    ShardRuntime,
-    default_policy,
-)
 
 __all__ = [
-    "Event",
     "SimulationError",
     "Simulator",
     "sanitize_from_env",
@@ -32,15 +20,4 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "TracerError",
-    "PartitionPlan",
-    "plan_partition",
-    "shards_from_env",
-    "BoundaryMessage",
-    "ControlDecision",
-    "FixedLookaheadPlan",
-    "ShardedResult",
-    "ShardedSimulator",
-    "ShardReport",
-    "ShardRuntime",
-    "default_policy",
 ]

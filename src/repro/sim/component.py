@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, ClassVar, Optional, Tuple
 
-from .engine import Event, Simulator
+from .engine import Simulator
 
 
 class Component:
@@ -52,14 +52,8 @@ class Component:
         return self.sim.now
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        """Schedule on the engine's allocation-free fast path."""
+        """Schedule ``callback`` ``delay`` cycles from now."""
         self.sim.schedule(delay, callback)
-
-    def schedule_cancellable(
-        self, delay: int, callback: Callable[[], None]
-    ) -> Event:
-        """Schedule a callback that may later be cancelled."""
-        return self.sim.schedule_cancellable(delay, callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.full_name!r})"

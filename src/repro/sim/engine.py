@@ -10,18 +10,14 @@ The engine is the hottest code in the repository -- every figure of the
 evaluation replays millions of events through it -- so the common case is
 kept allocation-free: :meth:`Simulator.schedule` pushes a bare
 ``(time, seq, callback)`` tuple onto a binary heap and returns nothing.
-Callers that need to cancel use :meth:`Simulator.schedule_cancellable`,
-which wraps the callback in an :class:`Event` handle; cancellation is lazy
-(the heap entry is skipped when popped) but *counted*, and the heap is
-compacted once cancelled entries outnumber live ones.  The run loop drains
-all events that share a timestamp in one batch, paying the ``until`` /
-``max_cycles`` bookkeeping once per cycle instead of once per event.
+The run loop drains all events that share a timestamp in one batch,
+paying the ``until`` / ``max_cycles`` bookkeeping once per cycle instead
+of once per event.
 
 Determinism is a hard requirement -- two runs with the same seed must
 produce identical cycle counts -- so events execute strictly in
 ``(time, seq)`` order and no wall-clock or hashing order ever influences
-event order.  The fast path and the cancellable path share one sequence
-counter, so mixing them cannot reorder anything.
+event order.
 
 **Sanitizer mode.**  ``Simulator(sanitize=True)`` (or exporting
 ``NDPBRIDGE_SANITIZE=1``) turns on runtime invariant checking: delays
@@ -29,11 +25,10 @@ must be genuine ints (no silently-truncated floats), callbacks must be
 callable, dispatch order must be strictly increasing in ``(time, seq)``
 (which also proves ``seq`` never collides), batch time must be monotone,
 and at every :meth:`run` exit an event-conservation audit verifies
-``scheduled == dispatched + cancelled-purged + still-queued`` and that
-the lazy-cancellation counter matches a recount of the heap.  All of
-this lives in separate wrappers and a separate run loop, so the
-non-sanitized fast path executes exactly the same instructions as
-before -- the checks are compiled out, not branched around.  Sanitized
+``scheduled == dispatched + still-queued``.  All of this lives in
+separate wrappers and a separate run loop, so the non-sanitized fast
+path carries none of it -- the checks are compiled out, not branched
+around.  Sanitized
 and plain runs of the same model produce bit-identical cycle counts;
 the tier-1 determinism tests assert this.
 """
@@ -44,7 +39,7 @@ import heapq
 import os
 from typing import Callable, List, Optional, Tuple
 
-__all__ = ["Event", "SimulationError", "Simulator", "sanitize_from_env"]
+__all__ = ["SimulationError", "Simulator", "sanitize_from_env"]
 
 
 def sanitize_from_env() -> bool:
@@ -59,50 +54,6 @@ def sanitize_from_env() -> bool:
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
-
-
-class Event:
-    """A cancellable scheduled callback.
-
-    Handed back by :meth:`Simulator.schedule_cancellable` so callers can
-    cancel it.  Cancellation is lazy: the heap entry stays put but is
-    skipped when popped.  The owning simulator counts cancellations so it
-    can compact the heap when too many dead entries accumulate.
-    """
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[[], None],
-        sim: "Optional[Simulator]" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        # None once executed, so cancel() after the fact is a no-op.
-        self.callback: Optional[Callable[[], None]] = callback
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Mark the event so the run loop skips it.  Idempotent; a no-op
-        once the event has executed."""
-        if self.cancelled or self.callback is None:
-            return
-        self.cancelled = True
-        if self._sim is not None:
-            self._sim._note_cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time}, seq={self.seq}, {state})"
-
-
-#: Heaps smaller than this are never compacted -- the scan costs more
-#: than the dead entries.
-_COMPACT_MIN = 64
 
 
 class Simulator:
@@ -128,19 +79,15 @@ class Simulator:
     ) -> None:
         self.now: int = 0
         self.max_cycles = max_cycles
-        # Heap of (time, seq, payload); payload is either a bare callable
-        # (fast path) or an Event (cancellable path).  seq is unique, so
-        # tuple comparison never reaches the payload.
-        self._queue: List[Tuple[int, int, object]] = []
+        # Heap of (time, seq, callback).  seq is unique, so tuple
+        # comparison never reaches the callback.
+        self._queue: List[Tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self._events_processed = 0
-        self._cancelled = 0
         self._stopped = False
-        # Conservation/ordering bookkeeping.  _cancel_purged is counted
-        # unconditionally (all its increments sit on cold purge paths);
-        # _scheduled_total is only counted by the sanitized wrappers, so
-        # the conservation audit is meaningful only in sanitizer mode.
-        self._cancel_purged = 0
+        # Conservation/ordering bookkeeping.  _scheduled_total is only
+        # counted by the sanitized wrappers, so the conservation audit is
+        # meaningful only in sanitizer mode.
         self._scheduled_total = 0
         self._last_dispatched: Tuple[int, int] = (-1, -1)
         if sanitize is None:
@@ -151,8 +98,6 @@ class Simulator:
             # class fast paths stay byte-identical when sanitizing is off.
             self.schedule = self._schedule_sanitized  # type: ignore[method-assign]
             self.schedule_at = self._schedule_at_sanitized  # type: ignore[method-assign]
-            self.schedule_cancellable = self._schedule_cancellable_sanitized  # type: ignore[method-assign]
-            self.schedule_cancellable_at = self._schedule_cancellable_at_sanitized  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # scheduling
@@ -160,9 +105,7 @@ class Simulator:
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now.
 
-        This is the allocation-free fast path: no :class:`Event` handle is
-        created and nothing is returned.  Use
-        :meth:`schedule_cancellable` when the caller may need to cancel.
+        Allocation-free: pushes one heap tuple and returns nothing.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
@@ -171,7 +114,7 @@ class Simulator:
         heapq.heappush(self._queue, (self.now + int(delay), seq, callback))
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at an absolute cycle count (fast path)."""
+        """Schedule ``callback`` at an absolute cycle count."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule at t={time}, current time is {self.now}"
@@ -179,27 +122,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (int(time), seq, callback))
-
-    def schedule_cancellable(
-        self, delay: int, callback: Callable[[], None]
-    ) -> Event:
-        """Like :meth:`schedule`, but returns a cancellable handle."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_cancellable_at(self.now + int(delay), callback)
-
-    def schedule_cancellable_at(
-        self, time: int, callback: Callable[[], None]
-    ) -> Event:
-        """Like :meth:`schedule_at`, but returns a cancellable handle."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at t={time}, current time is {self.now}"
-            )
-        ev = Event(int(time), self._seq, callback, self)
-        self._seq += 1
-        heapq.heappush(self._queue, (ev.time, ev.seq, ev))
-        return ev
 
     # ------------------------------------------------------------------
     # sanitizer mode
@@ -232,24 +154,6 @@ class Simulator:
         Simulator.schedule_at(self, time, callback)
         self._scheduled_total += 1
 
-    def _schedule_cancellable_sanitized(
-        self, delay: int, callback: Callable[[], None]
-    ) -> Event:
-        self._sanitize_args(delay, callback, "delay")
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self._schedule_cancellable_at_sanitized(
-            self.now + delay, callback
-        )
-
-    def _schedule_cancellable_at_sanitized(
-        self, time: int, callback: Callable[[], None]
-    ) -> Event:
-        self._sanitize_args(time, callback, "absolute time")
-        ev = Simulator.schedule_cancellable_at(self, time, callback)
-        self._scheduled_total += 1
-        return ev
-
     def _check_dispatch_order(self, time: int, seq: int) -> None:
         """Popped entries must be strictly increasing in (time, seq).
 
@@ -266,68 +170,23 @@ class Simulator:
         self._last_dispatched = (time, seq)
 
     def audit(self) -> None:
-        """Verify engine bookkeeping; raises :class:`SimulationError`.
+        """Verify event conservation; raises :class:`SimulationError`.
 
-        Always checks that the lazy-cancellation counter matches a
-        recount of the heap.  In sanitizer mode additionally checks event
-        conservation: every event ever scheduled was dispatched, purged
-        as cancelled, or is still in the queue.  Sanitized :meth:`run`
-        calls this automatically on every exit.
+        In sanitizer mode every event ever scheduled must have been
+        dispatched or still be in the queue (the plain fast path does not
+        count schedules, so there is nothing to check).  Sanitized
+        :meth:`run` calls this automatically on every exit.
         """
-        actual_cancelled = sum(
-            1
-            for entry in self._queue
-            if type(entry[2]) is Event and entry[2].cancelled
-        )
-        if actual_cancelled != self._cancelled:
+        if not self.sanitize:
+            return
+        accounted = self._events_processed + len(self._queue)
+        if self._scheduled_total != accounted:
             raise SimulationError(
-                f"sanitize: cancellation bookkeeping inconsistent -- "
-                f"counter says {self._cancelled}, heap holds "
-                f"{actual_cancelled} cancelled entries"
+                f"sanitize: event conservation violated -- scheduled "
+                f"{self._scheduled_total} but dispatched "
+                f"{self._events_processed} + queued {len(self._queue)} "
+                f"= {accounted}"
             )
-        if self.sanitize:
-            accounted = (
-                self._events_processed
-                + self._cancel_purged
-                + len(self._queue)
-            )
-            if self._scheduled_total != accounted:
-                raise SimulationError(
-                    f"sanitize: event conservation violated -- scheduled "
-                    f"{self._scheduled_total} but dispatched "
-                    f"{self._events_processed} + purged "
-                    f"{self._cancel_purged} + queued {len(self._queue)} "
-                    f"= {accounted}"
-                )
-
-    # ------------------------------------------------------------------
-    # cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        if (
-            self._cancelled * 2 > len(self._queue)
-            and len(self._queue) >= _COMPACT_MIN
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
-
-        Heap order is rebuilt from the (time, seq) prefixes, which are
-        untouched by compaction, so event order -- and therefore
-        determinism -- is unaffected.
-        """
-        # In-place so aliases held by the run loop stay valid.
-        before = len(self._queue)
-        self._queue[:] = [
-            entry
-            for entry in self._queue
-            if not (type(entry[2]) is Event and entry[2].cancelled)
-        ]
-        heapq.heapify(self._queue)
-        self._cancel_purged += before - len(self._queue)
-        self._cancelled = 0
 
     # ------------------------------------------------------------------
     # run loop
@@ -342,8 +201,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled) entries in the queue.  O(1)."""
-        return len(self._queue) - self._cancelled
+        """Entries still in the queue.  O(1)."""
+        return len(self._queue)
 
     @property
     def scheduled_total(self) -> int:
@@ -351,76 +210,30 @@ class Simulator:
         the fast-path wrappers do not pay for this counter)."""
         return self._scheduled_total
 
-    @property
-    def cancel_purged(self) -> int:
-        """Cancelled entries physically removed from the heap so far."""
-        return self._cancel_purged
-
-    def queue_entries(self) -> List[Tuple[int, int, object]]:
-        """Live queue entries in dispatch order (cancelled ones skipped).
+    def queue_entries(self) -> List[Tuple[int, int, Callable[[], None]]]:
+        """Queue entries in dispatch order.
 
         Read-only view for snapshot manifests and debugging: the heap is
         not modified, so this never perturbs the run.  Cost is O(n log n)
         -- never call it from the hot loop.
         """
-        entries = [
-            entry
-            for entry in self._queue
-            if not (type(entry[2]) is Event and entry[2].cancelled)
-        ]
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
-        return entries
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next non-cancelled event, or ``None`` if drained."""
-        queue = self._queue
-        while queue:
-            payload = queue[0][2]
-            if type(payload) is Event and payload.cancelled:
-                heapq.heappop(queue)
-                self._cancelled -= 1
-                self._cancel_purged += 1
-                continue
-            return queue[0][0]
-        return None
-
-    def _dispatch(self, payload: object) -> bool:
-        """Run one popped payload; returns ``False`` if it was cancelled."""
-        if type(payload) is Event:
-            if payload.cancelled:
-                self._cancelled -= 1
-                self._cancel_purged += 1
-                return False
-            callback = payload.callback
-            payload.callback = None  # executed: cancel() becomes a no-op
-            assert callback is not None  # live entry: never dispatched yet
-        else:
-            # Fast-path payloads ARE the callable; a cast() call here
-            # would tax the hot loop, hence the ignore.
-            callback = payload  # type: ignore[assignment]
-        callback()
-        self._events_processed += 1
-        return True
+        return sorted(self._queue, key=lambda entry: (entry[0], entry[1]))
 
     def step(self) -> bool:
         """Process one event.  Returns ``False`` when the queue is empty."""
-        sanitize = self.sanitize
-        while self._queue:
-            time, seq, payload = heapq.heappop(self._queue)
-            if sanitize:
-                self._check_dispatch_order(time, seq)
-            if type(payload) is Event and payload.cancelled:
-                self._cancelled -= 1
-                self._cancel_purged += 1
-                continue
-            if time > self.max_cycles:
-                raise SimulationError(
-                    f"simulation exceeded max_cycles={self.max_cycles}"
-                )
-            self.now = time
-            self._dispatch(payload)
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, seq, callback = heapq.heappop(self._queue)
+        if self.sanitize:
+            self._check_dispatch_order(time, seq)
+        if time > self.max_cycles:
+            raise SimulationError(
+                f"simulation exceeded max_cycles={self.max_cycles}"
+            )
+        self.now = time
+        callback()
+        self._events_processed += 1
+        return True
 
     def run(
         self,
@@ -449,10 +262,8 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         max_cycles = self.max_cycles
-        while not self._stopped:
-            nxt = self.peek_time()
-            if nxt is None:
-                break
+        while queue and not self._stopped:
+            nxt = queue[0][0]
             if until is not None and nxt > until:
                 self.now = until
                 break
@@ -463,9 +274,8 @@ class Simulator:
             self.now = nxt
             # Same-cycle batch: drain every entry stamped `nxt`.
             while queue and queue[0][0] == nxt:
-                payload = heappop(queue)[2]
-                if not self._dispatch(payload):
-                    continue
+                heappop(queue)[2]()
+                self._events_processed += 1
                 if stop_condition is not None and stop_condition():
                     return self.now
                 if self._stopped:
@@ -491,10 +301,8 @@ class Simulator:
         # audit() runs on every *clean* exit (not when an exception is
         # already unwinding -- a half-dispatched event would fail
         # conservation and mask the real error).
-        while not self._stopped:
-            nxt = self.peek_time()
-            if nxt is None:
-                break
+        while queue and not self._stopped:
+            nxt = queue[0][0]
             if until is not None and nxt > until:
                 self.now = until
                 break
@@ -509,10 +317,10 @@ class Simulator:
                 )
             self.now = nxt
             while queue and queue[0][0] == nxt:
-                time, seq, payload = heappop(queue)
+                time, seq, callback = heappop(queue)
                 self._check_dispatch_order(time, seq)
-                if not self._dispatch(payload):
-                    continue
+                callback()
+                self._events_processed += 1
                 if stop_condition is not None and stop_condition():
                     self.audit()
                     return self.now

@@ -16,7 +16,7 @@ ST001    every attribute written outside ``__init__`` is declared at
 ST002    no unsnapshottable state on components (file handles,
          threads/locks, generators, lambdas held as attributes)
 ST003    no module- or class-level mutable state in simulation
-         packages (fork-safety for shard workers, replay-safety)
+         packages (fork-safety for pool workers, replay-safety)
 ST004    all RNG state flows through ``sim/rng.py`` named streams
 ST005    mutable containers aliased across components declare a single
          registered owner (``_snapshot_owns_`` / ``_snapshot_borrowed_``)
@@ -50,7 +50,6 @@ from .inventory import (
 )
 from .rules import STATE_RULE_CODES, STATE_RULES, StateRule
 from .snapshot import (
-    ShardedSnapshot,
     SnapshotError,
     SystemSnapshot,
     component_registry,
@@ -65,7 +64,6 @@ __all__ = [
     "STATE_SCOPE_PREFIXES",
     "ClassInventory",
     "ModuleInventory",
-    "ShardedSnapshot",
     "SnapshotError",
     "StateInventory",
     "StateRule",

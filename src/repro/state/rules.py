@@ -15,7 +15,7 @@ ST001    every attribute written outside ``__init__`` is declared in
 ST002    no unsnapshottable state on components: file handles,
          threads/locks/sockets, generators, lambdas held as attributes
 ST003    no module- or class-level mutable state in simulation
-         packages (fork-safety for shard workers, replay-safety for
+         packages (fork-safety for pool workers, replay-safety for
          restore)
 ST004    all RNG state flows through ``sim/rng.py`` named streams
 ST005    mutable containers passed into a constructor and stored must
@@ -109,7 +109,7 @@ class ModuleLevelState(StateRule):
     name = "module-level-state"
     description = (
         "module- or class-level mutable state in a simulation package "
-        "-- shard worker forks and snapshot restore cannot capture it, "
+        "-- pool worker forks and snapshot restore cannot capture it, "
         "so runs would diverge (ALL_CAPS literal constant tables are "
         "exempt; stateful factories like itertools.count() never are)"
     )

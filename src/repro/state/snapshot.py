@@ -25,12 +25,6 @@ models, every RNG stream by name/seed digest -- so two snapshots of
 identical states produce identical manifests even though the raw blobs
 are object graphs.
 
-Sharded runs snapshot at window barriers: :class:`BarrierSnapshotter`
-hooks :class:`~repro.sim.sharded.ShardedSimulator`'s barrier loop,
-capturing per-shard runtime blobs plus the cross-shard ledger into a
-:class:`ShardedSnapshot`; :func:`resume_app_sharded` replays the
-remaining windows to the identical merged result.
-
 Snapshots are in-memory objects, deliberately: the format version
 (:data:`SNAPSHOT_FORMAT_VERSION`) is carried in the meta block so a
 future serialized format can reject stale blobs.
@@ -50,12 +44,9 @@ from .inventory import StateInventory
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
-    "BarrierSnapshotter",
-    "ShardedSnapshot",
     "SnapshotError",
     "SystemSnapshot",
     "component_registry",
-    "resume_app_sharded",
     "restore",
     "run_app_with_snapshot",
     "snapshot",
@@ -132,11 +123,6 @@ def component_registry(root: Any, root_id: str = "system") -> Dict[str, Any]:
 
 def _describe_callback(payload: Any, owner_of: Dict[int, str]) -> str:
     """Symbolic (owner-id, method-name) encoding of one queue payload."""
-    from ..sim.engine import Event
-
-    if type(payload) is Event:
-        inner = payload.callback
-        return f"event:{_describe_callback(inner, owner_of)}"
     if isinstance(payload, types.MethodType):
         owner = owner_of.get(
             id(payload.__self__), type(payload.__self__).__name__
@@ -204,10 +190,6 @@ def _deep_size(obj: Any) -> int:
     return total
 
 
-# ---------------------------------------------------------------------------
-# serial snapshots
-
-
 @dataclass
 class SystemSnapshot:
     """A frozen, re-forkable image of one running system (+ app).
@@ -266,7 +248,6 @@ class SystemSnapshot:
                 "seq": sim._seq,
                 "events_processed": sim.events_processed,
                 "pending_events": sim.pending_events,
-                "cancel_purged": sim.cancel_purged,
                 "scheduled_total": sim.scheduled_total,
                 "sanitize": sim.sanitize,
             },
@@ -426,129 +407,4 @@ def run_app_with_snapshot(
     return (
         RunResult(app=forked_app, system=forked_system, metrics=metrics),
         snap,
-    )
-
-
-# ---------------------------------------------------------------------------
-# sharded snapshots
-
-
-@dataclass
-class ShardedSnapshot:
-    """A barrier-aligned image of a sharded run.
-
-    Per-shard runtime blobs (each a complete sub-machine: system, app
-    replica, boundary port) plus everything the coordinator needs to
-    resume the barrier loop: undelivered boundary messages, the last
-    reports, the cross-shard conservation ledger, and the window/barrier
-    counters.
-    """
-
-    version: int
-    app: Any
-    scale: float
-    seed: int
-    verify: bool
-    config: Any
-    plan: Any
-    windows: int
-    barriers: int
-    runtimes: List[Any] = field(repr=False)
-    reports: Tuple[Any, ...] = ()
-    pending: Tuple[Any, ...] = ()
-    exported: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    injected: Dict[Tuple[int, int], int] = field(default_factory=dict)
-
-    def fork_runtimes(self) -> List[Any]:
-        """Independent live shard runtimes (blob stays re-forkable)."""
-        return deep_clone(list(self.runtimes))
-
-
-class BarrierSnapshotter:
-    """Barrier hook capturing one :class:`ShardedSnapshot`.
-
-    Pass as ``barrier_hook`` to
-    :func:`~repro.runtime.shards.run_app_sharded`; the run continues
-    normally after the capture (capture-and-continue), and the snapshot
-    lands in :attr:`snapshot` -- or stays ``None`` when the run finished
-    before barrier ``at_barrier``.
-    """
-
-    def __init__(
-        self,
-        at_barrier: int,
-        app: Any,
-        scale: float,
-        seed: int,
-        verify: bool,
-        config: Any,
-        plan: Any,
-    ) -> None:
-        self.at_barrier = at_barrier
-        self._context = (app, scale, seed, verify, config, plan)
-        self.snapshot: Optional[ShardedSnapshot] = None
-
-    def __call__(
-        self,
-        engine: Any,
-        transport: Any,
-        reports: List[Any],
-        pending: List[Any],
-    ) -> None:
-        if self.snapshot is not None or engine.barriers != self.at_barrier:
-            return
-        runtimes = getattr(transport, "_runtimes", None)
-        if not runtimes:
-            raise SnapshotError(
-                "barrier snapshots require the inline transport "
-                "(parallel=False) -- forked shard workers hold their "
-                "state in other processes"
-            )
-        app, scale, seed, verify, config, plan = self._context
-        self.snapshot = ShardedSnapshot(
-            version=SNAPSHOT_FORMAT_VERSION,
-            app=app, scale=scale, seed=seed, verify=verify,
-            config=config, plan=plan,
-            windows=engine.windows, barriers=engine.barriers,
-            runtimes=deep_clone(list(runtimes)),
-            reports=tuple(reports),
-            pending=tuple(pending),
-            exported=dict(engine.exported),
-            injected=dict(engine.injected),
-        )
-
-
-def resume_app_sharded(snap: ShardedSnapshot):
-    """Resume a barrier snapshot to completion; the merged RunResult is
-    bit-identical to the uninterrupted sharded run."""
-    from ..runtime.shards import (
-        NDPShardBuilder,
-        finish_sharded_run,
-    )
-    from ..sim.sharded import ShardedSimulator
-
-    if snap.version != SNAPSHOT_FORMAT_VERSION:
-        raise SnapshotError(
-            f"sharded snapshot format v{snap.version} is not "
-            f"v{SNAPSHOT_FORMAT_VERSION}"
-        )
-    builders = [
-        NDPShardBuilder(
-            app=snap.app, scale=snap.scale, seed=snap.seed,
-            config=snap.config, plan=snap.plan, shard_id=shard_id,
-            verify=snap.verify,
-        )
-        for shard_id in range(snap.plan.shards)
-    ]
-    engine = ShardedSimulator(builders, snap.plan, parallel=False)
-    engine.windows = snap.windows
-    engine.barriers = snap.barriers
-    engine.exported = dict(snap.exported)
-    engine.injected = dict(snap.injected)
-    result = engine.resume(
-        snap.fork_runtimes(), list(snap.reports), list(snap.pending)
-    )
-    return finish_sharded_run(
-        snap.app, snap.config, snap.plan, result,
-        scale=snap.scale, seed=snap.seed,
     )

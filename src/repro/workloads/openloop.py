@@ -10,9 +10,9 @@ running :class:`~repro.runtime.system.NDPSystem`.
 
 Everything here is purely generative and deterministic: the full request
 list is a function of ``(spec, keyspace, seed)`` alone, computed before
-the simulation starts.  That is what makes open-loop runs shardable (every
-shard regenerates the identical list and injects only its home subset)
-and snapshottable (the stream is plain data on the app).
+the simulation starts.  That is what makes open-loop runs cacheable (the
+stream is a pure function of the cell key) and snapshottable (the stream
+is plain data on the app).
 
 Arrival processes
 -----------------
@@ -230,8 +230,7 @@ def generate_requests(
 
     Deterministic in ``(tenants, keyspace, seed)``: ties on arrival
     cycle break by tenant index then per-tenant sequence, and
-    ``req_id`` is the post-sort position -- the exact injection order
-    every shard replica will agree on.
+    ``req_id`` is the post-sort position -- the exact injection order.
     """
     if not tenants:
         raise ValueError("need at least one tenant")

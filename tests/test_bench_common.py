@@ -1,12 +1,18 @@
 """Tests for the benchmark harness's shared helpers."""
 
+import json
+import os
+import platform
+
 import pytest
 
+from benchmarks import common
 from benchmarks.common import (
     ALL_APPS,
     bench_config,
     format_table,
     geomean,
+    record,
     speedups_vs,
 )
 from repro.analysis.metrics import RunMetrics
@@ -58,3 +64,17 @@ def test_format_table_shape():
     assert lines[0] == "=== t ==="
     assert lines[1].split() == ["a", "b"]
     assert "2.50" in lines[-1]
+
+
+def test_record_merges_keys_and_stamps_the_machine(tmp_path, monkeypatch):
+    monkeypatch.setattr(common, "REPO_ROOT", tmp_path)
+    (tmp_path / "BENCH_x.json").write_text("{torn")  # starts fresh
+    record("BENCH_x.json", "a", {"wall_s": 1.5})
+    record("BENCH_x.json", "b", {"wall_s": 2.0})
+    data = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert sorted(data) == ["a", "b"]
+    assert data["a"] == {
+        "wall_s": 1.5,
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+    }

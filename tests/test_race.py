@@ -1,4 +1,4 @@
-"""simrace static-analysis test suite (rules RC001-RC005).
+"""simrace static-analysis test suite (rules RC002, RC003, RC005).
 
 Mirrors the simlint/simflow/simstate contract: every RC rule must
 (a) catch its hazard in a positive fixture, (b) stay quiet under a
@@ -17,18 +17,13 @@ from pathlib import Path
 import pytest
 
 from repro.exec import cache as exec_cache
-from repro.race import (
+from repro.exec.knobs import (
     ENV_REGISTRY,
-    RACE_RULE_CODES,
-    RACE_RULES,
-    race_source,
-)
-from repro.race.fingerprints import (
     fingerprint_field_of,
-    fingerprinted_knobs,
     is_registered,
     registered_names,
 )
+from repro.race import RACE_RULE_CODES, RACE_RULES, race_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,43 +33,6 @@ def codes(source, module_path="repro/ndp/fixture.py", path="fixture.py"):
         d.rule
         for d in race_source(source, path=path, module_path=module_path)
     ]
-
-
-# ----------------------------------------------------------------------
-# RC001 -- shard isolation
-# ----------------------------------------------------------------------
-RC001_ABS = "from repro.exec.shardpool import ForkTransport\n"
-RC001_REL = "from ..exec.shardpool import ForkTransport\n"
-RC001_PLAIN = "import repro.exec.shardpool\n"
-RC001_PRIVATE = "from ..sim.sharded import _InlineTransport\n"
-
-
-def test_rc001_absolute_import_of_shardpool():
-    assert codes(RC001_ABS) == ["RC001"]
-
-
-def test_rc001_relative_import_of_shardpool():
-    assert codes(RC001_REL, module_path="repro/bridge/host.py") == ["RC001"]
-
-
-def test_rc001_plain_import_of_shardpool():
-    assert codes(RC001_PLAIN, module_path="repro/balance/x.py") == ["RC001"]
-
-
-def test_rc001_private_sharded_internals():
-    assert codes(RC001_PRIVATE, module_path="repro/ndp/unit.py") == ["RC001"]
-
-
-def test_rc001_public_shard_protocol_is_clean():
-    clean = "from ..sim.sharded import ShardRuntime, BoundaryMessage\n"
-    assert codes(clean, module_path="repro/ndp/unit.py") == []
-
-
-def test_rc001_out_of_scope_module_is_clean():
-    # exec/ and runtime/ are coordinator-side: they may import the
-    # transport.
-    assert codes(RC001_ABS, module_path="repro/runtime/shards.py") == []
-    assert codes(RC001_ABS, module_path="repro/exec/runner.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -99,10 +57,12 @@ def run(xs):
 """
 
 RC002_OPEN = """\
-def run(transport_cls):
+from concurrent.futures import ProcessPoolExecutor
+
+def run(fn):
     fh = open("trace.log")
-    transport = ForkTransport([fh])
-    return transport
+    with ProcessPoolExecutor() as pool:
+        return pool.submit(fn, fh)
 """
 
 RC002_GENERATOR = """\
@@ -167,7 +127,7 @@ RC003_CLEAN = """\
 import os
 
 jobs = os.environ.get("NDPBRIDGE_JOBS")
-shards = os.getenv("NDPBRIDGE_SHARDS", "1")
+workers = os.getenv("NDPBRIDGE_JOBS", "1")
 """
 
 
@@ -193,78 +153,6 @@ def test_rc003_benchmarks_are_exempt():
         module_path="repro/bench.py",
         path="benchmarks/bench.py",
     ) == []
-
-
-# ----------------------------------------------------------------------
-# RC004 -- lookahead soundness
-# ----------------------------------------------------------------------
-RC004_CONSTANT = """\
-def plan(config):
-    lookahead = 8
-    return lookahead
-"""
-
-RC004_SHRINK = """\
-def plan(config, comm):
-    one_way = min_message_latency(config.channel_bytes_per_cycle, 64)
-    lookahead = one_way - 1
-    return lookahead
-"""
-
-RC004_HORIZON_SHRINK = """\
-class Plan:
-    def horizon(self, t):
-        return t + self.lookahead - 1
-"""
-
-RC004_HORIZON_MISSING = """\
-class Plan:
-    def horizon(self, t):
-        return t + 5
-"""
-
-RC004_CLEAN = """\
-def plan(config, comm):
-    one_way = min_message_latency(config.channel_bytes_per_cycle, 64)
-    lookahead = one_way * 2 + comm.host_per_message_overhead_cycles
-    return lookahead
-
-class Plan:
-    def horizon(self, t):
-        return self.next_round(t) + self.lookahead
-"""
-
-
-def test_rc004_free_constant():
-    assert codes(
-        RC004_CONSTANT, module_path="repro/sim/partition.py"
-    ) == ["RC004"]
-
-
-def test_rc004_shrinking_lookahead():
-    assert codes(
-        RC004_SHRINK, module_path="repro/sim/partition.py"
-    ) == ["RC004"]
-
-
-def test_rc004_horizon_shrinks_lookahead():
-    assert codes(
-        RC004_HORIZON_SHRINK, module_path="repro/sim/partition.py"
-    ) == ["RC004"]
-
-
-def test_rc004_horizon_without_lookahead():
-    assert codes(
-        RC004_HORIZON_MISSING, module_path="repro/sim/partition.py"
-    ) == ["RC004"]
-
-
-def test_rc004_latency_derived_is_clean():
-    assert codes(RC004_CLEAN, module_path="repro/sim/partition.py") == []
-
-
-def test_rc004_out_of_scope_module_is_clean():
-    assert codes(RC004_CONSTANT, module_path="repro/ndp/unit.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -297,12 +185,12 @@ def test_rc005_out_of_scope_module_is_clean():
 
 
 # ----------------------------------------------------------------------
-# suppression & allowlist
+# suppression
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "source,module_path,code",
     [
-        (RC001_ABS, "repro/ndp/fixture.py", "RC001"),
+        (RC002_LAMBDA, "repro/exec/x.py", "RC002"),
         (RC003_UNDECLARED, "repro/exec/x.py", "RC003"),
         (RC005_PID, "repro/ndp/unit.py", "RC005"),
     ],
@@ -315,15 +203,9 @@ def test_simrace_ignore_silences_rule(source, module_path, code):
 
 
 def test_simlint_ignore_does_not_silence_simrace():
-    lines = RC001_ABS.splitlines()
-    lines[0] += "  # simlint: ignore[RC001]"
-    assert codes("\n".join(lines) + "\n") == ["RC001"]
-
-
-def test_allowlist_sanctions_coordinator_module():
-    # repro/sim/sharded.py carries the one RC001 allowlist entry: the
-    # coordinator may import the fork transport.
-    assert codes(RC001_ABS, module_path="repro/sim/sharded.py") == []
+    lines = RC005_PID.splitlines()
+    lines[-1] += "  # simlint: ignore[RC005]"
+    assert codes("\n".join(lines) + "\n") == ["RC005"]
 
 
 def test_syntax_error_yields_rc000():
@@ -335,7 +217,6 @@ def test_syntax_error_yields_rc000():
 # ----------------------------------------------------------------------
 def test_registry_covers_known_knobs():
     names = registered_names()
-    assert "NDPBRIDGE_SHARDS" in names
     assert "NDPBRIDGE_JOBS" in names
     assert is_registered("NDPBRIDGE_SANITIZE")
     assert not is_registered("NDPBRIDGE_TURBO")
@@ -348,16 +229,16 @@ def test_registry_entries_are_justified():
 
 
 def test_fingerprinted_knobs_map_to_cache_key_fields():
-    assert fingerprinted_knobs(), "at least NDPBRIDGE_SHARDS must be listed"
     for knob, field in fingerprint_field_of().items():
         assert field in exec_cache.CELL_KEY_FIELDS, (knob, field)
 
 
 def test_cache_import_check_rejects_unknown_field(monkeypatch):
-    import repro.race.fingerprints as fp
+    import repro.exec.knobs as knobs
 
     monkeypatch.setattr(
-        fp, "fingerprint_field_of", lambda: {"NDPBRIDGE_X": "no_such_field"}
+        knobs, "fingerprint_field_of",
+        lambda: {"NDPBRIDGE_X": "no_such_field"},
     )
     with pytest.raises(RuntimeError, match="no_such_field"):
         exec_cache._check_fingerprint_registry()
@@ -382,8 +263,7 @@ def test_cell_key_fields_match_cell_key_blob():
 
     with mock.patch.object(exec_cache.json, "dumps", side_effect=spy):
         exec_cache.cell_key(
-            "tree", cfg, 0.1, 7, shards=2, partition="p",
-            snapshot_at=10, openloop=None,
+            "tree", cfg, 0.1, 7, snapshot_at=10, openloop=None,
         )
     assert captured
     assert set(captured) <= set(exec_cache.CELL_KEY_FIELDS)
@@ -412,10 +292,10 @@ def test_cli_clean_on_repo_src():
 def test_cli_exit_1_on_finding(tmp_path):
     bad = tmp_path / "repro" / "ndp" / "bad.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text(RC001_ABS)
+    bad.write_text(RC003_UNDECLARED)
     proc = _run_cli("repro.race", str(bad))
     assert proc.returncode == 1
-    assert "RC001" in proc.stdout
+    assert "RC003" in proc.stdout
 
 
 def test_cli_list_rules():
@@ -429,7 +309,7 @@ def test_cli_list_rules():
 def test_cli_sarif_output(tmp_path):
     bad = tmp_path / "repro" / "ndp" / "bad.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text(RC001_ABS)
+    bad.write_text(RC003_UNDECLARED)
     out = tmp_path / "race.sarif"
     proc = _run_cli(
         "repro.race", "--format", "sarif", "-o", str(out), str(bad)
@@ -438,7 +318,7 @@ def test_cli_sarif_output(tmp_path):
     report = json.loads(out.read_text())
     run = report["runs"][0]
     assert run["tool"]["driver"]["name"] == "simrace"
-    assert run["results"][0]["ruleId"] == "RC001"
+    assert run["results"][0]["ruleId"] == "RC003"
     assert len(run["tool"]["driver"]["rules"]) == len(RACE_RULES)
 
 
@@ -448,8 +328,8 @@ def test_cli_sarif_output(tmp_path):
 def _bad_tree(tmp_path):
     bad = tmp_path / "repro" / "ndp" / "bad.py"
     bad.parent.mkdir(parents=True)
-    # Trips simstate (mutable module global) and simrace (RC001) at once.
-    bad.write_text("seen = {}\n" + RC001_ABS)
+    # Trips simstate (mutable module global) and simrace (RC003) at once.
+    bad.write_text("seen = {}\n" + RC003_UNDECLARED)
     return bad
 
 
@@ -459,7 +339,7 @@ def test_analyze_jobs_parallel_matches_serial(tmp_path):
     par = _run_cli("repro.analyze", "-q", "--jobs", "4", str(bad))
     assert serial.returncode == par.returncode == 1
     assert serial.stdout == par.stdout
-    assert "RC001" in par.stdout and "ST003" in par.stdout
+    assert "RC003" in par.stdout and "ST003" in par.stdout
 
 
 def test_analyze_baseline_suppresses_known_findings(tmp_path):

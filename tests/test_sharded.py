@@ -1,472 +1,42 @@
-"""Sharded conservative-window engine: protocol, bit-identity, guards.
+"""The one remaining shard value: ``shards=1`` pins the serial engine.
 
-Three layers of coverage:
+The sharded conservative-window engine is gone; ``run_app`` keeps its
+``shards`` keyword for callers that pin the engine explicitly.  Two
+contracts stay:
 
-* toy runtimes drive :class:`repro.sim.sharded.ShardedSimulator` directly
-  (window sizing, lookahead enforcement, barrier edge cases);
-* the NDP binding's core contract -- a ``shards=1`` run is bit-identical
-  to the serial ``run_app`` across the full app x design matrix, and an
-  N-shard run is bit-identical between inline and forked-parallel
-  execution;
-* the guard rails: unshardable topologies raise ``ConfigError``, a
-  partition plan whose lookahead overstates the real hop latency trips
-  the engine's conservativeness check, and the exec cache key separates
-  sharded from serial cells.
+* ``shards=1`` is bit-identical to a plain ``run_app`` across the full
+  app x design matrix -- the keyword selects the serial engine and
+  perturbs nothing;
+* any other value raises ``ConfigError`` instead of silently running
+  something else.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Sequence
-
 import pytest
 
-from repro.config import (
-    ConfigError,
-    Design,
-    default_config,
-    multi_dimm_config,
-    scaled_config,
-    tiny_config,
-    validate_shardable,
-)
-from repro.exec.runner import CellRequest
-from repro.runtime.shards import (
-    NDPShardBuilder,
-    resolve_shards,
-    run_app_sharded,
-)
-from repro.sim import SimulationError, Simulator
-from repro.sim.partition import plan_partition
-from repro.sim.sharded import (
-    BoundaryMessage,
-    ControlDecision,
-    FixedLookaheadPlan,
-    ShardedSimulator,
-    ShardReport,
-    ShardRuntime,
-)
+from repro.config import ConfigError, Design, tiny_config
 
 APPS = ["ll", "ht", "tree", "spmv", "bfs", "sssp", "pr", "wcc"]
 NDP_DESIGNS = [Design.C, Design.B, Design.W, Design.O]
 
 
-# ----------------------------------------------------------------------
-# toy runtimes
-# ----------------------------------------------------------------------
-class PingPong(ShardRuntime):
-    """Two shards volley a token; each bounce crosses the boundary.
-
-    ``undercut`` shaves cycles off the declared lookahead -- the
-    negative-test knob for the engine's conservativeness check.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        plan: FixedLookaheadPlan,
-        volleys: int,
-        undercut: int = 0,
-        start_time: int = 5,
-    ) -> None:
-        self.shard_id = shard_id
-        self.plan = plan
-        self.volleys = volleys
-        self.undercut = undercut
-        self.sim = Simulator(max_cycles=10 ** 9)
-        self.outbox: List[BoundaryMessage] = []
-        self.log: List[int] = []
-        self._seq = 0
-        if shard_id == 0 and volleys > 0:
-            self.sim.schedule_at(start_time, lambda: self._volley(0))
-
-    def _volley(self, count: int) -> None:
-        now = self.sim.now
-        deliver = self.plan.horizon(now) - self.undercut
-        self.outbox.append(BoundaryMessage(
-            src_shard=self.shard_id,
-            dst_shard=1 - self.shard_id,
-            send_time=now,
-            deliver_time=deliver,
-            seq=self._seq,
-            kind="token",
-            payload=(count,),
-        ))
-        self._seq += 1
-
-    def begin(self) -> ShardReport:
-        return self._report()
-
-    def run_window(
-        self, until: int, inbox: Sequence[BoundaryMessage]
-    ) -> ShardReport:
-        for msg in inbox:
-            count = int(msg.payload[0])
-
-            def arrive(count: int = count) -> None:
-                self.log.append(self.sim.now)
-                if count + 1 < self.volleys:
-                    self._volley(count + 1)
-
-            self.sim.schedule_at(msg.deliver_time, arrive)
-        self.sim.run(until=until)
-        return self._report()
-
-    def apply_control(self, decision: ControlDecision) -> ShardReport:
-        return self._report()
-
-    def finalize(self) -> Dict[str, object]:
-        return {
-            "shard": self.shard_id,
-            "log": list(self.log),
-            "events": self.sim.events_processed,
-        }
-
-    def _report(self) -> ShardReport:
-        # Outbox messages travel inside the report, so the engine's
-        # pending-message veto covers anything still in flight; quiescence
-        # here is just "my event queue is empty".
-        quiescent = self.sim.peek_time() is None
-        outbox = tuple(self.outbox)
-        self.outbox = []
-        return ShardReport(
-            shard_id=self.shard_id,
-            now=self.sim.now,
-            next_event_time=self.sim.peek_time(),
-            events_processed=self.sim.events_processed,
-            quiescent=quiescent,
-            future_work=False,
-            finished=False,
-            outbox=outbox,
-        )
-
-
-class Stuck(PingPong):
-    """Reports non-quiescent forever with an empty event queue."""
-
-    def _report(self) -> ShardReport:
-        report = super()._report()
-        return dataclasses.replace(report, quiescent=False)
-
-
-def _pingpong(
-    volleys: int,
-    lookahead: int = 10,
-    batch_period: int = 0,
-    undercut: int = 0,
-    parallel: bool = False,
-):
-    plan = FixedLookaheadPlan(
-        shards=2, lookahead=lookahead, batch_period=batch_period
-    )
-    builders = [
-        lambda s=s: PingPong(s, plan, volleys, undercut=undercut)
-        for s in range(2)
-    ]
-    return ShardedSimulator(builders, plan, parallel=parallel)
-
-
-# ----------------------------------------------------------------------
-# engine protocol (toy)
-# ----------------------------------------------------------------------
-def test_pingpong_delivers_every_volley():
-    result = _pingpong(volleys=6).run()
-    payloads = sorted(result.payloads, key=lambda p: p["shard"])
-    # 6 volleys alternate: shard 1 receives 0,2,4; shard 0 receives 1,3,5.
-    assert len(payloads[1]["log"]) == 3
-    assert len(payloads[0]["log"]) == 3
-    assert result.boundary_messages == 6
-    assert result.exported == {(0, 1): 3, (1, 0): 3}
-    assert result.injected == result.exported
-
-def test_pingpong_inline_matches_parallel():
-    inline = _pingpong(volleys=8, batch_period=50, parallel=False).run()
-    forked = _pingpong(volleys=8, batch_period=50, parallel=True).run()
-    assert inline.payloads == forked.payloads
-    assert inline.windows == forked.windows
-    assert inline.exported == forked.exported
-
-
-def test_windows_jump_over_idle_gaps():
-    """The floor is the next event, not now+lookahead: few windows even
-    when deliveries are spread over a huge time span."""
-    result = _pingpong(volleys=4, lookahead=100_000).run()
-    assert result.windows <= 2 * 4 + 2
-
-
-def test_delivery_exactly_at_lookahead_bound_is_legal():
-    # undercut=0 sends every token at precisely horizon(send_time).
-    result = _pingpong(volleys=2, batch_period=64, undercut=0).run()
-    assert result.boundary_messages == 2
-
-
-def test_lookahead_undercut_raises():
-    with pytest.raises(SimulationError, match="lookahead violation"):
-        _pingpong(volleys=2, undercut=1).run()
-
-
-def test_stalled_run_raises():
-    plan = FixedLookaheadPlan(shards=2, lookahead=10)
-    builders = [lambda s=s: Stuck(s, plan, volleys=0) for s in range(2)]
-    with pytest.raises(SimulationError, match="stalled"):
-        ShardedSimulator(builders, plan, parallel=False).run()
-
-
-def test_empty_workload_finishes_without_windows():
-    plan = FixedLookaheadPlan(shards=2, lookahead=10)
-    builders = [lambda s=s: PingPong(s, plan, volleys=0) for s in range(2)]
-    result = ShardedSimulator(builders, plan, parallel=False).run()
-    assert result.boundary_messages == 0
-    assert result.windows == 0
-
-
-# ----------------------------------------------------------------------
-# NDP binding: bit-identity
-# ----------------------------------------------------------------------
-def _metric_dict(metrics) -> dict:
-    d = metrics.as_dict()
-    for key in ("shards", "windows", "boundary_tasks"):
-        d.pop(key, None)
-    return d
-
-
 @pytest.mark.parametrize("design", NDP_DESIGNS)
 @pytest.mark.parametrize("app", APPS)
 def test_one_shard_matches_serial(app, design):
-    """shards=1 through the full sharded machinery == plain run_app."""
+    """shards=1 through ``run_app`` == plain run_app."""
     from repro import make_app, run_app
 
     cfg = tiny_config(design)
     serial = run_app(make_app(app, scale=0.1, seed=7), cfg)
-    sharded = run_app_sharded(app, cfg, scale=0.1, seed=7, shards=1)
-    assert _metric_dict(sharded.metrics) == _metric_dict(serial.metrics)
-    assert sharded.metrics.extra["shards"] == 1
-    assert sharded.metrics.extra["boundary_tasks"] == 0
-
-
-def test_one_shard_parallel_matches_serial():
-    from repro import make_app, run_app
-
-    cfg = tiny_config(Design.O)
-    serial = run_app(make_app("tree", scale=0.1, seed=7), cfg)
-    sharded = run_app_sharded(
-        "tree", cfg, scale=0.1, seed=7, shards=1, parallel=True
-    )
-    assert _metric_dict(sharded.metrics) == _metric_dict(serial.metrics)
-
-
-@pytest.mark.parametrize("app,design,crosses", [
-    ("tree", Design.O, True),
-    ("bfs", Design.B, True),
-    ("pr", Design.C, True),
-    # ht at this scale happens to keep every spawn shard-local -- still a
-    # useful case: pure seed-splitting with zero boundary traffic.
-    ("ht", Design.W, False),
-])
-def test_two_shards_inline_matches_parallel(app, design, crosses):
-    """The parallel transport must not perturb the simulation at all."""
-    cfg = scaled_config(128, design)
-    inline = run_app_sharded(
-        app, cfg, scale=0.1, seed=7, shards=2, verify=False, parallel=False
-    )
-    forked = run_app_sharded(
-        app, cfg, scale=0.1, seed=7, shards=2, verify=False, parallel=True
-    )
-    assert inline.metrics.as_dict() == forked.metrics.as_dict()
-    assert inline.system.payloads == forked.system.payloads
-    assert inline.system.windows == forked.system.windows
-    if crosses:
-        # The split must actually exercise the boundary.
-        assert inline.system.boundary_messages > 0
-
-
-def test_sharded_run_under_sanitizer(monkeypatch):
-    """Sanitizer + per-shard MessageAuditor stay bit-identical."""
-    cfg = scaled_config(128, Design.O)
-    plain = run_app_sharded(
-        "tree", cfg, scale=0.1, seed=7, shards=2, verify=False,
-        parallel=False,
-    )
-    monkeypatch.setenv("NDPBRIDGE_SANITIZE", "1")
-    sanitized = run_app_sharded(
-        "tree", cfg, scale=0.1, seed=7, shards=2, verify=False,
-        parallel=False,
-    )
-    assert sanitized.metrics.as_dict() == plain.metrics.as_dict()
-    assert sanitized.system.payloads == plain.system.payloads
-
-
-def test_multi_dimm_config_shards_four_ways():
-    cfg = multi_dimm_config(512, Design.O, channels=4, dimms_per_channel=2)
-    result = run_app_sharded(
-        "ll", cfg, scale=0.05, seed=7, shards=4, verify=False,
-        parallel=False,
-    )
-    assert result.system.plan.shards == 4
-    assert result.metrics.tasks_executed > 0
-
-
-# ----------------------------------------------------------------------
-# NDP binding: conservation and window accounting
-# ----------------------------------------------------------------------
-def test_cross_shard_task_conservation():
-    cfg = scaled_config(128, Design.O)
-    result = run_app_sharded(
-        "bfs", cfg, scale=0.1, seed=7, shards=2, verify=False,
-        parallel=False,
-    )
-    info = result.system
-    assert info.exported == info.injected
-    created = sum(int(p["tasks_created"]) for p in info.payloads)
-    completed = sum(int(p["tasks_completed"]) for p in info.payloads)
-    assert created == completed == result.metrics.tasks_executed
-    # Every shard's own export/import ledger is echoed in its payload and
-    # cross-checked against the engine inside run_app_sharded already;
-    # here we close the global loop.
-    exported = sum(
-        sum(p["exported"].values()) for p in info.payloads
-    )
-    imported = sum(
-        sum(p["imported"].values()) for p in info.payloads
-    )
-    assert exported == imported == info.boundary_messages
-
-
-def test_windows_batch_on_host_poll_rounds():
-    """Poll-round batching keeps the barrier count far below makespan /
-    lookahead: windows stretch to the next host poll round."""
-    cfg = scaled_config(128, Design.O)
-    result = run_app_sharded(
-        "tree", cfg, scale=0.1, seed=7, shards=2, verify=False,
-        parallel=False,
-    )
-    info = result.system
-    period = cfg.comm.host_poll_interval_cycles
-    assert info.plan.batch_period == period
-    assert 0 < info.windows <= result.metrics.makespan // period + 4
-
-
-def test_inflated_lookahead_trips_the_engine():
-    """A plan whose declared lookahead overstates the real hop latency
-    must die at the first barrier, not silently desynchronize."""
-    cfg = scaled_config(128, Design.O)
-    plan = plan_partition(cfg, 2)
-    bad_plan = dataclasses.replace(plan, lookahead=plan.lookahead * 8)
-    builders = [
-        NDPShardBuilder(
-            app="tree", scale=0.1, seed=7, config=cfg, plan=bad_plan,
-            shard_id=s, verify=False,
-        )
-        for s in range(2)
-    ]
-    with pytest.raises(SimulationError, match="lookahead violation"):
-        ShardedSimulator(builders, bad_plan, parallel=False).run()
-
-
-# ----------------------------------------------------------------------
-# shardability validation and shard-count resolution
-# ----------------------------------------------------------------------
-def test_unshardable_topologies_raise():
-    with pytest.raises(ConfigError, match="whole rank"):
-        validate_shardable(tiny_config(Design.O), 2)  # 1 rank, 2 shards
-    with pytest.raises(ConfigError, match="multiple of the channel"):
-        # 2 channels x 4 ranks: an odd shard count splits a rank group
-        # across channels.
-        validate_shardable(scaled_config(512, Design.O), 3)
-    with pytest.raises(ConfigError, match="do not divide"):
-        # 6 shards = 3 per channel, but 4 ranks per channel.
-        validate_shardable(scaled_config(512, Design.O), 6)
-    with pytest.raises(ConfigError, match="designs C/B/W/O"):
-        validate_shardable(default_config(Design.H), 2)
-    with pytest.raises(ConfigError, match="designs C/B/W/O"):
-        validate_shardable(default_config(Design.R), 2)
-    with pytest.raises(ConfigError, match="shard count"):
-        validate_shardable(default_config(Design.O), 0)
+    pinned = run_app(make_app(app, scale=0.1, seed=7), cfg, shards=1)
+    assert pinned.metrics.as_dict() == serial.metrics.as_dict()
 
 
 def test_explicit_shards_are_strict():
-    with pytest.raises(ConfigError):
-        run_app_sharded("ll", tiny_config(Design.O), scale=0.05, shards=2)
-
-
-def test_design_h_is_rejected():
-    with pytest.raises(ConfigError, match="host model"):
-        run_app_sharded("ll", default_config(Design.H), shards=1)
-
-
-def test_env_shards_fall_back_to_feasible(monkeypatch):
-    monkeypatch.setenv("NDPBRIDGE_SHARDS", "8")
-    assert resolve_shards(tiny_config(Design.O)) == 1      # 1 rank
-    assert resolve_shards(scaled_config(128, Design.O)) == 2  # 2 ranks
-    assert resolve_shards(scaled_config(512, Design.O)) == 8
-    monkeypatch.setenv("NDPBRIDGE_SHARDS", "auto")
-    assert resolve_shards(scaled_config(128, Design.O)) == 2
-    monkeypatch.delenv("NDPBRIDGE_SHARDS", raising=False)
-    assert resolve_shards(scaled_config(512, Design.O)) == 1
-
-
-def test_env_routes_run_app_to_sharded_engine(monkeypatch):
-    """``run_app`` itself is the opt-in entry: with ``NDPBRIDGE_SHARDS``
-    set it replicates the given app instance per shard (prototype
-    deep-copy) and produces exactly what the name-based entry does."""
     from repro import make_app, run_app
 
-    cfg = scaled_config(128, Design.O)
-    named = run_app_sharded(
-        "tree", cfg, scale=0.1, seed=7, shards=2, verify=False,
-        parallel=False,
-    )
-    monkeypatch.setenv("NDPBRIDGE_SHARDS", "2")
-    monkeypatch.setenv("NDPBRIDGE_JOBS", "1")  # inline, deterministic
-    routed = run_app(make_app("tree", scale=0.1, seed=7), cfg, verify=False)
-    assert routed.metrics.extra["shards"] == 2
-    assert routed.metrics.as_dict() == named.metrics.as_dict()
-    assert routed.system.payloads == named.system.payloads
-    # Unshardable topologies stay serial under the same knob.
-    serial = run_app(make_app("tree", scale=0.1, seed=7), tiny_config(Design.O))
-    assert "shards" not in serial.metrics.extra
-
-
-def test_multi_dimm_validation():
-    cfg = multi_dimm_config(1024, Design.O, channels=4, dimms_per_channel=2)
-    assert cfg.topology.dimms_per_channel == 2
-    assert cfg.topology.ranks_per_dimm == 2
-    with pytest.raises(ConfigError, match="DIMM"):
-        from repro.config import TopologyConfig, validate_config
-        from repro.config import SystemConfig
-
-        validate_config(SystemConfig(topology=TopologyConfig(
-            channels=1, ranks_per_channel=3, dimms_per_channel=2,
-        )))
-
-
-# ----------------------------------------------------------------------
-# exec integration
-# ----------------------------------------------------------------------
-def test_cell_key_distinguishes_shard_count():
-    cfg = scaled_config(128, Design.O)
-    serial = CellRequest(app="tree", config=cfg, scale=0.1, seed=7)
-    sharded = CellRequest(
-        app="tree", config=cfg, scale=0.1, seed=7, shards=2
-    )
-    assert serial.key != sharded.key
-    # Same request -> same key (partition hash is deterministic).
-    again = CellRequest(
-        app="tree", config=cfg, scale=0.1, seed=7, shards=2
-    )
-    assert sharded.key == again.key
-
-
-def test_execute_cells_runs_sharded_requests():
-    from repro.exec.runner import execute_cells
-
-    cfg = scaled_config(128, Design.O)
-    request = CellRequest(
-        app="tree", config=cfg, scale=0.1, seed=7, verify=False, shards=2
-    )
-    inline = run_app_sharded(
-        "tree", cfg, scale=0.1, seed=7, shards=2, verify=False,
-        parallel=False,
-    )
-    [metrics] = execute_cells([request], jobs=1, cache=None)
-    assert metrics.as_dict() == inline.metrics.as_dict()
+    for shards in (0, 2, 4):
+        with pytest.raises(ConfigError, match="sharded engine was removed"):
+            run_app(make_app("ll", scale=0.05), tiny_config(Design.O),
+                    shards=shards)

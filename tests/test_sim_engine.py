@@ -52,16 +52,6 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(5, lambda: None)
 
 
-def test_cancelled_event_is_skipped():
-    sim = Simulator()
-    hits = []
-    ev = sim.schedule_cancellable(10, lambda: hits.append(1))
-    ev.cancel()
-    sim.run()
-    assert hits == []
-    assert sim.now == 0  # nothing actually executed
-
-
 def test_run_until_time_bound():
     sim = Simulator()
     hits = []
@@ -102,14 +92,6 @@ def test_events_processed_counter():
     assert sim.events_processed == 4
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    ev = sim.schedule_cancellable(5, lambda: None)
-    sim.schedule(9, lambda: None)
-    ev.cancel()
-    assert sim.peek_time() == 9
-
-
 def test_step_returns_false_when_drained():
     sim = Simulator()
     assert sim.step() is False
@@ -122,71 +104,6 @@ def test_fast_path_schedule_returns_nothing():
     sim = Simulator()
     assert sim.schedule(1, lambda: None) is None
     assert sim.schedule_at(2, lambda: None) is None
-
-
-def test_fast_and_cancellable_paths_interleave_deterministically():
-    sim = Simulator()
-    order = []
-    sim.schedule(5, lambda: order.append("fast0"))
-    sim.schedule_cancellable(5, lambda: order.append("ev1"))
-    sim.schedule(5, lambda: order.append("fast2"))
-    sim.schedule_cancellable(5, lambda: order.append("ev3"))
-    sim.run()
-    assert order == ["fast0", "ev1", "fast2", "ev3"]
-
-
-def test_pending_events_is_exact_under_cancellation():
-    sim = Simulator()
-    evs = [sim.schedule_cancellable(10, lambda: None) for _ in range(8)]
-    sim.schedule(10, lambda: None)
-    assert sim.pending_events == 9
-    evs[0].cancel()
-    evs[3].cancel()
-    assert sim.pending_events == 7
-    evs[3].cancel()  # double-cancel is a no-op
-    assert sim.pending_events == 7
-    sim.run()
-    assert sim.pending_events == 0
-    assert sim.events_processed == 7
-
-
-def test_cancel_after_execution_is_a_noop():
-    sim = Simulator()
-    hits = []
-    ev = sim.schedule_cancellable(3, lambda: hits.append(1))
-    sim.run()
-    assert hits == [1]
-    ev.cancel()  # already ran; must not corrupt the pending count
-    assert sim.pending_events == 0
-    sim.schedule(4, lambda: hits.append(2))
-    sim.run()
-    assert hits == [1, 2]
-
-
-def test_cancel_inside_same_cycle_batch():
-    """An event cancelled by an earlier event at the *same* cycle must be
-    skipped even though both were popped as one batch."""
-    sim = Simulator()
-    hits = []
-    sim.schedule(7, lambda: victim.cancel())
-    victim = sim.schedule_cancellable(7, lambda: hits.append("victim"))
-    sim.run()
-    assert hits == []
-    assert sim.events_processed == 1
-    assert sim.pending_events == 0
-
-
-def test_cancel_of_already_run_event_in_same_cycle():
-    """Cancelling an event that already executed earlier in the same batch
-    must be a no-op (seq order: victim runs first)."""
-    sim = Simulator()
-    hits = []
-    victim = sim.schedule_cancellable(7, lambda: hits.append("victim"))
-    sim.schedule(7, lambda: victim.cancel())
-    sim.run()
-    assert hits == ["victim"]
-    assert sim.events_processed == 2
-    assert sim.pending_events == 0
 
 
 def test_same_cycle_batch_includes_events_scheduled_mid_batch():
@@ -202,24 +119,6 @@ def test_same_cycle_batch_includes_events_scheduled_mid_batch():
     sim.run()
     assert order == ["first", "second", "injected"]
     assert sim.now == 4
-
-
-def test_heap_compaction_preserves_order_and_counts():
-    sim = Simulator()
-    order = []
-    keep = []
-    cancel = []
-    for i in range(200):
-        ev = sim.schedule_cancellable(10 + i, lambda i=i: order.append(i))
-        (keep if i % 3 == 0 else cancel).append(ev)
-    for ev in cancel:
-        ev.cancel()
-    # More than half the heap is dead, so compaction must have fired.
-    assert len(sim._queue) < 200
-    assert sim.pending_events == len(keep)
-    sim.run()
-    assert order == [i for i in range(200) if i % 3 == 0]
-    assert sim.events_processed == len(keep)
 
 
 def test_stop_inside_batch_leaves_rest_of_cycle_pending():

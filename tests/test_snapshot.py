@@ -5,7 +5,7 @@ checkpointing"): pausing any run at any cycle, freezing it with
 :func:`repro.state.snapshot.snapshot`, and finishing from the restored
 clone is *bit-identical* to never having paused -- same makespan, same
 event counts, every metric -- across the full app x design matrix,
-plain and sanitized, serial and sharded.  A snapshot is also re-forkable
+plain and sanitized.  A snapshot is also re-forkable
 (each fork is independent) and refuses unsnapshottable state loudly.
 """
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import make_app
-from repro.config import Design, scaled_config, tiny_config
+from repro.config import Design, tiny_config
 from repro.runtime.runner import build_system, run_app
 from repro.state.snapshot import (
     SnapshotError,
@@ -174,15 +174,20 @@ def test_verify_inventory_clean_on_live_system():
 
 
 def test_run_app_does_not_import_snapshot_machinery():
-    """Zero fast-path cost: a plain run never loads repro.state."""
+    """Zero fast-path cost: a plain run -- and the exec package its pool
+    workers import -- never loads the snapshot machinery, the static
+    analyzers, or any sharded-engine module."""
     probe = (
         "import sys\n"
         "from repro import Design, make_app, run_app\n"
         "from repro.config import tiny_config\n"
+        "import repro.exec\n"
         "run_app(make_app('ll', scale=0.05, seed=1), "
         "tiny_config(Design.B))\n"
-        "assert not any(m.startswith('repro.state') for m in sys.modules),"
-        " 'plain run imported snapshot machinery'\n"
+        "banned = ('repro.lint', 'repro.race', 'repro.flow', 'repro.state')\n"
+        "loaded = sorted(m for m in sys.modules"
+        " if m.startswith(banned) or 'shard' in m)\n"
+        "assert not loaded, f'plain run imported {loaded}'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -192,58 +197,6 @@ def test_run_app_does_not_import_snapshot_machinery():
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-# ----------------------------------------------------------------------
-# sharded: barrier snapshots
-# ----------------------------------------------------------------------
-def test_sharded_barrier_snapshot_resume_matches_run_through():
-    from repro.runtime.shards import run_app_sharded, resolve_shards
-    from repro.sim.partition import plan_partition
-    from repro.state.snapshot import BarrierSnapshotter, resume_app_sharded
-
-    cfg = scaled_config(128, Design.O)
-    base = run_app_sharded(
-        "tree", cfg, scale=0.1, seed=7, shards=2,
-        verify=False, parallel=False,
-    )
-    plan = plan_partition(cfg, resolve_shards(cfg, 2))
-    snapper = BarrierSnapshotter(
-        at_barrier=3, app="tree", scale=0.1, seed=7, verify=False,
-        config=cfg, plan=plan,
-    )
-    hooked = run_app_sharded(
-        "tree", cfg, scale=0.1, seed=7, shards=2,
-        verify=False, parallel=False, barrier_hook=snapper,
-    )
-    # Observation only: the hook must not perturb the hooked run itself.
-    assert hooked.metrics.as_dict() == base.metrics.as_dict()
-    assert snapper.snapshot is not None
-
-    resumed = resume_app_sharded(snapper.snapshot)
-    assert resumed.metrics.as_dict() == base.metrics.as_dict()
-    assert resumed.system.payloads == base.system.payloads
-    assert resumed.system.windows == base.system.windows
-
-
-def test_sharded_snapshot_is_reforkable():
-    from repro.runtime.shards import run_app_sharded, resolve_shards
-    from repro.sim.partition import plan_partition
-    from repro.state.snapshot import BarrierSnapshotter, resume_app_sharded
-
-    cfg = scaled_config(128, Design.O)
-    plan = plan_partition(cfg, resolve_shards(cfg, 2))
-    snapper = BarrierSnapshotter(
-        at_barrier=2, app="tree", scale=0.1, seed=7, verify=False,
-        config=cfg, plan=plan,
-    )
-    run_app_sharded(
-        "tree", cfg, scale=0.1, seed=7, shards=2,
-        verify=False, parallel=False, barrier_hook=snapper,
-    )
-    first = resume_app_sharded(snapper.snapshot)
-    second = resume_app_sharded(snapper.snapshot)
-    assert first.metrics.as_dict() == second.metrics.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -263,15 +216,3 @@ def test_exec_snapshot_cell_matches_plain_cell():
     assert plain.key != snap.key  # never alias the plain cache entry
     results = execute_cells([plain, snap], jobs=1, cache=None)
     assert dataclasses.asdict(results[0]) == dataclasses.asdict(results[1])
-
-
-def test_exec_snapshot_cell_rejects_sharded():
-    from repro.exec.runner import CellRequest, _execute_cell
-
-    cfg = scaled_config(128, Design.O)
-    request = CellRequest(
-        app="tree", config=cfg, scale=0.1, seed=7, shards=2,
-        snapshot_at=5000,
-    )
-    with pytest.raises(ValueError, match="serial"):
-        _execute_cell(request)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import Design, tiny_config
+from repro.apps import make_app
+from repro.config import ConfigError, Design, tiny_config
 from repro.runtime.runner import VerificationError, run_app
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
@@ -29,6 +30,14 @@ def test_system_cannot_run_twice():
     system.run()
     with pytest.raises(RuntimeError):
         system.run()
+
+
+def test_only_the_serial_engine_exists():
+    cfg = tiny_config(Design.O)
+    with pytest.raises(ConfigError, match="sharded engine was removed"):
+        run_app(make_app("ll", scale=0.05, seed=1), cfg, shards=2)
+    result = run_app(make_app("ll", scale=0.05, seed=1), cfg, shards=1)
+    assert result.metrics.makespan > 0
 
 
 def test_unknown_task_function_raises():
