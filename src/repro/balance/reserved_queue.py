@@ -12,7 +12,7 @@ bounded-SRAM behaviour the hardware would have.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..runtime.task import Task
 
@@ -130,31 +130,22 @@ class ReservedQueue:
             del self._chains[block_id]
         return task
 
-    def first_block(self) -> Optional[int]:
-        """The oldest chain's block id, or None when empty."""
-        for block_id, chain in self._chains.items():
-            if chain.tasks:
-                return block_id
-        return None
+    def oldest(self) -> Optional[Tuple[int, int]]:
+        """``(task id, block)`` of the chain head that arrived earliest
+        (smallest task id), or None when no task is reserved.
 
-    def oldest_block(self) -> Optional[int]:
-        """The block whose head task arrived earliest (min task id)."""
-        best_block = None
-        best_id = None
+        Chains sit in creation order, which is not head task-id order
+        (popping advances a head, and tasks arrive out of id order), so
+        this scans every chain head once.
+        """
+        best: Optional[Tuple[int, int]] = None
         for block_id, chain in self._chains.items():
-            if not chain.tasks:
-                continue
-            head_id = chain.tasks[0].task_id
-            if best_id is None or head_id < best_id:
-                best_id = head_id
-                best_block = block_id
-        return best_block
-
-    def oldest_task_id(self) -> Optional[int]:
-        block = self.oldest_block()
-        if block is None:
-            return None
-        return self._chains[block].tasks[0].task_id
+            tasks = chain.tasks
+            if tasks:
+                head_id = tasks[0].task_id
+                if best is None or head_id < best[0]:
+                    best = (head_id, block_id)
+        return best
 
     def extract(self, block_id: int) -> List[Task]:
         """Remove and return all tasks of a block (being scheduled out)."""

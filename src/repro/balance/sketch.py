@@ -43,6 +43,12 @@ class ObserveResult:
     evicted_block: Optional[int] = None
 
 
+#: The outcomes that evict nothing, shared by every observation (the type
+#: is frozen, so sharing is safe); only an eviction allocates a result.
+_RESIDENT = ObserveResult(True)
+_NOT_RESIDENT = ObserveResult(False)
+
+
 class HotDataSketch:
     """Approximate top-hot-block tracker, one per NDP unit."""
 
@@ -70,15 +76,15 @@ class HotDataSketch:
         if workload <= 0:
             raise ValueError("workload must be positive")
         self.observations += 1
-        bucket = self._bucket_of(block_id)
+        bucket = self._buckets[block_id % self.config.buckets]
         entry = bucket.get(block_id)
         cmax = self.config.counter_max
         if entry is not None:
             entry.workload = min(cmax, entry.workload + workload)
-            return ObserveResult(True)
+            return _RESIDENT
         if len(bucket) < self.config.entries_per_bucket:
             bucket[block_id] = SketchEntry(block_id, min(cmax, workload))
-            return ObserveResult(True)
+            return _RESIDENT
         # Bucket full: probabilistic decay of the minimum entry.
         e_min = min(bucket.values(), key=lambda e: (e.workload, e.block_id))
         decay_prob = self.config.decay_base ** (-e_min.workload)
@@ -91,7 +97,7 @@ class HotDataSketch:
                 bucket[block_id] = SketchEntry(block_id, min(cmax, workload))
                 self.replacements += 1
                 return ObserveResult(True, evicted_block=evicted)
-        return ObserveResult(False)
+        return _NOT_RESIDENT
 
     def contains(self, block_id: int) -> bool:
         return block_id in self._bucket_of(block_id)

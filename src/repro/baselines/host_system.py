@@ -63,6 +63,7 @@ class HostSystem:
         # coherence ping-pong): per-line busy horizon.
         self._line_busy: Dict[int, int] = {}
         self.tracker.on_epoch_advance(self._on_epoch_advance)
+        self.tracker.on_finish(self.sim.stop)
         self._ran = False
         self.tasks_executed = 0
 
@@ -146,8 +147,9 @@ class HostSystem:
         if self._ran:
             raise RuntimeError("system already ran; build a fresh one")
         self._ran = True
-        self.tracker.check_progress()
-        self.sim.run(stop_condition=lambda: self.tracker.finished)
+        self.tracker.check_progress()  # empty workload finishes immediately
+        if not self.tracker.finished:
+            self.sim.run()
         if not self.tracker.finished:
             raise SimulationError("host run stalled with work outstanding")
         return self

@@ -16,15 +16,13 @@ change relative results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..config import SystemConfig
 from ..sim import Simulator, StatsRegistry
 
 
-@dataclass(frozen=True)
-class BankAccess:
+class BankAccess(NamedTuple):
     """Timing of one completed bank access."""
 
     start: int
@@ -51,7 +49,12 @@ class DRAMBank:
         self.busy_until = 0
         self.open_row: Optional[int] = None
         self._last_was_write = False
+        # Timings are fixed by the config: resolve them once, not per access.
         self._t_wtr = config.dram.cycles(config.dram.t_wtr_ns, config.cycle_ns)
+        self._t_rp = config.t_rp_cycles
+        self._t_rcd = config.t_rcd_cycles
+        self._t_cas = config.t_cas_cycles
+        self._row_bytes = config.dram.row_bytes
         self._refresh = config.dram.refresh_enabled
         if self._refresh:
             self._t_refi = config.dram.cycles(
@@ -73,7 +76,7 @@ class DRAMBank:
         self._busy_cycles = stats.counter(scope, "busy_cycles")
 
     def row_of(self, addr: int) -> int:
-        return addr // self.config.dram.row_bytes
+        return addr // self._row_bytes
 
     def access(
         self,
@@ -99,20 +102,20 @@ class DRAMBank:
             self._next_refresh += missed * self._t_refi
             start += self._t_rfc
             self.open_row = None
-        row = self.row_of(addr)
+        row = addr // self._row_bytes
         latency = 0
         if self._last_was_write and not is_write:
             latency += self._t_wtr
         self._last_was_write = is_write
         if self.open_row != row:
             if self.open_row is not None:
-                latency += self.config.t_rp_cycles
-            latency += self.config.t_rcd_cycles
+                latency += self._t_rp
+            latency += self._t_rcd
             self.open_row = row
             self._row_misses.add()
         else:
             self._row_hits.add()
-        latency += self.config.t_cas_cycles
+        latency += self._t_cas
         latency += max(1, math.ceil(nbytes / bytes_per_cycle))
         finish = start + latency
         self.busy_until = finish
@@ -129,7 +132,7 @@ class DRAMBank:
         else:
             self._core_accesses.add()
             self._local_words.add(words)
-        return BankAccess(start=start, finish=finish)
+        return BankAccess(start, finish)
 
     # convenience views for energy accounting ------------------------------
     @property

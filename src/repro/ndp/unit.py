@@ -81,7 +81,13 @@ class NDPUnit:
 
         block_bytes = config.comm.g_xfer_bytes
         bank_bytes = config.topology.bank_capacity_mb * 1024 * 1024
+        self._block_bytes = block_bytes
         self._base_block = unit_id * bank_bytes // block_bytes
+        # Home blocks: [_home_start, _home_end).  A block belongs to the
+        # bank holding its first byte (AddressMap.unit_of_block), hence
+        # the ceilings.
+        self._home_start = -(-(unit_id * bank_bytes) // block_bytes)
+        self._home_end = -(-((unit_id + 1) * bank_bytes) // block_bytes)
         scale = config.balance.metadata_scale
         self.islent = IsLentBitmap(
             config.sram.islent_bytes, self._base_block, scale
@@ -155,14 +161,14 @@ class NDPUnit:
     # address helpers
     # ------------------------------------------------------------------
     def block_of(self, addr: int) -> int:
-        return addr // self.config.comm.g_xfer_bytes
+        return addr // self._block_bytes
 
     def is_home(self, block_id: int) -> bool:
-        return self.system.addr_map.unit_of_block(block_id) == self.unit_id
+        return self._home_start <= block_id < self._home_end
 
     def holds_block(self, block_id: int) -> bool:
         """Is the block's data locally accessible right now?"""
-        if self.is_home(block_id):
+        if self._home_start <= block_id < self._home_end:
             return not self.islent.is_lent(block_id)
         self._stat_sram.add()
         return self.borrowed.contains(block_id)
@@ -171,12 +177,16 @@ class NDPUnit:
     # task intake (spawned locally or scattered by the bridge)
     # ------------------------------------------------------------------
     def accept_task(self, task: Task, bounces: int = 0) -> None:
-        """Queue a task locally, or forward it toward its data block."""
-        block = self.block_of(task.data_addr)
+        """Queue a task locally, or forward it toward its data block.
+
+        A task whose address lies beyond the machine is forwarded too,
+        and :meth:`_forward` rejects it with ``ValueError``.
+        """
+        block = task.data_addr // self._block_bytes
         if self.holds_block(block):
             self._enqueue_local(task)
             return
-        if self.is_home(block):
+        if self._home_start <= block < self._home_end:
             # Home unit but block lent out: the bridge metadata will
             # redirect it.  After several bounces the block must be in
             # return transit; park until it lands.
@@ -205,7 +215,7 @@ class NDPUnit:
         self._try_start()
 
     def _push_runnable(self, task: Task) -> None:
-        block = self.block_of(task.data_addr)
+        block = task.data_addr // self._block_bytes
         if self._hot:
             result = self.sketch.observe(block, task.workload_estimate)
             self._stat_sram.add()
@@ -235,19 +245,12 @@ class NDPUnit:
             # grouping (for hot-block scheduling) is special.  Preserve
             # global arrival order: pull whichever of the main queue head
             # and the oldest reserved chain head was created first.
-            use_reserved = False
-            if self._hot and self.reserved is not None:
-                reserved_id = self.reserved.oldest_task_id()
-                if reserved_id is not None:
-                    if not self.queue:
-                        use_reserved = True
-                    elif reserved_id < self.queue[0].task_id:
-                        use_reserved = True
-            if use_reserved:
-                block = self.reserved.oldest_block()
+            oldest = self.reserved.oldest() if self._hot else None
+            if oldest is not None and (
+                not self.queue or oldest[0] < self.queue[0].task_id
+            ):
+                block = oldest[1]
                 task = self.reserved.pop_one(block)
-                if task is None:
-                    continue
                 self._queue_workload -= task.workload_estimate
                 if not self.holds_block(block):
                     self.accept_task(task)
@@ -257,7 +260,7 @@ class NDPUnit:
                 return None
             task = self.queue.popleft()
             self._queue_workload -= task.workload_estimate
-            block = self.block_of(task.data_addr)
+            block = task.data_addr // self._block_bytes
             if not self.holds_block(block):
                 # The block was lent away after this task was queued; it
                 # must chase its data (data-first execution).
@@ -309,9 +312,10 @@ class NDPUnit:
         self.tasks_executed += 1
         self.finished_workload += task.workload_estimate
         self._exec_count += 1
-        parent_block = self.block_of(task.data_addr)
+        block_bytes = self._block_bytes
+        parent_block = task.data_addr // block_bytes
         for child in children:
-            if self.block_of(child.data_addr) == parent_block:
+            if child.data_addr // block_bytes == parent_block:
                 self._same_block_spawns += 1
 
         def _after_spawn() -> None:

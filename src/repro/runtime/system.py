@@ -54,6 +54,8 @@ class NDPSystem:
             self.auditor = MessageAuditor()
             self.auditor.attach(self)
         self.tracker.on_epoch_advance(self._on_epoch_advance)
+        # The run ends when the tracker says so, never by polling it.
+        self.tracker.on_finish(self.sim.stop)
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -116,10 +118,7 @@ class NDPSystem:
         if not self._ran:
             raise RuntimeError("call start() before advance()")
         if not self.tracker.finished:
-            self.sim.run(
-                until=until,
-                stop_condition=lambda: self.tracker.finished,
-            )
+            self.sim.run(until=until)
         return self
 
     def finish(self) -> "NDPSystem":
@@ -127,7 +126,7 @@ class NDPSystem:
         if not self._ran:
             raise RuntimeError("call start() before finish()")
         if not self.tracker.finished:
-            self.sim.run(stop_condition=lambda: self.tracker.finished)
+            self.sim.run()
         if not self.tracker.finished:
             raise SimulationError(
                 "event queue drained with work outstanding: "

@@ -9,6 +9,8 @@ and extra arguments -- exactly the attribute list of Section IV.
 model; applications may set it differently from ``workload`` to exercise
 the paper's claim that estimates "can be inaccurate or even unspecified".
 When ``workload`` is ``None`` the runtime substitutes a default estimate.
+Both are fixed at construction: the derived ``workload_estimate`` and
+``execution_cycles`` are computed once, not on every read.
 """
 
 from __future__ import annotations
@@ -44,22 +46,24 @@ class Task:
     #: access and its share of host memory bandwidth).
     data_bytes: int = 64
     task_id: int = field(default_factory=lambda: next(_task_ids))
+    #: The estimate the scheduler sees (Section VI uses this).
+    workload_estimate: int = field(init=False, compare=False, repr=False)
+    #: The true cycles the core spends executing this task.
+    execution_cycles: int = field(init=False, compare=False, repr=False)
 
     DEFAULT_WORKLOAD = 16
 
-    @property
-    def workload_estimate(self) -> int:
-        """The estimate the scheduler sees (Section VI uses this)."""
+    def __post_init__(self) -> None:
+        # Nothing changes ``workload`` or ``actual_cycles`` after
+        # construction, so both costs are fixed here, once per task.
         if self.workload is None:
-            return self.DEFAULT_WORKLOAD
-        return max(1, int(self.workload))
-
-    @property
-    def execution_cycles(self) -> int:
-        """The true cycles the core spends executing this task."""
-        if self.actual_cycles is not None:
-            return max(1, int(self.actual_cycles))
-        return self.workload_estimate
+            self.workload_estimate = self.DEFAULT_WORKLOAD
+        else:
+            self.workload_estimate = max(1, int(self.workload))
+        if self.actual_cycles is None:
+            self.execution_cycles = self.workload_estimate
+        else:
+            self.execution_cycles = max(1, int(self.actual_cycles))
 
     @property
     def size_bytes(self) -> int:

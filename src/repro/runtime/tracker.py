@@ -48,10 +48,17 @@ class RunTracker:
         self.total_created += 1
 
     def task_completed(self, ts: int) -> None:
-        self.completed[ts] += 1
+        completed = self.completed[ts] + 1
+        self.completed[ts] = completed
         self.total_completed += 1
-        if self.completed[ts] > self.created[ts]:
+        if completed > self.created[ts]:
             raise RuntimeError(f"more completions than creations at ts={ts}")
+        # While the current epoch has tasks outstanding or task messages
+        # in flight the barrier cannot move: skip the full check.
+        epoch = self.epoch
+        if (self.task_messages_in_flight
+                or self.created[epoch] != self.completed[epoch]):
+            return
         self.check_progress()
 
     def message_departed(self, is_data: bool) -> None:
@@ -69,6 +76,10 @@ class RunTracker:
             self.task_messages_in_flight -= 1
             if self.task_messages_in_flight < 0:
                 raise RuntimeError("task message in-flight count underflow")
+        epoch = self.epoch  # busy epoch: see task_completed
+        if (self.task_messages_in_flight
+                or self.created[epoch] != self.completed[epoch]):
+            return
         self.check_progress()
 
     # -- state queries -----------------------------------------------------

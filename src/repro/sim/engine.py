@@ -12,7 +12,9 @@ kept allocation-free: :meth:`Simulator.schedule` pushes a bare
 ``(time, seq, callback)`` tuple onto a binary heap and returns nothing.
 The run loop drains all events that share a timestamp in one batch,
 paying the ``until`` / ``max_cycles`` bookkeeping once per cycle instead
-of once per event.
+of once per event.  The only per-event test is the flag
+:meth:`Simulator.stop` sets; the owner's ``RunTracker`` calls it when the
+run is over.
 
 Determinism is a hard requirement -- two runs with the same seed must
 produce identical cycle counts -- so events execute strictly in
@@ -235,58 +237,65 @@ class Simulator:
         self._events_processed += 1
         return True
 
-    def run(
-        self,
-        until: Optional[int] = None,
-        stop_condition: Optional[Callable[[], bool]] = None,
-    ) -> int:
+    def _check_until(self, until: Optional[int]) -> None:
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"cannot run until t={until}, current time is {self.now}"
+            )
+
+    def run(self, until: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is passed, or a stop.
 
-        ``stop_condition`` is evaluated after every processed event; when it
-        returns ``True`` the loop exits.  Returns the final simulation time.
+        The owner ends a run early by calling :meth:`stop` from a
+        callback (the system facades register it with their
+        ``RunTracker``).  Returns the final simulation time.  ``until``
+        may not precede the current time: pausing in the past would wind
+        the clock back.
 
         All events sharing a timestamp are dispatched as one batch: the
-        ``until`` / ``max_cycles`` checks run once per simulated cycle, and
-        the heap top is only re-examined to detect the end of the batch.
-        Events scheduled *during* a batch at the current cycle join the
-        same batch (they carry a larger seq, so they run last, exactly as
-        the one-at-a-time loop would order them).
+        ``until`` / ``max_cycles`` test is a single comparison per
+        simulated cycle, and the heap top is only re-examined to detect
+        the end of the batch.  Events scheduled *during* a batch at the
+        current cycle join the same batch (they carry a larger seq, so
+        they run last, exactly as the one-at-a-time loop would order
+        them).
 
         In sanitizer mode a separate, instrumented loop runs instead (same
         event order, extra invariant checks, and an :meth:`audit` on every
         exit) so this fast loop carries zero sanitizer overhead.
         """
         if self.sanitize:
-            return self._run_sanitized(until, stop_condition)
+            return self._run_sanitized(until)
+        self._check_until(until)
         self._stopped = False
         queue = self._queue
         heappop = heapq.heappop
         max_cycles = self.max_cycles
-        while queue and not self._stopped:
-            nxt = queue[0][0]
-            if until is not None and nxt > until:
-                self.now = until
-                break
-            if nxt > max_cycles:
-                raise SimulationError(
-                    f"simulation exceeded max_cycles={max_cycles}"
-                )
-            self.now = nxt
-            # Same-cycle batch: drain every entry stamped `nxt`.
-            while queue and queue[0][0] == nxt:
-                heappop(queue)[2]()
-                self._events_processed += 1
-                if stop_condition is not None and stop_condition():
-                    return self.now
-                if self._stopped:
-                    return self.now
+        # Past `limit` the loop either pauses at `until` or overran.
+        limit = max_cycles if until is None else min(until, max_cycles)
+        dispatched = 0
+        try:
+            while queue:
+                nxt = queue[0][0]
+                if nxt > limit:
+                    if until is not None and nxt > until:
+                        self.now = until
+                        break
+                    raise SimulationError(
+                        f"simulation exceeded max_cycles={max_cycles}"
+                    )
+                self.now = nxt
+                # Same-cycle batch: drain every entry stamped `nxt`.
+                while queue and queue[0][0] == nxt:
+                    heappop(queue)[2]()
+                    dispatched += 1
+                    if self._stopped:
+                        return nxt
+        finally:
+            self._events_processed += dispatched
         return self.now
 
-    def _run_sanitized(
-        self,
-        until: Optional[int] = None,
-        stop_condition: Optional[Callable[[], bool]] = None,
-    ) -> int:
+    def _run_sanitized(self, until: Optional[int] = None) -> int:
         """The :meth:`run` loop with invariant checks.
 
         Mirrors the fast loop event-for-event (identical dispatch order,
@@ -294,6 +303,7 @@ class Simulator:
         monotonicity and strict ``(time, seq)`` dispatch order, then
         audits conservation on every exit path.
         """
+        self._check_until(until)
         self._stopped = False
         queue = self._queue
         heappop = heapq.heappop
@@ -301,7 +311,7 @@ class Simulator:
         # audit() runs on every *clean* exit (not when an exception is
         # already unwinding -- a half-dispatched event would fail
         # conservation and mask the real error).
-        while queue and not self._stopped:
+        while queue:
             nxt = queue[0][0]
             if until is not None and nxt > until:
                 self.now = until
@@ -321,9 +331,6 @@ class Simulator:
                 self._check_dispatch_order(time, seq)
                 callback()
                 self._events_processed += 1
-                if stop_condition is not None and stop_condition():
-                    self.audit()
-                    return self.now
                 if self._stopped:
                     self.audit()
                     return self.now

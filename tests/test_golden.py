@@ -1,16 +1,19 @@
 """Golden regression tests: exact pinned results for a small matrix.
 
 The simulator is deterministic by contract, so these are equality tests,
-not tolerances: any diff in makespan, task count, or a latency tail on
-the (app x design) matrix below means the *model changed*.  If the
-change is intentional, regenerate the tables and review the diff like
-any other golden update:
+not tolerances: any diff in makespan, task count, a latency tail, the
+event count or any counter on the (app x design) matrix below means the
+*model changed*.  If the change is intentional, regenerate the tables
+and review the diff like any other golden update:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints freshly computed ``CLOSED``/``OPENLOOP`` dicts to paste over the
-ones in this file.
+prints freshly computed ``CLOSED``/``OPENLOOP``/``STATS`` dicts to paste
+over the ones in this file.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -60,6 +63,32 @@ OPENLOOP = {
 }
 
 
+#: Cells pinned counter by counter: the matrix above plus ``pr``, whose
+#: message-heavy path the other apps barely exercise.
+STATS_CELLS = tuple(
+    (app, design) for app in APPS for design in DESIGNS
+) + (("pr", Design.B), ("pr", Design.O))
+
+#: Closed-loop counter goldens: (events_processed, first 16 hex digits of
+#: the sha256 of ``stats.as_dict()`` dumped as sorted-key JSON).
+STATS = {
+    ("ll", "C"): (17368, "475e968e0d7209e9"),
+    ("ll", "B"): (17408, "0b000431fddd3c42"),
+    ("ll", "W"): (18467, "1d6b380f5ee9b6db"),
+    ("ll", "O"): (17552, "aa6005a31056287b"),
+    ("ht", "C"): (797, "75a13baee907dfe9"),
+    ("ht", "B"): (800, "405e240328b1b719"),
+    ("ht", "W"): (854, "6923e791e3604f32"),
+    ("ht", "O"): (834, "f79c1148bacc25bd"),
+    ("tree", "C"): (1374, "ef606eee216b64db"),
+    ("tree", "B"): (1622, "7561acb611a57467"),
+    ("tree", "W"): (1656, "c89a9a9f4708729c"),
+    ("tree", "O"): (1624, "daa94b6b4ece839c"),
+    ("pr", "B"): (2589, "6a782cde6042085a"),
+    ("pr", "O"): (2589, "ca9b9c45835087da"),
+}
+
+
 def golden_spec() -> OpenLoopSpec:
     return OpenLoopSpec(
         tenants=(
@@ -77,6 +106,14 @@ def closed_result(app: str, design: Design):
     m = run_app(make_app(app, scale=SCALE, seed=SEED),
                 tiny_config(design)).metrics
     return (m.makespan, m.tasks_executed, m.task_messages)
+
+
+def stats_result(app: str, design: Design):
+    system = run_app(make_app(app, scale=SCALE, seed=SEED),
+                     tiny_config(design)).system
+    blob = json.dumps(system.stats.as_dict(), sort_keys=True)
+    return (system.sim.events_processed,
+            hashlib.sha256(blob.encode()).hexdigest()[:16])
 
 
 def openloop_result(app: str, design: Design):
@@ -109,10 +146,24 @@ def test_openloop_golden(app, design):
     )
 
 
+@pytest.mark.parametrize(
+    "app,design", STATS_CELLS,
+    ids=[f"{d.value}-{a}" for a, d in STATS_CELLS],
+)
+def test_stats_golden(app, design):
+    got = stats_result(app, design)
+    want = STATS[(app, design.value)]
+    assert got == want, (
+        f"{app}/{design.value}: (events, stats digest) {got} != "
+        f"golden {want} -- the model changed; {REGEN}"
+    )
+
+
 def test_golden_matrix_is_complete():
     keys = {(a, d.value) for a in APPS for d in DESIGNS}
     assert set(CLOSED) == keys
     assert set(OPENLOOP) == keys
+    assert set(STATS) == {(a, d.value) for a, d in STATS_CELLS}
 
 
 def _regenerate() -> None:  # pragma: no cover - manual tool
@@ -127,6 +178,11 @@ def _regenerate() -> None:  # pragma: no cover - manual tool
         for design in DESIGNS:
             print(f'    ("{app}", "{design.value}"): '
                   f'{openloop_result(app, design)},')
+    print("}")
+    print("STATS = {")
+    for app, design in STATS_CELLS:
+        events, digest = stats_result(app, design)
+        print(f'    ("{app}", "{design.value}"): ({events}, "{digest}"),')
     print("}")
 
 

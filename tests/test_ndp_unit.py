@@ -1,5 +1,7 @@
 """Tests for the NDP unit model: queues, mailbox stalls, metadata."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import Design, tiny_config
@@ -12,6 +14,22 @@ from .conftest import noop_task
 
 def bank_addr(system, unit_id, offset=0):
     return unit_id * system.addr_map.bank_bytes + offset
+
+
+@pytest.mark.parametrize("g_xfer", [256, 192])
+def test_home_range_matches_the_address_map(g_xfer):
+    """A unit's home test agrees with ``AddressMap.unit_of_block``, also
+    when blocks straddle two banks (192 B does not divide a bank)."""
+    cfg = tiny_config(Design.O)
+    system = NDPSystem(cfg.replace(comm=replace(cfg.comm, g_xfer_bytes=g_xfer)))
+    amap = system.addr_map
+    last = (amap.total_bytes - 1) // amap.block_bytes
+    for unit in system.units:
+        edge = unit.unit_id * amap.bank_bytes // amap.block_bytes
+        for block in range(max(0, edge - 2), min(last, edge + 2) + 1):
+            mine = amap.unit_of_block(block) == unit.unit_id
+            assert unit.is_home(block) == mine, (unit.unit_id, block)
+    assert not any(u.is_home(last + 1) or u.is_home(-1) for u in system.units)
 
 
 class TestLocalExecution:

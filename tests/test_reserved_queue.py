@@ -1,5 +1,7 @@
 """Tests for the chunked reserved task queue (Section VI-C, Fig. 9)."""
 
+import random
+
 import pytest
 
 from repro.balance import ReservedQueue
@@ -111,12 +113,36 @@ def test_pop_one_releases_chunks():
     assert 1 not in q
 
 
-def test_first_block_is_oldest():
+def test_oldest_is_the_smallest_head_task_id():
     q = make_queue()
-    q.reserve(5, task())
-    q.reserve(2, task())
-    assert q.first_block() == 5
-    q.pop_one(5)
-    assert q.first_block() == 2
+    assert q.oldest() is None
+    older, younger = task(), task()
+    # Arrival order differs from task-id order (e.g. a future-epoch task
+    # pushed at the barrier): the smallest head sits on the later chain.
+    q.reserve(5, younger)
+    q.reserve(2, older)
+    assert q.oldest() == (older.task_id, 2)
     q.pop_one(2)
-    assert q.first_block() is None
+    assert q.oldest() == (younger.task_id, 5)
+    q.pop_one(5)
+    assert q.oldest() is None
+
+
+def test_oldest_matches_brute_force_under_random_operations():
+    rng = random.Random(13)
+    # 64 B chunks hold 2 tasks: chains grow, shrink and get refused.
+    q = ReservedQueue(total_chunks=8, chunk_bytes=64, static_chunks=3)
+    arrivals = [task() for _ in range(600)]
+    rng.shuffle(arrivals)  # arrival order is not task-id order
+    for t in arrivals:
+        op = rng.random()
+        block = rng.randrange(6)
+        if op < 0.6:
+            q.reserve(block, t)
+        elif op < 0.9:
+            q.pop_one(block)
+        else:
+            q.extract(block)
+        heads = [(q.tasks_of(b)[0].task_id, b)
+                 for b in q.blocks() if q.tasks_of(b)]
+        assert q.oldest() == (min(heads) if heads else None)

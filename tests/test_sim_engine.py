@@ -64,13 +64,62 @@ def test_run_until_time_bound():
     assert hits == [10, 100]
 
 
-def test_stop_condition_halts_loop():
-    sim = Simulator()
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+def test_stop_from_callback_halts_loop(sanitize):
+    sim = Simulator(sanitize=sanitize)
     hits = []
+
+    def hit(t):
+        hits.append(t)
+        if len(hits) == 3:
+            sim.stop()
+
     for t in range(1, 6):
-        sim.schedule(t, lambda t=t: hits.append(t))
-    sim.run(stop_condition=lambda: len(hits) >= 3)
+        sim.schedule(t, lambda t=t: hit(t))
+    assert sim.run() == 3
     assert hits == [1, 2, 3]
+    assert sim.events_processed == 3
+    assert sim.pending_events == 2
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+def test_run_until_in_the_past_rejected(sanitize):
+    sim = Simulator(sanitize=sanitize)
+    fired = []
+    sim.schedule(10, lambda: fired.append(sim.now))
+    sim.schedule(30, lambda: fired.append(sim.now))
+    assert sim.run(until=20) == 20
+    with pytest.raises(
+        ValueError, match="cannot run until t=5, current time is 20"
+    ):
+        sim.run(until=5)
+    assert sim.now == 20
+    assert sim.run(until=20) == 20  # pausing where we stand is fine
+    sim.schedule(3, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [10, 23, 30]
+
+
+def test_until_beyond_max_cycles_still_guards():
+    sim = Simulator(max_cycles=100)
+    sim.schedule(150, lambda: None)
+    assert sim.run(until=50) == 50
+    with pytest.raises(SimulationError, match="max_cycles=100"):
+        sim.run(until=200)
+
+
+def test_events_processed_counts_events_before_an_error():
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(1, lambda: None)
+    sim.schedule(1, lambda: None)
+    sim.schedule(2, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert sim.events_processed == 2
 
 
 def test_max_cycles_guard():

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.apps import make_app
+from repro.baselines.host_system import HostSystem
 from repro.config import ConfigError, Design, tiny_config
-from repro.runtime.runner import VerificationError, run_app
+from repro.runtime.runner import VerificationError, build_system, run_app
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
 from repro.sim import SimulationError
@@ -15,6 +16,59 @@ def test_empty_workload_finishes_immediately():
     system.run()
     assert system.tracker.finished
     assert system.makespan == 0
+
+
+def test_empty_workload_dispatches_no_events():
+    system = NDPSystem(tiny_config(Design.O))
+    system.start()
+    queued = system.sim.pending_events  # the fabric's first rounds
+    system.finish()
+    assert system.sim.events_processed == 0
+    assert system.sim.pending_events == queued
+
+
+def test_empty_host_workload_dispatches_no_events():
+    system = HostSystem(tiny_config(Design.H))
+    system.sim.schedule(5, lambda: None)
+    system.run()
+    assert system.tracker.finished
+    assert system.sim.events_processed == 0
+    assert system.sim.pending_events == 1
+
+
+def test_advance_into_the_past_is_rejected():
+    cfg = tiny_config(Design.O)
+    app = make_app("ll", scale=0.05, seed=1)
+    system = build_system(cfg)
+    app.attach(system)
+    app.seed_tasks(system)
+    system.start().advance(5000)
+    assert system.sim.now == 5000
+    with pytest.raises(
+        ValueError, match="cannot run until t=100, current time is 5000"
+    ):
+        system.advance(100)
+    assert system.sim.now == 5000
+    system.finish()
+    straight = run_app(make_app("ll", scale=0.05, seed=1), cfg).system
+    assert system.makespan == straight.makespan
+    assert system.sim.events_processed == straight.sim.events_processed
+
+
+@pytest.mark.parametrize("design", [Design.B, Design.O])
+@pytest.mark.parametrize("where", ["beyond", "negative"])
+def test_child_task_outside_the_machine_raises(design, where):
+    system = NDPSystem(tiny_config(design))
+    addr = system.addr_map.total_bytes if where == "beyond" else -64
+
+    def parent(ctx, task):
+        ctx.enqueue_task("leaf", task.ts, addr)
+
+    system.registry.register("parent", parent)
+    system.registry.register("leaf", lambda ctx, task: None)
+    system.seed_task(Task(func="parent", ts=0, data_addr=0))
+    with pytest.raises(ValueError, match="out of range"):
+        system.run()
 
 
 def test_single_task_system():
