@@ -5,7 +5,8 @@ simflow checks the *protocol*: the cross-module send->handle graph of
 TASK/DATA/STATE messages through the bridge hierarchy, plus a runtime
 conservation audit of every message a sanitized run creates.
 
-Static rules (``python -m repro.flow src``):
+Static rules (:mod:`repro.flow.rules` over :mod:`repro.flow.graph`, run
+by ``python -m repro.analyze src``):
 
 =======  ==============================================================
 rule     invariant
@@ -22,39 +23,11 @@ FL004    isLent/dataBorrowed balance metadata is touched only through
 =======  ==============================================================
 
 Suppress per line with ``# simflow: ignore[FL002]`` (bare ``ignore``
-silences the line).  Both CLIs share ``--format sarif`` for CI
-annotation.
+silences the line).
 
 Runtime half: ``NDPBRIDGE_SANITIZE=1`` attaches a
 :class:`~repro.flow.auditor.MessageAuditor` that tags every message id
 and proves ``created == delivered + dropped + in_flight`` at run()
 exit, flagging leaks, double deliveries, and rejections the stats
-never recorded.
+never recorded.  Importing the auditor loads none of the static rules.
 """
-
-from .auditor import FlowAuditError, MessageAuditor
-from .checker import FLOW_SCOPE_PREFIXES, analyze_paths, analyze_sources
-from .graph import (
-    DESIGNS,
-    MESSAGE_CLASSES,
-    ProtocolGraph,
-    build_protocol_graph,
-    design_active,
-)
-from .rules import FLOW_RULE_CODES, FLOW_RULES, FlowRule
-
-__all__ = [
-    "DESIGNS",
-    "FLOW_RULES",
-    "FLOW_RULE_CODES",
-    "FLOW_SCOPE_PREFIXES",
-    "FlowAuditError",
-    "FlowRule",
-    "MESSAGE_CLASSES",
-    "MessageAuditor",
-    "ProtocolGraph",
-    "analyze_paths",
-    "analyze_sources",
-    "build_protocol_graph",
-    "design_active",
-]

@@ -24,6 +24,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from ..lint.rules import terminal_name
+
 #: Message class name -> protocol type tag (matches MessageType values).
 MESSAGE_CLASSES: Dict[str, str] = {
     "TaskMessage": "task",
@@ -63,15 +65,6 @@ def design_active(design: str, module_path: str) -> bool:
         return False
     exclude = _DESIGN_EXCLUDE.get(design, ())
     return not any(module_path.startswith(p) for p in exclude)
-
-
-def terminal_name(node: ast.AST) -> Optional[str]:
-    """The rightmost identifier of a Name/Attribute chain, else None."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 @dataclass(frozen=True)

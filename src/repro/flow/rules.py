@@ -6,8 +6,8 @@ the properties they check (orphaned message types, unhandled
 backpressure, blocking-wait deadlock bounds, metadata discipline) are
 cross-module by nature.
 
-Each rule yields ``(module_path, line, col, message)`` findings; the
-checker maps them back onto files and applies per-line
+Each rule yields ``(module_path, line, col, message)`` findings;
+:mod:`repro.analyze` maps them back onto files and applies per-line
 ``# simflow: ignore[FLxxx]`` suppressions.
 """
 
@@ -16,10 +16,20 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
-from .graph import DESIGNS, ModuleGraph, ProtocolGraph, terminal_name
+from ..lint.rules import terminal_name
+from .graph import DESIGNS, ModuleGraph, ProtocolGraph
 
 #: (module_path, line, col, message)
 Finding = Tuple[str, int, int, str]
+
+#: simflow only analyses the protocol layers; the rest of the tree
+#: (engine, runtime, benchmarks, ...) neither creates nor handles
+#: messages and is out of scope by construction.
+FLOW_SCOPE_PREFIXES: Tuple[str, ...] = (
+    "repro/messages/",
+    "repro/bridge/",
+    "repro/ndp/",
+)
 
 
 class FlowRule:

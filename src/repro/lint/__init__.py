@@ -31,39 +31,12 @@ SL008    no builtin ``id()`` in sort keys or comparisons inside
          processes and runs
 =======  ==============================================================
 
-Findings can be suppressed per line with ``# simlint: ignore[SL003]``
-(comma-separate multiple rules; bare ``# simlint: ignore`` silences the
-line entirely) or sanctioned centrally in
-:mod:`repro.lint.allowlist`, where every entry must carry a written
-justification.
+The rules live in :mod:`repro.lint.rules`.  Findings can be suppressed
+per line with ``# simlint: ignore[SL003]`` (comma-separate multiple
+rules; bare ``# simlint: ignore`` silences the line entirely) or
+sanctioned centrally in :data:`repro.analyze.ALLOWLIST`, where every
+entry must carry a written justification.
 
-Run it as ``python -m repro.lint [paths...]`` (defaults to ``src/``).
+Run it with the other three analyzers as ``python -m repro.analyze
+[paths...]`` (defaults to ``src/``).
 """
-
-from .checker import (
-    Diagnostic,
-    is_suppressed,
-    lint_file,
-    lint_paths,
-    lint_source,
-    module_path_of,
-    suppressed_lines,
-)
-from .rules import RULES, Rule
-from .allowlist import ALLOWLIST, AllowlistEntry
-from .sarif import sarif_report
-
-__all__ = [
-    "ALLOWLIST",
-    "AllowlistEntry",
-    "Diagnostic",
-    "RULES",
-    "Rule",
-    "is_suppressed",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "module_path_of",
-    "sarif_report",
-    "suppressed_lines",
-]

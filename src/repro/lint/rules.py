@@ -3,12 +3,12 @@
 Each rule is a small AST pass over one module.  Rules receive a
 :class:`ModuleContext` (parsed tree + path information) and yield
 ``(line, col, message)`` findings; suppression and allowlisting are
-handled by :mod:`repro.lint.checker`, so rules stay pure detectors.
+handled by :mod:`repro.analyze`, so rules stay pure detectors.
 
 All path scoping uses the *module path* -- the file's path relative to
-the package root, e.g. ``repro/sim/engine.py`` -- which the checker
-derives from the real filesystem path (tests override it to exercise
-path-scoped rules on fixture snippets).
+the package root, e.g. ``repro/sim/engine.py`` -- which
+:func:`repro.analyze.module_path_of` derives from the real filesystem
+path (tests pass it directly to place fixture snippets).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class ModuleContext:
     tree: ast.Module
     #: Logical path relative to the package root ("repro/sim/engine.py").
     module_path: str
-    #: Real filesystem path parts (used for benchmarks/scripts exemption).
+    #: Real filesystem path parts (SL001's benchmarks/scripts exemption).
     fs_parts: Tuple[str, ...] = ()
     _aliases: "Optional[Tuple[Dict[str, str], Dict[str, str]]]" = field(
         default=None, repr=False
@@ -86,6 +86,15 @@ def resolve_dotted(node: ast.AST, ctx: ModuleContext) -> Optional[str]:
     return ".".join([base, *parts])
 
 
+def terminal_name(node: ast.AST) -> Optional[str]:
+    """The rightmost identifier of a Name/Attribute chain, else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
 class Rule:
     """Base class: subclasses set ``code``/``name`` and implement check()."""
 
@@ -120,8 +129,10 @@ _WALL_CLOCK = frozenset(
     }
 )
 
-#: Top-level directories where wall-clock reads are legitimate (timing
-#: harnesses measure the host, not the simulation).
+#: Directories where wall-clock reads are legitimate (timing harnesses
+#: measure the host, not the simulation).  Only files outside the
+#: ``repro`` package qualify, so a checkout that happens to live below a
+#: directory of that name is still checked.
 _WALL_CLOCK_EXEMPT_DIRS = frozenset({"benchmarks", "scripts"})
 
 
@@ -134,7 +145,8 @@ class NoWallClock(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if _WALL_CLOCK_EXEMPT_DIRS.intersection(ctx.fs_parts):
+        outside = not ctx.module_path.startswith("repro/")
+        if outside and _WALL_CLOCK_EXEMPT_DIRS.intersection(ctx.fs_parts):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -219,18 +231,10 @@ _SET_METHODS = frozenset(
 )
 
 
-def _callee_terminal(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _module_schedules(ctx: ModuleContext) -> bool:
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call):
-            if _callee_terminal(node.func) in _SCHEDULE_NAMES:
+            if terminal_name(node.func) in _SCHEDULE_NAMES:
                 return True
     return False
 
@@ -240,7 +244,7 @@ def _is_set_annotation(annotation: ast.expr) -> bool:
     target = annotation
     if isinstance(target, ast.Subscript):
         target = target.value
-    name = _callee_terminal(target)
+    name = terminal_name(target)
     return name in ("Set", "set", "FrozenSet", "frozenset", "AbstractSet")
 
 
@@ -263,7 +267,7 @@ def _set_bound_names(tree: ast.Module) -> Set[str]:
         elif isinstance(node, ast.AnnAssign) and _is_set_annotation(
             node.annotation
         ):
-            name = _callee_terminal(node.target)
+            name = terminal_name(node.target)
             if name is not None:
                 names.add(name)
         elif isinstance(node, ast.arg) and node.annotation is not None:
@@ -276,7 +280,7 @@ def _is_set_expr(node: ast.expr, set_names: "Set[str] | Tuple[()]") -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        callee = _callee_terminal(node.func)
+        callee = terminal_name(node.func)
         if isinstance(node.func, ast.Name) and callee in (
             "set",
             "frozenset",
@@ -350,7 +354,7 @@ def _is_time_name(name: str) -> bool:
 
 def _has_float_arith(node: ast.expr) -> bool:
     if isinstance(node, ast.Call):
-        if _callee_terminal(node.func) in _INT_LAUNDER:
+        if terminal_name(node.func) in _INT_LAUNDER:
             return False
         return any(_has_float_arith(a) for a in node.args)
     if isinstance(node, ast.Constant):
@@ -434,7 +438,7 @@ _MUTABLE_CALLS = frozenset(
 
 def _is_component_class(node: ast.ClassDef) -> bool:
     for base in node.bases:
-        terminal = _callee_terminal(base)
+        terminal = terminal_name(base)
         if terminal is not None and terminal.endswith("Component"):
             return True
     return False
@@ -445,7 +449,7 @@ def _is_mutable_default(node: ast.expr) -> bool:
                          ast.SetComp, ast.DictComp)):
         return True
     if isinstance(node, ast.Call):
-        return _callee_terminal(node.func) in _MUTABLE_CALLS
+        return terminal_name(node.func) in _MUTABLE_CALLS
     return False
 
 
@@ -546,7 +550,7 @@ class _LoopLambdaVisitor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         if self.loop_stack and (
-            _callee_terminal(node.func) in _SCHEDULE_NAMES
+            terminal_name(node.func) in _SCHEDULE_NAMES
         ):
             active: Set[str] = set()
             for names in self.loop_stack:
@@ -649,7 +653,7 @@ class NoIdOrdering(Rule):
         for node in ast.walk(ctx.tree):
             if (
                 isinstance(node, ast.Call)
-                and _callee_terminal(node.func) in _SORT_CALLEES
+                and terminal_name(node.func) in _SORT_CALLEES
             ):
                 for kw in node.keywords:
                     if kw.arg != "key":

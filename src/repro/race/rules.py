@@ -14,7 +14,7 @@ make each one a build failure instead:
 
 Rules reuse simlint's :class:`~repro.lint.rules.ModuleContext` and yield
 ``(line, col, message)`` findings; suppression (``# simrace:
-ignore[RC002]``) is applied by :mod:`repro.race.checker`.
+ignore[RC002]``) is applied by :mod:`repro.analyze`.
 """
 
 from __future__ import annotations
@@ -23,21 +23,19 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..exec.knobs import is_registered
-from ..lint.rules import Finding, ModuleContext, Rule, resolve_dotted
+from ..lint.rules import (
+    Finding,
+    ModuleContext,
+    Rule,
+    resolve_dotted,
+    terminal_name,
+)
+from ..state.rules import STATE_SCOPE_PREFIXES
 
 __all__ = [
     "RACE_RULES",
     "RACE_RULE_CODES",
 ]
-
-
-def _terminal_name(func: ast.AST) -> Optional[str]:
-    """Last identifier of a call target (``a.b.C(...)`` -> ``C``)."""
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +168,7 @@ class PayloadSafety(Rule):
     def _is_pool_ctor(self, value: ast.AST, ctx: ModuleContext) -> bool:
         return (
             isinstance(value, ast.Call)
-            and _terminal_name(value.func) == "ProcessPoolExecutor"
+            and terminal_name(value.func) == "ProcessPoolExecutor"
         )
 
     # -- boundary-call checking ----------------------------------------
@@ -201,7 +199,7 @@ class PayloadSafety(Rule):
     def _boundary_label(
         self, call: ast.Call, pools: Dict[str, bool]
     ) -> Optional[str]:
-        terminal = _terminal_name(call.func)
+        terminal = terminal_name(call.func)
         if terminal == "ProcessPoolExecutor":
             return f"{terminal}(...)"
         if terminal == "Process":
@@ -212,7 +210,7 @@ class PayloadSafety(Rule):
                 return f"{owner.id}.{terminal}(...)"
             if (
                 isinstance(owner, ast.Call)
-                and _terminal_name(owner.func) == "ProcessPoolExecutor"
+                and terminal_name(owner.func) == "ProcessPoolExecutor"
             ):
                 return f"ProcessPoolExecutor(...).{terminal}(...)"
         return None
@@ -238,9 +236,6 @@ class PayloadSafety(Rule):
 # ----------------------------------------------------------------------
 # RC003 -- cache-fingerprint completeness
 # ----------------------------------------------------------------------
-_ENV_EXEMPT_DIRS = frozenset({"benchmarks", "scripts", "tests"})
-
-
 class FingerprintCompleteness(Rule):
     code = "RC003"
     name = "fingerprint-completeness"
@@ -253,8 +248,6 @@ class FingerprintCompleteness(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if _ENV_EXEMPT_DIRS.intersection(ctx.fs_parts):
-            return
         if not ctx.module_path.startswith("repro/"):
             return
         for node in ast.walk(ctx.tree):
@@ -299,18 +292,6 @@ class FingerprintCompleteness(Rule):
 # ----------------------------------------------------------------------
 # RC005 -- worker-context independence
 # ----------------------------------------------------------------------
-#: Worker-executed packages: everything a pool worker runs to simulate
-#: a cell (the same scope simstate audits for snapshottability).
-_RC005_SCOPE = (
-    "repro/sim/",
-    "repro/bridge/",
-    "repro/ndp/",
-    "repro/runtime/",
-    "repro/balance/",
-    "repro/links/",
-    "repro/dram/",
-    "repro/messages/",
-)
 _CONTEXT_READS = frozenset(
     {
         "os.getpid",
@@ -350,7 +331,9 @@ class WorkerContextIndependence(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.module_path.startswith(_RC005_SCOPE):
+        # Worker-executed packages: everything a pool worker runs to
+        # simulate a cell, which is the scope simstate audits.
+        if not ctx.module_path.startswith(STATE_SCOPE_PREFIXES):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):

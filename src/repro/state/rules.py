@@ -3,9 +3,9 @@
 Like simflow's rules, these see the whole tree at once -- the inventory
 (:mod:`repro.state.inventory`) already did the AST work, so each rule is
 a filter that turns inventory facts into findings.  Each rule yields
-``(module_path, line, col, message)``; the checker maps findings back
-onto files and applies ``# simstate: ignore[STxxx]`` suppressions and
-the module allowlist.
+``(module_path, line, col, message)``; :mod:`repro.analyze` maps
+findings back onto files and applies ``# simstate: ignore[STxxx]``
+suppressions and the module allowlist.
 
 =======  =============================================================
 rule     invariant
@@ -31,6 +31,20 @@ from .inventory import StateInventory
 
 #: (module_path, line, col, message)
 Finding = Tuple[str, int, int, str]
+
+#: simstate analyses the packages whose objects live inside a running
+#: simulation and therefore inside a snapshot.  Analysis/plotting/CLI
+#: layers hold no simulated state and are out of scope by construction.
+STATE_SCOPE_PREFIXES: Tuple[str, ...] = (
+    "repro/sim/",
+    "repro/bridge/",
+    "repro/ndp/",
+    "repro/runtime/",
+    "repro/balance/",
+    "repro/links/",
+    "repro/dram/",
+    "repro/messages/",
+)
 
 
 class StateRule:

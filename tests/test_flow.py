@@ -4,21 +4,22 @@ Mirrors the simlint suite's contract: every FL rule must (a) catch its
 hazard in a positive fixture, (b) stay quiet under a
 ``# simflow: ignore[RULE]`` comment, and (c) stay quiet on a clean
 variant of the same code.  A meta-test asserts the repository's own
-protocol layer is clean through the real CLI, which is what makes the
-CI flow gate meaningful.
+protocol layer is clean through the real gate, ``python -m
+repro.analyze``, which is what makes the CI flow gate meaningful.
 """
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.flow import FLOW_RULE_CODES, FLOW_RULES, analyze_sources
+from repro.analyze import TOOLS, check_sources
 from repro.flow.graph import design_active
+from repro.flow.rules import FLOW_RULE_CODES, FLOW_RULES
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+
+def analyze_sources(modules):
+    """simflow's findings for ``(path, module_path, source)`` triples."""
+    return dict(check_sources(modules))["simflow"]
 
 
 def codes(source, module_path="repro/bridge/fixture.py", path="fixture.py"):
@@ -233,55 +234,54 @@ def test_syntax_error_reported_not_crashed():
 
 
 # ----------------------------------------------------------------------
-# meta: the repository's own protocol layer must be clean, via the CLI
+# meta: simflow through the real gate, python -m repro.analyze
 # ----------------------------------------------------------------------
-def _run_cli(*args, cwd=REPO_ROOT):
-    env_path = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.flow", *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-    )
+FL002_SOURCE = "def f(mb, m):\n    mb.enqueue(m)\n"
 
 
-def test_cli_clean_on_repo_src():
-    proc = _run_cli("src")
+def test_cli_clean_on_repo_src(analyze_cli):
+    proc = analyze_cli("src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "clean" in proc.stdout
+    assert "simflow: clean" in proc.stdout
 
 
-def test_cli_exit_1_on_finding(tmp_path):
+def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "bridge" / "bad.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text("def f(mb, m):\n    mb.enqueue(m)\n")
-    proc = _run_cli(str(bad))
+    bad.write_text(FL002_SOURCE)
+    proc = analyze_cli(str(bad))
     assert proc.returncode == 1
-    assert "FL002" in proc.stdout
+    assert any(
+        row.startswith("simflow: ") and " FL002 " in row
+        for row in proc.stdout.splitlines()
+    ), proc.stdout
 
 
-def test_cli_list_rules():
-    proc = _run_cli("--list-rules")
+def test_cli_list_rules(analyze_cli):
+    proc = analyze_cli("--list-rules")
     assert proc.returncode == 0
     for code in FLOW_RULE_CODES:
         assert code in proc.stdout
     assert "simflow: ignore" in proc.stdout
 
 
-def test_cli_sarif_output(tmp_path):
+def test_cli_sarif_output(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "bridge" / "bad.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text("def f(mb, m):\n    mb.enqueue(m)\n")
+    bad.write_text(FL002_SOURCE)
     out = tmp_path / "flow.sarif"
-    proc = _run_cli("--format", "sarif", "-o", str(out), str(bad))
+    proc = analyze_cli("--format", "sarif", "-o", str(out), str(bad))
     assert proc.returncode == 1
     report = json.loads(out.read_text())
     assert report["version"] == "2.1.0"
-    run = report["runs"][0]
+    assert len(report["runs"]) == len(TOOLS)
+    run = report["runs"][1]
     assert run["tool"]["driver"]["name"] == "simflow"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     assert rule_ids == list(FLOW_RULE_CODES)
     result = run["results"][0]
     assert result["ruleId"] == "FL002"
+    assert result["locations"][0]["physicalLocation"]["region"][
+        "startLine"
+    ] == 2
     assert rule_ids[result["ruleIndex"]] == "FL002"

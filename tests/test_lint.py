@@ -3,30 +3,35 @@
 Every rule must (a) catch its hazard in a positive fixture, (b) stay
 quiet when the finding line carries a ``# simlint: ignore[RULE]``
 comment, and (c) stay quiet when the module is allowlisted.  A meta-test
-asserts the repository's own ``src/`` tree is clean, which is what makes
-the CI lint gate meaningful.
+asserts the repository's own ``src/`` tree is clean through the real
+gate, ``python -m repro.analyze``, which is what makes the CI gate
+meaningful.
 """
 
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import pytest
 
-from repro.lint import ALLOWLIST, RULES, AllowlistEntry, lint_source
-from repro.lint.allowlist import is_allowlisted
-from repro.lint.checker import iter_python_files
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.analyze import (
+    ALLOWLIST,
+    TOOLS,
+    AllowlistEntry,
+    check_sources,
+    is_allowlisted,
+    iter_python_files,
+)
+from repro.lint.rules import RULES
 
 RULE_CODES = [rule.code for rule in RULES]
 
 
+def lint(source, module_path="repro/sim/fixture.py", path="fixture.py"):
+    """simlint's findings for one module."""
+    return dict(check_sources([(path, module_path, source)]))["simlint"]
+
+
 def codes(source, module_path="repro/sim/fixture.py", path="fixture.py"):
-    return [
-        d.rule
-        for d in lint_source(source, path=path, module_path=module_path)
-    ]
+    return [d.rule for d in lint(source, module_path, path)]
 
 
 # ----------------------------------------------------------------------
@@ -130,9 +135,7 @@ def test_rule_respects_allowlist(code, monkeypatch):
         module=module_path,
         justification="fixture: testing the allowlist mechanism",
     )
-    monkeypatch.setattr(
-        "repro.lint.allowlist.ALLOWLIST", ALLOWLIST + (entry,)
-    )
+    monkeypatch.setattr("repro.analyze.ALLOWLIST", ALLOWLIST + (entry,))
     assert code not in codes(source, module_path)
 
 
@@ -202,9 +205,7 @@ def test_default_bound_lambda_is_clean():
 
 def test_wall_clock_allowed_in_benchmarks():
     src = "import time\nstart = time.time()\n"
-    diags = lint_source(
-        src, path="benchmarks/bench_x.py", module_path="bench_x.py"
-    )
+    diags = lint(src, path="benchmarks/bench_x.py", module_path="bench_x.py")
     assert diags == []
 
 
@@ -248,9 +249,10 @@ def test_plain_id_call_is_clean():
 # machinery
 # ----------------------------------------------------------------------
 def test_allowlist_entries_carry_justifications():
+    all_codes = {rule.code for tool in TOOLS for rule in tool.rules}
     for entry in ALLOWLIST:
         assert entry.justification.strip(), entry
-        assert entry.rule in RULE_CODES, entry
+        assert entry.rule in all_codes, entry
 
 
 def test_rng_module_is_allowlisted_for_sl002():
@@ -260,13 +262,13 @@ def test_rng_module_is_allowlisted_for_sl002():
 
 def test_diagnostic_format_is_greppable():
     source, module_path, line = FIXTURES["SL002"]
-    diags = lint_source(source, path="x/y.py", module_path=module_path)
+    diags = lint(source, path="x/y.py", module_path=module_path)
     assert diags and diags[0].format().startswith(f"x/y.py:{line}:")
     assert " SL002 " in diags[0].format()
 
 
 def test_syntax_error_reported_not_crashed():
-    diags = lint_source("def f(:\n", path="broken.py")
+    diags = lint("def f(:\n", path="broken.py", module_path="broken.py")
     assert [d.rule for d in diags] == ["SL000"]
 
 
@@ -278,50 +280,46 @@ def test_iter_python_files_deterministic_order(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# meta: the repository itself must be clean, via the real CLI
+# meta: simlint through the real gate, python -m repro.analyze
 # ----------------------------------------------------------------------
-def _run_cli(*args, cwd=REPO_ROOT):
-    env_path = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-    )
+SL001_SOURCE = "import time\nt = time.time()\n"
 
 
-def test_cli_clean_on_repo_src():
-    proc = _run_cli("src")
+def test_cli_clean_on_repo_src(analyze_cli):
+    proc = analyze_cli("src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "clean" in proc.stdout
+    assert "simlint: clean" in proc.stdout
 
 
-def test_cli_exit_1_on_finding(tmp_path):
+def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "sim" / "bad.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text("import time\nt = time.time()\n")
-    proc = _run_cli(str(bad))
+    bad.write_text(SL001_SOURCE)
+    proc = analyze_cli(str(bad))
     assert proc.returncode == 1
-    assert "SL001" in proc.stdout
+    assert any(
+        row.startswith("simlint: ") and " SL001 " in row
+        for row in proc.stdout.splitlines()
+    ), proc.stdout
 
 
-def test_cli_list_rules():
-    proc = _run_cli("--list-rules")
+def test_cli_list_rules(analyze_cli):
+    proc = analyze_cli("--list-rules")
     assert proc.returncode == 0
     for code in RULE_CODES:
         assert code in proc.stdout
-    assert "repro/sim/rng.py" in proc.stdout  # allowlist shown with why
+    assert "simlint: ignore" in proc.stdout
+    # Every allowlist entry is shown, whichever family it exempts.
+    for entry in ALLOWLIST:
+        assert f"{entry.rule}  {entry.module}" in proc.stdout
 
 
-def test_cli_sarif_output(tmp_path):
-    import json
-
+def test_cli_sarif_output(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "sim" / "bad.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text("import time\nt = time.time()\n")
+    bad.write_text(SL001_SOURCE)
     out = tmp_path / "lint.sarif"
-    proc = _run_cli("--format", "sarif", "-o", str(out), str(bad))
+    proc = analyze_cli("--format", "sarif", "-o", str(out), str(bad))
     assert proc.returncode == 1
     report = json.loads(out.read_text())
     assert report["version"] == "2.1.0"
@@ -338,13 +336,12 @@ def test_cli_sarif_output(tmp_path):
     assert rule_ids[result["ruleIndex"]] == "SL001"
 
 
-def test_cli_sarif_clean_is_exit_0(tmp_path):
-    import json
-
+def test_cli_sarif_clean_is_exit_0(analyze_cli, tmp_path):
     good = tmp_path / "repro" / "sim" / "ok.py"
     good.parent.mkdir(parents=True)
     good.write_text("x = 1\n")
-    proc = _run_cli("--format", "sarif", str(good))
+    proc = analyze_cli("--format", "sarif", str(good))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
-    assert report["runs"][0]["results"] == []
+    assert len(report["runs"]) == len(TOOLS)
+    assert all(run["results"] == [] for run in report["runs"])

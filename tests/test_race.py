@@ -5,17 +5,15 @@ Mirrors the simlint/simflow/simstate contract: every RC rule must
 ``# simrace: ignore[RULE]`` comment, and (c) stay quiet on a clean
 variant of the same code.  The fingerprint registry and its cache-key
 cross-check are exercised directly, and meta-tests assert the
-repository's own tree is clean through the real CLI -- plus the
-``--baseline`` / ``--jobs`` modes of the unified analyze gate.
+repository's own tree is clean through the real gate, ``python -m
+repro.analyze`` -- plus the gate's ``--baseline`` mode.
 """
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from repro.analyze import baseline_fingerprints, check_sources
 from repro.exec import cache as exec_cache
 from repro.exec.knobs import (
     ENV_REGISTRY,
@@ -23,9 +21,12 @@ from repro.exec.knobs import (
     is_registered,
     registered_names,
 )
-from repro.race import RACE_RULE_CODES, RACE_RULES, race_source
+from repro.race.rules import RACE_RULE_CODES, RACE_RULES
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+
+def race_source(source, module_path="repro/ndp/fixture.py", path="fixture.py"):
+    """simrace's findings for one module."""
+    return dict(check_sources([(path, module_path, source)]))["simrace"]
 
 
 def codes(source, module_path="repro/ndp/fixture.py", path="fixture.py"):
@@ -150,7 +151,7 @@ def test_rc003_registered_knobs_are_clean():
 def test_rc003_benchmarks_are_exempt():
     assert codes(
         RC003_UNDECLARED,
-        module_path="repro/bench.py",
+        module_path="bench.py",
         path="benchmarks/bench.py",
     ) == []
 
@@ -270,60 +271,53 @@ def test_cell_key_fields_match_cell_key_blob():
 
 
 # ----------------------------------------------------------------------
-# meta: the repository's own tree is clean, via the real CLI
+# meta: simrace through the real gate, python -m repro.analyze
 # ----------------------------------------------------------------------
-def _run_cli(module, *args, cwd=REPO_ROOT):
-    env_path = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", module, *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-    )
-
-
-def test_cli_clean_on_repo_src():
-    proc = _run_cli("repro.race", "src")
+def test_cli_clean_on_repo_src(analyze_cli):
+    proc = analyze_cli("src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "simrace: clean" in proc.stdout
 
 
-def test_cli_exit_1_on_finding(tmp_path):
+def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "ndp" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text(RC003_UNDECLARED)
-    proc = _run_cli("repro.race", str(bad))
+    proc = analyze_cli(str(bad))
     assert proc.returncode == 1
-    assert "RC003" in proc.stdout
+    assert any(
+        row.startswith("simrace: ") and " RC003 " in row
+        for row in proc.stdout.splitlines()
+    ), proc.stdout
 
 
-def test_cli_list_rules():
-    proc = _run_cli("repro.race", "--list-rules")
+def test_cli_list_rules(analyze_cli):
+    proc = analyze_cli("--list-rules")
     assert proc.returncode == 0
     for code in RACE_RULE_CODES:
         assert code in proc.stdout
     assert "simrace: ignore" in proc.stdout
 
 
-def test_cli_sarif_output(tmp_path):
+def test_cli_sarif_output(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "ndp" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text(RC003_UNDECLARED)
     out = tmp_path / "race.sarif"
-    proc = _run_cli(
-        "repro.race", "--format", "sarif", "-o", str(out), str(bad)
-    )
+    proc = analyze_cli("--format", "sarif", "-o", str(out), str(bad))
     assert proc.returncode == 1
     report = json.loads(out.read_text())
-    run = report["runs"][0]
+    run = report["runs"][3]
     assert run["tool"]["driver"]["name"] == "simrace"
-    assert run["results"][0]["ruleId"] == "RC003"
-    assert len(run["tool"]["driver"]["rules"]) == len(RACE_RULES)
+    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+    assert rule_ids == [rule.code for rule in RACE_RULES]
+    result = run["results"][0]
+    assert result["ruleId"] == "RC003"
+    assert rule_ids[result["ruleIndex"]] == "RC003"
 
 
 # ----------------------------------------------------------------------
-# the unified gate: --jobs and --baseline
+# the gate's --baseline mode
 # ----------------------------------------------------------------------
 def _bad_tree(tmp_path):
     bad = tmp_path / "repro" / "ndp" / "bad.py"
@@ -333,56 +327,37 @@ def _bad_tree(tmp_path):
     return bad
 
 
-def test_analyze_jobs_parallel_matches_serial(tmp_path):
-    bad = _bad_tree(tmp_path)
-    serial = _run_cli("repro.analyze", "-q", str(bad))
-    par = _run_cli("repro.analyze", "-q", "--jobs", "4", str(bad))
-    assert serial.returncode == par.returncode == 1
-    assert serial.stdout == par.stdout
-    assert "RC003" in par.stdout and "ST003" in par.stdout
-
-
-def test_analyze_baseline_suppresses_known_findings(tmp_path):
+def test_analyze_baseline_suppresses_known_findings(analyze_cli, tmp_path):
     bad = _bad_tree(tmp_path)
     baseline = tmp_path / "baseline.sarif"
-    first = _run_cli(
-        "repro.analyze", "--format", "sarif", "-o", str(baseline), str(bad)
-    )
+    first = analyze_cli("--format", "sarif", "-o", str(baseline), str(bad))
     assert first.returncode == 1
-    again = _run_cli("repro.analyze", "--baseline", str(baseline), str(bad))
+    again = analyze_cli("--baseline", str(baseline), str(bad))
     assert again.returncode == 0, again.stdout + again.stderr
     assert "baseline finding(s) suppressed" in again.stdout
     assert "analyze: clean" in again.stdout
 
 
-def test_analyze_baseline_fails_on_new_finding(tmp_path):
+def test_analyze_baseline_fails_on_new_finding(analyze_cli, tmp_path):
     bad = _bad_tree(tmp_path)
     baseline = tmp_path / "baseline.sarif"
-    _run_cli(
-        "repro.analyze", "--format", "sarif", "-o", str(baseline), str(bad)
-    )
+    analyze_cli("--format", "sarif", "-o", str(baseline), str(bad))
     # A brand-new hazard in a second file is NOT in the baseline.
     worse = bad.parent / "worse.py"
     worse.write_text(RC005_PID)
-    proc = _run_cli(
-        "repro.analyze", "--baseline", str(baseline), str(bad.parent)
-    )
+    proc = analyze_cli("--baseline", str(baseline), str(bad.parent))
     assert proc.returncode == 1
     assert "RC005" in proc.stdout
     assert "new finding(s)" in proc.stdout
 
 
-def test_analyze_baseline_ignores_line_shifts(tmp_path):
-    from repro.analyze import baseline_fingerprints
-
+def test_analyze_baseline_ignores_line_shifts(analyze_cli, tmp_path):
     bad = _bad_tree(tmp_path)
     baseline = tmp_path / "baseline.sarif"
-    _run_cli(
-        "repro.analyze", "--format", "sarif", "-o", str(baseline), str(bad)
-    )
+    analyze_cli("--format", "sarif", "-o", str(baseline), str(bad))
     prints = baseline_fingerprints(json.loads(baseline.read_text()))
     assert prints
     # Shift every finding down ten lines; fingerprints must not change.
     bad.write_text("\n" * 10 + bad.read_text())
-    proc = _run_cli("repro.analyze", "--baseline", str(baseline), str(bad))
+    proc = analyze_cli("--baseline", str(baseline), str(bad))
     assert proc.returncode == 0, proc.stdout

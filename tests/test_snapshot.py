@@ -159,7 +159,7 @@ def test_unsnapshottable_attribute_raises(tmp_path):
 
 def test_verify_inventory_clean_on_live_system():
     """Every live attribute is statically declared (ST001's promise)."""
-    from repro.state import build_tree_inventory
+    from repro.analyze import build_tree_inventory
 
     inventory = build_tree_inventory([REPO_ROOT / "src"])
     cfg = tiny_config(Design.O)
@@ -184,7 +184,8 @@ def test_run_app_does_not_import_snapshot_machinery():
         "import repro.exec\n"
         "run_app(make_app('ll', scale=0.05, seed=1), "
         "tiny_config(Design.B))\n"
-        "banned = ('repro.lint', 'repro.race', 'repro.flow', 'repro.state')\n"
+        "banned = ('repro.analyze', 'repro.lint', 'repro.race', "
+        "'repro.flow', 'repro.state')\n"
         "loaded = sorted(m for m in sys.modules"
         " if m.startswith(banned) or 'shard' in m)\n"
         "assert not loaded, f'plain run imported {loaded}'\n"
@@ -195,6 +196,38 @@ def test_run_app_does_not_import_snapshot_machinery():
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_runtime_halves_do_not_import_the_analyzers():
+    """The message auditor (a sanitized run) and the snapshot driver are
+    the runtime halves of simflow and simstate; neither loads a rule."""
+    probe = (
+        "import sys\n"
+        "from repro import Design, make_app, run_app\n"
+        "from repro.config import tiny_config\n"
+        "from repro.state.snapshot import run_app_with_snapshot\n"
+        "run_app(make_app('ll', scale=0.05, seed=1), "
+        "tiny_config(Design.B))\n"
+        "assert 'repro.flow.auditor' in sys.modules\n"
+        "run_app_with_snapshot(make_app('ll', scale=0.05, seed=1), "
+        "tiny_config(Design.B), snapshot_at=500)\n"
+        "banned = ('repro.analyze', 'repro.lint', 'repro.race', "
+        "'repro.flow.rules', 'repro.flow.graph', 'repro.state.rules')\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(banned))\n"
+        "assert not loaded, f'runtime halves imported {loaded}'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin",
+            "NDPBRIDGE_SANITIZE": "1",
+        },
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -5,25 +5,24 @@ hazard in a positive fixture, (b) stay quiet under a
 ``# simstate: ignore[RULE]`` comment, and (c) stay quiet on a clean
 variant of the same code.  Allowlisted module paths are exercised with
 a real allowlist entry.  Meta-tests assert the repository's own
-simulation tree is clean through the real CLI, and that the unified
-``python -m repro.analyze`` gate aggregates all four analyzers.
+simulation tree is clean through the real gate, ``python -m
+repro.analyze``, and pin the gate's cross-family text and SARIF output.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.state import (
-    STATE_RULE_CODES,
-    STATE_RULES,
-    analyze_sources,
-    build_tree_inventory,
-)
+from repro.analyze import ALLOWLIST, TOOLS, build_tree_inventory, check_sources
+from repro.state.rules import STATE_RULE_CODES, STATE_RULES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def analyze_sources(modules):
+    """simstate's findings for ``(path, module_path, source)`` triples."""
+    return dict(check_sources(modules))["simstate"]
 
 
 def codes(source, module_path="repro/ndp/fixture.py", path="fixture.py"):
@@ -180,10 +179,9 @@ def test_allowlisted_module_is_exempt():
 
 
 def test_allowlist_entries_are_validated():
-    from repro.state.allowlist import ALLOWLIST
-
+    all_codes = {rule.code for tool in TOOLS for rule in tool.rules}
     for entry in ALLOWLIST:
-        assert entry.rule in STATE_RULE_CODES
+        assert entry.rule in all_codes
         assert entry.justification.strip()
 
 
@@ -261,102 +259,92 @@ def test_tree_inventory_covers_component_classes():
 
 
 # ----------------------------------------------------------------------
-# meta: the repository's own simulation tree must be clean, via the CLI
+# meta: simstate through the real gate, python -m repro.analyze
 # ----------------------------------------------------------------------
-def _run_cli(module, *args, cwd=REPO_ROOT):
-    env_path = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", module, *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-    )
-
-
-def test_cli_clean_on_repo_src():
-    proc = _run_cli("repro.state", "src")
+def test_cli_clean_on_repo_src(analyze_cli):
+    proc = analyze_cli("src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "clean" in proc.stdout
+    assert "simstate: clean" in proc.stdout
 
 
-def test_cli_exit_1_on_finding(tmp_path):
+def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "bridge" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("seen = {}\n")
-    proc = _run_cli("repro.state", str(bad))
+    proc = analyze_cli(str(bad))
     assert proc.returncode == 1
-    assert "ST003" in proc.stdout
+    assert any(
+        row.startswith("simstate: ") and " ST003 " in row
+        for row in proc.stdout.splitlines()
+    ), proc.stdout
 
 
-def test_cli_list_rules():
-    proc = _run_cli("repro.state", "--list-rules")
+def test_cli_list_rules(analyze_cli):
+    proc = analyze_cli("--list-rules")
     assert proc.returncode == 0
     for code in STATE_RULE_CODES:
         assert code in proc.stdout
     assert "simstate: ignore" in proc.stdout
 
 
-def test_cli_sarif_output(tmp_path):
+def test_cli_sarif_output(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "bridge" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("seen = {}\n")
     out = tmp_path / "state.sarif"
-    proc = _run_cli(
-        "repro.state", "--format", "sarif", "-o", str(out), str(bad)
-    )
+    proc = analyze_cli("--format", "sarif", "-o", str(out), str(bad))
     assert proc.returncode == 1
     report = json.loads(out.read_text())
     assert report["version"] == "2.1.0"
-    run = report["runs"][0]
+    run = report["runs"][2]
     assert run["tool"]["driver"]["name"] == "simstate"
+    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+    assert rule_ids == [rule.code for rule in STATE_RULES]
     result = run["results"][0]
     assert result["ruleId"] == "ST003"
+    assert rule_ids[result["ruleIndex"]] == "ST003"
 
 
-def test_cli_inventory_dump(tmp_path):
+def test_cli_inventory_dump(analyze_cli, tmp_path):
     out = tmp_path / "inventory.json"
-    proc = _run_cli(
-        "repro.state", "--inventory", "-o", str(out), "src/repro/ndp"
-    )
+    proc = analyze_cli("--inventory", "-o", str(out), "src/repro/ndp")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     data = json.loads(out.read_text())
     assert any("ndp" in key for key in data)
 
 
 # ----------------------------------------------------------------------
-# the unified gate: python -m repro.analyze
+# the gate across all four families
 # ----------------------------------------------------------------------
-def test_analyze_clean_on_repo_src():
-    proc = _run_cli("repro.analyze", "src")
+def test_analyze_clean_on_repo_src(analyze_cli):
+    proc = analyze_cli("src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     for tool in ("simlint", "simflow", "simstate", "simrace"):
         assert f"{tool}: clean" in proc.stdout
     assert "analyze: clean -- 4 tools" in proc.stdout
 
 
-def test_analyze_exit_1_and_tool_prefix(tmp_path):
+def test_analyze_exit_1_and_tool_prefix(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "bridge" / "bad.py"
     bad.parent.mkdir(parents=True)
     # One file tripping two different tools at once.
     bad.write_text("seen = {}\ndef f(mb, m):\n    mb.enqueue(m)\n")
-    proc = _run_cli("repro.analyze", str(bad))
+    proc = analyze_cli(str(bad))
     assert proc.returncode == 1
     assert "simstate: " in proc.stdout and "ST003" in proc.stdout
     assert "simflow: " in proc.stdout and "FL002" in proc.stdout
 
 
-def test_analyze_merged_sarif(tmp_path):
+def test_analyze_merged_sarif(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "bridge" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("seen = {}\n")
     out = tmp_path / "merged.sarif"
-    proc = _run_cli(
-        "repro.analyze", "--format", "sarif", "-o", str(out), str(bad)
-    )
+    proc = analyze_cli("--format", "sarif", "-o", str(out), str(bad))
     assert proc.returncode == 1
     report = json.loads(out.read_text())
     names = [r["tool"]["driver"]["name"] for r in report["runs"]]
+    assert names == [tool.name for tool in TOOLS]
     assert names == ["simlint", "simflow", "simstate", "simrace"]
     state_run = report["runs"][2]
     assert [r["ruleId"] for r in state_run["results"]] == ["ST003"]
