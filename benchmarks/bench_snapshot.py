@@ -11,6 +11,8 @@ Three numbers matter and are recorded per run:
 * ``capture_s`` / ``fork_s`` -- one deep clone each (the snapshot's
   freeze and its restore); both scale with live state, not history,
 * ``size_bytes`` -- recursive in-memory footprint of the frozen clone,
+  and ``size_by_class`` the same bytes grouped by the class of the model
+  object that owns them,
 * ``overhead_ratio`` -- (pause + capture + fork + resume) wall vs the
   uninterrupted run; the equivalence oracle asserts the metrics are
   bit-identical while the clock shows what the checkpoint cost.
@@ -24,10 +26,16 @@ from __future__ import annotations
 
 import os
 import time
+from typing import Any, Dict, Set
 
 from repro import Design, make_app, run_app
 from repro.config import scaled_config
-from repro.state.snapshot import restore, snapshot
+from repro.state.snapshot import (
+    _deep_size,
+    component_registry,
+    restore,
+    snapshot,
+)
 
 from .common import record
 
@@ -42,6 +50,26 @@ SCALE = 0.1 if SMOKE else 0.35
 
 def _suffix(key: str) -> str:
     return f"{key}_smoke" if SMOKE else key
+
+
+def size_by_class(system: Any, app: Any) -> Dict[str, int]:
+    """Bytes of a (system, app) graph by the class of their owner.
+
+    The owners are the model objects of ``component_registry``, walked
+    in its order (the system's, then the app's).  Each object is counted
+    once, charged to the first owner that reaches it without passing
+    through another owner.  Largest class first.
+    """
+    owners: Dict[int, Any] = {}
+    for root, root_id in ((system, "system"), (app, "app")):
+        for obj in component_registry(root, root_id).values():
+            owners.setdefault(id(obj), obj)
+    seen: Set[int] = set()
+    sizes: Dict[str, int] = {}
+    for obj in owners.values():
+        name = type(obj).__name__
+        sizes[name] = sizes.get(name, 0) + _deep_size(obj, seen, owners)
+    return dict(sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def test_snapshot_capture_resume_cost():
@@ -72,6 +100,9 @@ def test_snapshot_capture_resume_cost():
     t0 = time.perf_counter()
     fork_system, fork_app = restore(snap)
     fork_s = time.perf_counter() - t0
+    # The fork is a deep clone of the frozen graph, so before it runs it
+    # holds the same objects at the same sizes.
+    by_class = size_by_class(fork_system, fork_app)
 
     t0 = time.perf_counter()
     fork_system.finish()
@@ -98,6 +129,7 @@ def test_snapshot_capture_resume_cost():
         "fork_s": round(fork_s, 4),
         "resume_wall_s": round(resume_wall, 4),
         "size_bytes": size_bytes,
+        "size_by_class": by_class,
         "overhead_ratio": round(overhead, 3) if overhead else None,
     })
     print(
@@ -106,3 +138,5 @@ def test_snapshot_capture_resume_cost():
         f"{size_bytes / 1e6:.1f} MB, "
         f"checkpointed run {overhead:.2f}x of straight-through"
     )
+    for name, nbytes in list(by_class.items())[:8]:
+        print(f"  {name:<24} {nbytes / 1e6:8.3f} MB")

@@ -83,8 +83,9 @@ class DataBorrowedTable:
         total_entries = max(ways, int(capacity_bytes * scale) // self.ENTRY_BYTES)
         self.ways = ways
         self.num_sets = max(1, total_entries // ways)
-        # Each set is an OrderedDict used as an LRU list (front = LRU).
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # Each set is an OrderedDict used as an LRU list (front = LRU),
+        # created on its first insert; ``None`` marks a set never filled.
+        self._sets: List[Optional[OrderedDict]] = [None] * self.num_sets
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -93,28 +94,30 @@ class DataBorrowedTable:
     def capacity_entries(self) -> int:
         return self.num_sets * self.ways
 
-    def _set_of(self, block_id: int) -> OrderedDict:
-        return self._sets[block_id % self.num_sets]
-
     def lookup(self, block_id: int) -> Optional[BorrowEntry]:
-        s = self._set_of(block_id)
-        entry = s.get(block_id)
-        if entry is None:
-            self.misses += 1
-            return None
-        s.move_to_end(block_id)  # most recently used
-        self.hits += 1
-        return entry
+        s = self._sets[block_id % self.num_sets]
+        if s is not None:
+            entry = s.get(block_id)
+            if entry is not None:
+                s.move_to_end(block_id)  # most recently used
+                self.hits += 1
+                return entry
+        self.misses += 1
+        return None
 
     def contains(self, block_id: int) -> bool:
-        return block_id in self._set_of(block_id)
+        s = self._sets[block_id % self.num_sets]
+        return s is not None and block_id in s
 
     def insert(
         self, block_id: int, value: int, home_unit: int
     ) -> Optional[BorrowEntry]:
         """Insert/update an entry; returns the LRU victim if one was evicted."""
-        s = self._set_of(block_id)
-        if block_id in s:
+        i = block_id % self.num_sets
+        s = self._sets[i]
+        if s is None:
+            s = self._sets[i] = OrderedDict()
+        elif block_id in s:
             s[block_id].value = value
             s.move_to_end(block_id)
             return None
@@ -126,14 +129,15 @@ class DataBorrowedTable:
         return victim
 
     def remove(self, block_id: int) -> Optional[BorrowEntry]:
-        s = self._set_of(block_id)
-        return s.pop(block_id, None)
+        s = self._sets[block_id % self.num_sets]
+        return None if s is None else s.pop(block_id, None)
 
     def entries(self) -> List[BorrowEntry]:
         out: List[BorrowEntry] = []
         for s in self._sets:
-            out.extend(s.values())
+            if s is not None:
+                out.extend(s.values())
         return out
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)

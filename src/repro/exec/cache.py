@@ -228,14 +228,21 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[RunMetrics]:
+        """The cached metrics, or ``None`` on a miss.
+
+        A file that is absent, unreadable, not JSON, or JSON that
+        :func:`metrics_from_payload` cannot rebuild is a miss: the cell
+        re-simulates and :meth:`put` overwrites the file.
+        """
         path = self._path(key)
         try:
             payload = json.loads(path.read_text())
-        except (OSError, ValueError):
+            metrics = metrics_from_payload(payload["metrics"])
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
             self.misses += 1
             return None
         self.hits += 1
-        return metrics_from_payload(payload["metrics"])
+        return metrics
 
     def put(self, key: str, metrics: RunMetrics) -> None:
         path = self._path(key)

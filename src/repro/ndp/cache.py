@@ -8,13 +8,15 @@ would pay a full DRAM round trip per tiny accumulate task, which no real
 NDP unit with a cache/scratchpad does.
 
 The model is a set-associative LRU tag array; only hit/miss behaviour is
-tracked (contents live in the application's Python objects).
+tracked (contents live in the application's Python objects).  A set is
+created on its first fill: a run touches a fraction of the sets, so the
+array starts as one list of ``None`` rather than ``num_sets`` empty sets.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
+from typing import List, Optional
 
 from ..config import SystemConfig
 
@@ -23,7 +25,7 @@ HIT_LATENCY = 2
 
 
 class L1Cache:
-    """Set-associative LRU tag store."""
+    """Set-associative LRU tag store; ``None`` marks a set never filled."""
 
     def __init__(self, capacity_bytes: int, ways: int, line_bytes: int = 64):
         if capacity_bytes <= 0 or ways <= 0 or line_bytes <= 0:
@@ -32,9 +34,7 @@ class L1Cache:
         self.ways = ways
         total_lines = max(ways, capacity_bytes // line_bytes)
         self.num_sets = max(1, total_lines // ways)
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._sets: List[Optional[OrderedDict]] = [None] * self.num_sets
         self.hits = 0
         self.misses = 0
 
@@ -45,8 +45,11 @@ class L1Cache:
     def access(self, addr: int) -> bool:
         """Probe (and fill) the line holding ``addr``; True on a hit."""
         line = addr // self.line_bytes
-        s = self._sets[line % self.num_sets]
-        if line in s:
+        i = line % self.num_sets
+        s = self._sets[i]
+        if s is None:
+            s = self._sets[i] = OrderedDict()
+        elif line in s:
             s.move_to_end(line)
             self.hits += 1
             return True
@@ -59,7 +62,9 @@ class L1Cache:
     def invalidate(self, addr: int) -> None:
         """Drop the line holding ``addr`` (block migrated away)."""
         line = addr // self.line_bytes
-        self._sets[line % self.num_sets].pop(line, None)
+        s = self._sets[line % self.num_sets]
+        if s is not None:
+            s.pop(line, None)
 
     def invalidate_range(self, base: int, nbytes: int) -> None:
         for addr in range(base, base + nbytes, self.line_bytes):

@@ -37,7 +37,7 @@ import hashlib
 import sys
 import types
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 
 from .clone import SnapshotError, deep_clone
 from .inventory import StateInventory
@@ -145,14 +145,23 @@ def _describe_callback(payload: Any, owner_of: Dict[int, str]) -> str:
     return f"callable:{type(payload).__name__}"
 
 
-def _deep_size(obj: Any) -> int:
-    """Approximate retained bytes of an object graph (bench metric)."""
-    seen = set()
+def _deep_size(
+    obj: Any,
+    seen: Optional[Set[int]] = None,
+    owners: Collection[int] = frozenset(),
+) -> int:
+    """Approximate retained bytes of an object graph (bench metric).
+
+    Calls that share ``seen`` count each object once.  The walk does not
+    enter an object whose id is in ``owners``, ``obj`` itself excepted:
+    its bytes are left to its own call.
+    """
+    seen = set() if seen is None else seen
     total = 0
     stack = [obj]
     while stack:
         item = stack.pop()
-        if id(item) in seen:
+        if id(item) in seen or (item is not obj and id(item) in owners):
             continue
         seen.add(id(item))
         if isinstance(item, (type, types.ModuleType)):

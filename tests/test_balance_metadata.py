@@ -1,9 +1,12 @@
 """Tests for isLent / dataBorrowed metadata (Section VI-B)."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.balance import DataBorrowedTable, IsLentBitmap
+from repro.balance.metadata import BorrowEntry
 
 
 class TestIsLentBitmap:
@@ -100,3 +103,109 @@ class TestDataBorrowedTable:
                 live.discard(victim.block_id)
             assert len(t) <= t.capacity_entries
         assert {e.block_id for e in t.entries()} == live
+
+
+# ----------------------------------------------------------------------
+# sparse table: a set exists only once an entry was inserted into it
+# ----------------------------------------------------------------------
+def filled_sets(table):
+    return [i for i, s in enumerate(table._sets) if s is not None]
+
+
+def test_fresh_128_unit_system_holds_no_borrowed_set():
+    from repro.config import Design, scaled_config
+    from repro.runtime.runner import build_system
+    from repro.state.snapshot import component_registry
+
+    system = build_system(scaled_config(128, Design.O, seed=42))
+    tables = [obj for obj in component_registry(system).values()
+              if isinstance(obj, DataBorrowedTable)]
+    level2 = system.fabric.level2
+    owners = list(system.units) + list(level2.rank_bridges) + [level2]
+    assert len(tables) == len(owners) == 131
+    assert {id(t) for t in tables} == {id(o.borrowed) for o in owners}
+    assert all(not filled_sets(t) and len(t) == 0 for t in tables)
+    assert level2.borrowed.num_sets == 4096
+
+
+def test_reads_allocate_no_set():
+    t = DataBorrowedTable(16 * 1024, ways=8)
+    assert t.lookup(5) is None
+    assert not t.contains(5)
+    assert t.remove(5) is None
+    assert t.entries() == [] and len(t) == 0
+    assert not filled_sets(t)
+    assert (t.hits, t.misses, t.evictions) == (0, 1, 0)
+    t.insert(5, 1, 0)
+    t.remove(5)
+    assert filled_sets(t) == [5]  # emptied, not dropped
+
+
+class EagerTable:
+    """The dense reference: every set allocated up front."""
+
+    def __init__(self, capacity_bytes, ways):
+        total = max(ways, capacity_bytes // DataBorrowedTable.ENTRY_BYTES)
+        self.ways = ways
+        self.num_sets = max(1, total // ways)
+        self.sets = [OrderedDict() for _ in range(self.num_sets)]
+        self.hits = self.misses = self.evictions = 0
+
+    def lookup(self, block_id):
+        s = self.sets[block_id % self.num_sets]
+        entry = s.get(block_id)
+        if entry is None:
+            self.misses += 1
+            return None
+        s.move_to_end(block_id)
+        self.hits += 1
+        return entry
+
+    def contains(self, block_id):
+        return block_id in self.sets[block_id % self.num_sets]
+
+    def insert(self, block_id, value, home_unit):
+        s = self.sets[block_id % self.num_sets]
+        if block_id in s:
+            s[block_id].value = value
+            s.move_to_end(block_id)
+            return None
+        victim = None
+        if len(s) >= self.ways:
+            _, victim = s.popitem(last=False)
+            self.evictions += 1
+        s[block_id] = BorrowEntry(block_id, value, home_unit)
+        return victim
+
+    def remove(self, block_id):
+        return self.sets[block_id % self.num_sets].pop(block_id, None)
+
+    def entries(self):
+        return [e for s in self.sets for e in s.values()]
+
+    def __len__(self):
+        return sum(len(s) for s in self.sets)
+
+
+TABLE_OPS = st.lists(st.tuples(
+    st.sampled_from(["insert", "insert", "lookup", "contains", "remove"]),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=3),
+), max_size=150)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.integers(min_value=1, max_value=16),
+       ways=st.integers(min_value=1, max_value=4), ops=TABLE_OPS)
+def test_sparse_table_matches_eager_reference(entries, ways, ops):
+    capacity = entries * DataBorrowedTable.ENTRY_BYTES
+    sparse, eager = DataBorrowedTable(capacity, ways), EagerTable(capacity, ways)
+    assert sparse.num_sets == eager.num_sets
+    for op, block, value in ops:
+        args = (block, value, value + 100) if op == "insert" else (block,)
+        # Returned entries and victims compare field by field.
+        assert getattr(sparse, op)(*args) == getattr(eager, op)(*args)
+        assert (sparse.hits, sparse.misses, sparse.evictions) == (
+            eager.hits, eager.misses, eager.evictions)
+        assert len(sparse) == len(eager)
+        assert sparse.entries() == eager.entries()

@@ -106,6 +106,51 @@ def test_cache_corrupt_file_is_a_miss(tmp_path):
     assert cache.get(key) is None
 
 
+def sample_payload_text(drop=None, **override):
+    metrics = {**metrics_to_payload(sample_metrics()), **override}
+    metrics.pop(drop, None)
+    return json.dumps({"format": 1, "metrics": metrics})
+
+
+REQUIRED_FIELDS = [f for f in metrics_to_payload(sample_metrics())
+                   if f not in ("energy", "extra")]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("{}", id="empty-object"),
+    pytest.param("null", id="null"),
+    pytest.param("[]", id="empty-list"),
+    pytest.param('"metrics"', id="string"),
+    pytest.param('{"metrics": {}}', id="empty-metrics"),
+    pytest.param('{"metrics": null}', id="null-metrics"),
+    pytest.param('{"metrics": []}', id="list-metrics"),
+    pytest.param(sample_payload_text(energy=[1, 2]),
+                 id="energy-not-a-mapping"),
+    pytest.param(sample_payload_text(extra=5), id="extra-not-a-mapping"),
+] + [pytest.param(sample_payload_text(drop=f), id=f"missing-{f}")
+     for f in REQUIRED_FIELDS])
+def test_cache_wrong_shape_file_is_a_miss(tmp_path, text):
+    cache = ResultCache(tmp_path)
+    key = request().key
+    cache.put(key, sample_metrics())
+    cache._path(key).write_text(text)
+    assert cache.get(key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+def test_wrong_shape_cache_file_is_resimulated_and_overwritten(tmp_path):
+    req = request()
+    fresh = execute_cells([req], jobs=1, cache=None)
+    cache = ResultCache(tmp_path)
+    cache.put(req.key, fresh[0])
+    cache._path(req.key).write_text('{"metrics": {}}')
+    assert execute_cells([req], jobs=1, cache=cache) == fresh
+    assert (cache.hits, cache.misses) == (0, 1)
+    again = ResultCache(tmp_path)
+    assert again.get(req.key) == fresh[0]
+    assert (again.hits, again.misses) == (1, 0)
+
+
 def test_cache_clear(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(request().key, sample_metrics())
