@@ -18,7 +18,7 @@ import os
 import time
 
 from repro.config import Design, scaled_config
-from repro.exec import ResultCache, run_matrix as exec_run_matrix
+from repro.exec import ResultCache, default_jobs, run_matrix as exec_run_matrix
 from repro.sim import Simulator
 
 from .common import ALL_APPS, record
@@ -111,12 +111,13 @@ def test_fig10_matrix_cold_vs_warm(benchmark, tmp_path):
     apps = ["ll", "tree"] if SMOKE else ALL_APPS
     designs = [Design.C, Design.B, Design.W, Design.O]
     cache = ResultCache(tmp_path / "fig10")
+    jobs = default_jobs()
 
     def _matrix():
         return exec_run_matrix(
             apps, designs,
             config_of=lambda d: scaled_config(TREE_UNITS, d, seed=TREE_SEED),
-            scale=TREE_SCALE, seed=TREE_SEED, cache=cache,
+            scale=TREE_SCALE, seed=TREE_SEED, jobs=jobs, cache=cache,
         )
 
     t0 = time.perf_counter()
@@ -128,7 +129,6 @@ def test_fig10_matrix_cold_vs_warm(benchmark, tmp_path):
     warm = _matrix()
     warm_s = time.perf_counter() - t0
 
-    jobs = int(os.environ.get("NDPBRIDGE_JOBS", "0")) or os.cpu_count()
     record("BENCH_engine.json", _suffix("fig10_matrix"), {
         "apps": len(apps),
         "designs": len(designs),

@@ -6,15 +6,9 @@ bench_engine.py`` times) under cProfile, prints the top functions by
 cumulative time, and records wall-clock + events/sec into
 ``BENCH_engine.json`` under the ``profile_tree_on_O`` key.
 
-With ``--snapshot-at N`` the serial workload pauses at cycle N for a
-snapshot + fork and finishes from the restored clone (see
-``repro.state.snapshot``), so the profile covers the deep-clone
-capture/restore cost alongside the hot loop; records under
-``profile_tree_on_O_snapshotN`` with the snapshot size attached.
-
 Usage:
     PYTHONPATH=src python scripts/profile_engine.py [--smoke]
-        [--units N] [--scale F] [--snapshot-at N]
+        [--units N] [--scale F]
         [--sort cumulative|tottime] [--top N] [--dump profile.prof]
 """
 
@@ -40,10 +34,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny run for CI (scale 0.1)")
-    parser.add_argument("--snapshot-at", type=int, default=None,
-                        dest="snapshot_at", metavar="N",
-                        help="pause the serial run at cycle N, snapshot, "
-                             "and finish from the restored clone")
     parser.add_argument("--sort", default="cumulative",
                         choices=["cumulative", "tottime"])
     parser.add_argument("--top", type=int, default=25)
@@ -60,27 +50,13 @@ def main() -> int:
     cfg = scaled_config(args.units, Design.O, seed=args.seed)
 
     profiler = cProfile.Profile()
-    snap_size = None
     app = make_app("tree", scale=args.scale, seed=args.seed)
-    if args.snapshot_at is not None:
-        from repro.state.snapshot import run_app_with_snapshot
-
-        t0 = time.perf_counter()
-        profiler.enable()
-        result, snap = run_app_with_snapshot(
-            app, cfg, snapshot_at=args.snapshot_at
-        )
-        profiler.disable()
-        wall_s = time.perf_counter() - t0
-        events = result.system.sim.events_processed
-        snap_size = snap.size_bytes()
-    else:
-        t0 = time.perf_counter()
-        profiler.enable()
-        result = run_app(app, cfg)
-        profiler.disable()
-        wall_s = time.perf_counter() - t0
-        events = result.system.sim.events_processed
+    t0 = time.perf_counter()
+    profiler.enable()
+    result = run_app(app, cfg)
+    profiler.disable()
+    wall_s = time.perf_counter() - t0
+    events = result.system.sim.events_processed
 
     print(f"tree-on-O: units={args.units} scale={args.scale} "
           f"seed={args.seed}")
@@ -98,9 +74,7 @@ def main() -> int:
         print(f"raw profile written to {args.dump}")
 
     key = "profile_tree_on_O_smoke" if args.smoke else "profile_tree_on_O"
-    if args.snapshot_at is not None:
-        key = f"{key}_snapshot{args.snapshot_at}"
-    payload = {
+    record("BENCH_engine.json", key, {
         "units": args.units,
         "scale": args.scale,
         "seed": args.seed,
@@ -108,11 +82,7 @@ def main() -> int:
         "events": events,
         "wall_s_profiled": round(wall_s, 4),
         "events_per_s_profiled": round(events / wall_s),
-    }
-    if snap_size is not None:
-        payload["snapshot_at"] = args.snapshot_at
-        payload["snapshot_bytes"] = snap_size
-    record("BENCH_engine.json", key, payload)
+    })
     return 0
 
 

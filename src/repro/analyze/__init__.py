@@ -6,8 +6,8 @@ The repo carries four rule families with one finding model
 * **simlint** (SL, :mod:`repro.lint.rules`) -- determinism hazards,
 * **simflow** (FL, :mod:`repro.flow.rules`) -- message-protocol
   invariants,
-* **simstate** (ST, :mod:`repro.state.rules`) -- state inventory and
-  snapshottability,
+* **simstate** (ST, :mod:`repro.state.rules`) -- where simulation
+  state lives,
 * **simrace** (RC, :mod:`repro.race.rules`) -- process-boundary safety
   for the exec pool.
 
@@ -172,8 +172,9 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
         justification=(
             "the named-stream facade itself: DeterministicRNG wraps "
             "random.Random behind sha256-derived (seed, name) streams "
-            "and substream() necessarily constructs new instances; "
-            "snapshot/restore captures them via getstate()/setstate()"
+            "and substream() necessarily constructs new instances; each "
+            "one derives from the run's root seed, so the run stays "
+            "reproducible from that seed"
         ),
     ),
     AllowlistEntry(
@@ -191,11 +192,10 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
         justification=(
             "_task_ids is a process-global monotonic itertools.count "
             "used only for relative ordering (reserved_id comparisons "
-            "in NDPUnit._next_task); a restore that resumes the count "
-            "at a shifted base preserves every comparison, so the "
-            "counter is snapshot-safe without being captured.  The "
-            "snapshot manifest records task ids symbolically, never "
-            "the counter position"
+            "in NDPUnit._next_task); a pool worker keeps the count from "
+            "one cell to the next, so a later cell's ids start at a "
+            "higher base, which preserves every comparison and so "
+            "cannot change the cell's result"
         ),
     ),
     AllowlistEntry(
@@ -204,9 +204,9 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
         justification=(
             "_message_ids is a process-global monotonic itertools.count "
             "used only for identity (auditor ledger keys, wire-cache "
-            "tags); ids never feed control flow or arithmetic, so a "
-            "shifted base after restore is behaviour-preserving and "
-            "the counter needs no capture"
+            "tags); ids never feed control flow or arithmetic, so the "
+            "higher base a pool worker carries into its next cell "
+            "cannot change that cell's result"
         ),
     ),
 )
@@ -409,7 +409,8 @@ def build_tree_inventory(
     paths: Sequence[Union[str, Path]],
 ) -> StateInventory:
     """simstate's raw inventory for ``paths`` (``--inventory``, and the
-    snapshot cross-check); modules that fail to parse are left out."""
+    live-system check in the tests); modules that fail to parse are left
+    out."""
     parsed: List[Tuple[str, ast.Module]] = []
     for path in iter_python_files(paths):
         module_path = module_path_of(path)

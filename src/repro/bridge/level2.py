@@ -34,9 +34,6 @@ class _RankAssignment:
 class Level2Bridge:
     """Host-side bridge connecting the level-1 (rank) bridges."""
 
-    # The fabric builds and owns the rank-bridge list; we alias it.
-    _snapshot_borrowed_ = ("rank_bridges",)
-
     def __init__(
         self,
         sim: Simulator,

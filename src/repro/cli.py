@@ -30,11 +30,33 @@ from .config import Design, scaled_config
 from .runtime.runner import run_app
 
 
-def _parse_designs(text: str) -> List[Design]:
+def _parse_design(text: str) -> Design:
     try:
-        return [Design(token.strip().upper()) for token in text.split(",")]
+        return Design(text.strip().upper())
+    except ValueError:
+        raise SystemExit(f"unknown design {text!r}; "
+                         f"choose from {[d.value for d in Design]}")
+
+
+def _parse_designs(text: str) -> List[Design]:
+    return [_parse_design(token) for token in text.split(",")]
+
+
+def _parse_apps(text: str) -> List[str]:
+    apps = [a.strip() for a in text.split(",")]
+    known = set(APP_CLASSES) | set(EXTENSION_APPS)
+    for app_name in apps:
+        if app_name not in known:
+            raise SystemExit(f"unknown app {app_name!r}; "
+                             f"choose from {sorted(known)}")
+    return apps
+
+
+def _parse_values(text: str) -> List[int]:
+    try:
+        return [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise SystemExit(f"unknown design in {text!r}: {exc}")
+        raise SystemExit(f"invalid --values {text!r}: {exc}")
 
 
 def _config(design: Design, units: int, seed: int):
@@ -45,7 +67,7 @@ def _config(design: Design, units: int, seed: int):
 
 
 def cmd_run(args) -> int:
-    design = Design(args.design.upper())
+    design = _parse_design(args.design)
     app = make_app(args.app, scale=args.scale, seed=args.seed)
     result = run_app(app, _config(design, args.units, args.seed),
                      verify=not args.no_verify)
@@ -58,12 +80,7 @@ def cmd_run(args) -> int:
 
 def cmd_matrix(args) -> int:
     designs = _parse_designs(args.designs)
-    apps = [a.strip() for a in args.apps.split(",")]
-    known = set(APP_CLASSES) | set(EXTENSION_APPS)
-    for app_name in apps:
-        if app_name not in known:
-            raise SystemExit(f"unknown app {app_name!r}; "
-                             f"choose from {sorted(known)}")
+    apps = _parse_apps(args.apps)
     results = {}
     for app_name in apps:
         results[app_name] = {}
@@ -88,8 +105,8 @@ def cmd_sweep(args) -> int:
 
     from .analysis.sweep import Variant, run_sweep
 
-    apps = [a.strip() for a in args.apps.split(",")]
-    values = [int(v) for v in args.values.split(",")]
+    apps = _parse_apps(args.apps)
+    values = _parse_values(args.values)
     variants = []
     for value in values:
         cfg = _config(Design.O, args.units, args.seed)

@@ -53,7 +53,6 @@ CELL_KEY_FIELDS = (
     "seed",
     "verify",
     "code",
-    "snapshot_at",
     "openloop",
 )
 
@@ -121,23 +120,15 @@ def cell_key(
     scale: float,
     seed: int,
     verify: bool = True,
-    snapshot_at: "Optional[int]" = None,
     openloop: "Optional[object]" = None,
 ) -> str:
     """Cache key for one simulation cell.
-
-    ``snapshot_at`` fingerprints snapshot-resume execution (the cell is
-    paused, snapshotted, and finished from the restored clone).  Its
-    metrics are asserted bit-identical to the plain cell's, but a cache
-    hit on the plain key would skip the very equivalence the cell
-    exists to exercise -- so it gets its own key.  ``None`` (the plain
-    path) is omitted from the blob, preserving existing cache keys.
 
     ``openloop`` fingerprints open-loop request driving: the
     :class:`~repro.workloads.openloop.OpenLoopSpec` (tenants, arrival
     processes, skew schedules, warm-up) is canonicalized into the blob,
     so two cells differing in any workload knob never alias.  ``None``
-    (closed-loop) is likewise omitted.
+    (closed-loop) is omitted from the blob, preserving closed-loop keys.
     """
     fields: Dict[str, object] = {
         "format": FORMAT_VERSION,
@@ -149,8 +140,6 @@ def cell_key(
         "verify": verify,
         "code": code_version(),
     }
-    if snapshot_at is not None:
-        fields["snapshot_at"] = snapshot_at
     if openloop is not None:
         fields["openloop"] = _canonical(openloop)
     blob = json.dumps(fields, sort_keys=True)

@@ -16,7 +16,8 @@ three).
 Environment knobs:
 
 * ``NDPBRIDGE_JOBS`` -- worker count (default: the machine's CPU count;
-  ``1`` forces the serial in-process path),
+  ``1`` forces the serial in-process path; a value below 1 or not a
+  whole number raises :class:`~repro.config.ConfigError`),
 * ``NDPBRIDGE_CACHE_DIR`` / ``NDPBRIDGE_CACHE=0`` -- see
   :mod:`repro.exec.cache`.
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis.metrics import RunMetrics
-from ..config import Design, SystemConfig
+from ..config import ConfigError, Design, SystemConfig
 from ..workloads.openloop import OpenLoopSpec
 from .cache import ResultCache, cell_key, metrics_from_payload, \
     metrics_to_payload
@@ -45,23 +46,13 @@ _UNSET = object()
 
 @dataclass(frozen=True)
 class CellRequest:
-    """One simulation cell: everything needed to run it anywhere.
-
-    ``snapshot_at`` routes execution through
-    :func:`repro.state.snapshot.run_app_with_snapshot`: pause at that
-    cycle, snapshot, and finish from the restored clone -- exercising
-    the checkpoint machinery on real workloads.  The metrics are
-    bit-identical to the plain cell by construction (the snapshot
-    oracle asserts it), but the key fingerprints ``snapshot_at`` so
-    the equivalence actually runs instead of hitting the plain cache.
-    """
+    """One simulation cell: everything needed to run it anywhere."""
 
     app: str
     config: SystemConfig
     scale: float
     seed: int
     verify: bool = True
-    snapshot_at: Optional[int] = None
     #: An :class:`~repro.workloads.openloop.OpenLoopSpec` switches the
     #: cell to open-loop request driving via
     #: :func:`repro.runtime.requests.run_openloop`; the spec is part of
@@ -73,7 +64,7 @@ class CellRequest:
     def key(self) -> str:
         return cell_key(
             self.app, self.config, self.scale, self.seed, self.verify,
-            snapshot_at=self.snapshot_at, openloop=self.openloop,
+            openloop=self.openloop,
         )
 
 
@@ -93,29 +84,32 @@ def _execute_cell(request: CellRequest) -> Dict[str, object]:
         result = run_openloop(
             request.app, request.config, request.openloop,
             scale=request.scale, seed=request.seed, verify=request.verify,
-            snapshot_at=request.snapshot_at,
         )
         return metrics_to_payload(result.metrics)
-    if request.snapshot_at is not None:
-        from ..state.snapshot import run_app_with_snapshot
-
-        app = make_app(request.app, scale=request.scale, seed=request.seed)
-        forked, _ = run_app_with_snapshot(
-            app, request.config, snapshot_at=request.snapshot_at,
-            verify=request.verify,
-        )
-        return metrics_to_payload(forked.metrics)
     app = make_app(request.app, scale=request.scale, seed=request.seed)
     result = run_app(app, request.config, verify=request.verify)
     return metrics_to_payload(result.metrics)
 
 
 def default_jobs() -> int:
-    """Worker count from ``NDPBRIDGE_JOBS``, else the CPU count."""
+    """Worker count from ``NDPBRIDGE_JOBS``, else the CPU count.
+
+    Raises :class:`~repro.config.ConfigError` when the knob is set to
+    anything but a whole number of at least 1.
+    """
     env = os.environ.get("NDPBRIDGE_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0  # not a number: rejected below with the values below 1
+    if jobs < 1:
+        raise ConfigError(
+            f"NDPBRIDGE_JOBS={env!r}: expected a whole number of worker "
+            f"processes, at least 1"
+        )
+    return jobs
 
 
 def execute_cells(

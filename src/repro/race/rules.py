@@ -51,7 +51,7 @@ class PayloadSafety(Rule):
     description = (
         "objects crossing a process boundary (ProcessPoolExecutor "
         "arguments and submit/map payloads, Process targets) must "
-        "be picklable, snapshot-clean data -- lambdas, closures, "
+        "be picklable plain data -- lambdas, closures, "
         "generators, and open file handles either fail to pickle or "
         "silently capture per-process state"
     )

@@ -18,17 +18,17 @@ Design notes (the composition oracles depend on these):
   only completed by the *last* injection event, so quiescence is
   unreachable until the full stream is in.
 * **Injection is a chain of simulator events.**  ``_pump`` (a bound
-  method -- snapshot-safe, lint-safe) injects every request of the
+  method, so no closure holds run state) injects every request of the
   current cycle through ``system.seed_task`` and schedules itself at
   the next arrival cycle.
 * **The request list is pure data.**  Generated deterministically
-  before the run starts and stored on the app, so snapshot/fork clones
-  carry the stream (and the not-yet-fired pump event) with them.
+  before the run starts and stored on the app, so a run paused with
+  ``advance()`` resumes with the same stream still to inject.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, cast
+from typing import TYPE_CHECKING, Any, Dict, List, cast
 
 from ..analysis.latency import LatencyRecorder
 from ..analysis.metrics import collect_metrics
@@ -54,8 +54,8 @@ class OpenLoopApp:
     delegates to the inner app and installs the completion listener;
     ``seed_tasks`` schedules the arrival pump instead of seeding tasks.
     Because it satisfies the same ``attach``/``seed_tasks``/``verify``
-    protocol, every existing harness -- ``run_app``,
-    ``run_app_with_snapshot``, exec cells -- drives it unmodified.
+    protocol, every existing harness -- ``run_app``, exec cells --
+    drives it unmodified.
     """
 
     def __init__(self, inner: "NDPApplication", spec: OpenLoopSpec) -> None:
@@ -149,8 +149,8 @@ class OpenLoopApp:
 class RequestDriver:
     """Explicit start/advance/finish control over one open-loop run.
 
-    ``run_openloop`` uses it for plain runs; tests use the split
-    form to pause mid-stream (e.g. to snapshot between arrivals).
+    ``run_openloop`` drives it straight through; tests and perfbench
+    use the split form to pause mid-stream between arrivals.
     """
 
     def __init__(self, app: OpenLoopApp, config: SystemConfig) -> None:
@@ -193,15 +193,13 @@ def run_openloop(
     seed: int = 1,
     verify: bool = True,
     shards: int = 1,
-    snapshot_at: Optional[int] = None,
 ) -> RunResult:
     """Run one open-loop cell; the ``run_app`` twin for request driving.
 
     Returns a :class:`~repro.runtime.runner.RunResult` whose metrics
     carry the per-tenant latency report in ``extra`` (flat ``lat/...``
     keys -- cache- and JSON-safe).  ``shards`` follows ``run_app``:
-    only ``1`` is accepted.  ``snapshot_at`` routes the run through the
-    snapshot oracle (pause, snapshot, finish from the restored fork).
+    only ``1`` is accepted.
     """
     check_serial(shards)
     if config.design is Design.H:
@@ -212,14 +210,4 @@ def run_openloop(
     from ..apps import make_app
 
     ol_app = OpenLoopApp(make_app(app, scale=scale, seed=seed), spec)
-
-    if snapshot_at is not None:
-        from ..state.snapshot import run_app_with_snapshot
-
-        forked, _snap = run_app_with_snapshot(
-            ol_app, config, snapshot_at=snapshot_at, verify=verify,
-        )
-        forked.metrics.extra.update(forked.app.latency_extra())
-        return forked
-
     return RequestDriver(ol_app, config).start().finish(verify=verify)

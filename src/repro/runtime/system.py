@@ -87,9 +87,9 @@ class NDPSystem:
         work is still outstanding (a lost task/message -- a model bug) or
         when ``max_cycles`` is exceeded.
 
-        Equivalent to :meth:`start` followed by :meth:`finish`; the
-        snapshot driver (:mod:`repro.state.snapshot`) uses the split
-        form with :meth:`advance` in between to pause at a cycle.
+        Equivalent to :meth:`start` followed by :meth:`finish`; callers
+        that need to pause at a cycle (the open-loop driver, perfbench)
+        use the split form with :meth:`advance` in between.
         """
         return self.start().finish()
 

@@ -212,15 +212,6 @@ class Simulator:
         the fast-path wrappers do not pay for this counter)."""
         return self._scheduled_total
 
-    def queue_entries(self) -> List[Tuple[int, int, Callable[[], None]]]:
-        """Queue entries in dispatch order.
-
-        Read-only view for snapshot manifests and debugging: the heap is
-        not modified, so this never perturbs the run.  Cost is O(n log n)
-        -- never call it from the hot loop.
-        """
-        return sorted(self._queue, key=lambda entry: (entry[0], entry[1]))
-
     def step(self) -> bool:
         """Process one event.  Returns ``False`` when the queue is empty."""
         if not self._queue:

@@ -33,22 +33,6 @@ class DeterministicRNG:
         """Create an independent stream keyed by ``name``."""
         return DeterministicRNG(self.seed, f"{self.name}/{name}")
 
-    # -- snapshot/restore support ------------------------------------------
-    def getstate(self) -> object:
-        """The underlying Mersenne Twister state (snapshot capture)."""
-        return self._rng.getstate()
-
-    def setstate(self, state: object) -> None:
-        """Restore a state captured by :meth:`getstate`."""
-        self._rng.setstate(state)  # type: ignore[arg-type]
-
-    def state_digest(self) -> str:
-        """Short stable digest of the current stream state, for snapshot
-        manifests -- two streams with equal digests will produce the
-        same draw sequence."""
-        blob = repr((self.seed, self.name, self._rng.getstate())).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
     # -- delegating helpers ------------------------------------------------
     def random(self) -> float:
         return self._rng.random()

@@ -4,14 +4,11 @@ This is the data layer of simstate: one walk over every in-scope module
 produces a :class:`StateInventory` describing *where state lives* --
 which attributes each class declares in ``__init__`` (or as dataclass
 fields / ``__slots__``), which methods write attributes outside the
-constructor, which module- and class-level bindings are mutable, where
-RNGs are constructed, and which constructor parameters alias mutable
-containers owned elsewhere.
+constructor, which module- and class-level bindings are mutable, and
+where RNGs are constructed.
 
 The ST rules (:mod:`repro.state.rules`) are thin filters over this
-inventory; the runtime snapshot layer (:mod:`repro.state.snapshot`)
-consumes the same inventory to cross-check that a live system's
-``__dict__`` matches what the static analysis promised.
+inventory.
 """
 
 from __future__ import annotations
@@ -23,16 +20,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 #: Methods that count as "construction time" for declaration purposes.
 INIT_METHODS: FrozenSet[str] = frozenset({"__init__", "__post_init__"})
 
-#: Terminal names of mutable-container annotations (ST005).
-MUTABLE_CONTAINER_NAMES: FrozenSet[str] = frozenset(
-    {
-        "list", "dict", "set", "deque", "bytearray",
-        "List", "Dict", "Set", "Deque", "DefaultDict", "defaultdict",
-        "Counter", "OrderedDict",
-        "MutableMapping", "MutableSequence", "MutableSet",
-    }
-)
-
 #: Call targets that produce mutable module-level state (ST003).
 MUTABLE_FACTORY_CALLS: FrozenSet[str] = frozenset(
     {
@@ -43,13 +30,6 @@ MUTABLE_FACTORY_CALLS: FrozenSet[str] = frozenset(
         "itertools.count", "count",
     }
 )
-
-#: Call targets whose result must never be stored on a component (ST002).
-UNSNAPSHOTTABLE_CALL_PREFIXES: Tuple[str, ...] = (
-    "threading.", "multiprocessing.", "_thread.", "socket.",
-    "subprocess.", "concurrent.futures.",
-)
-UNSNAPSHOTTABLE_CALLS: FrozenSet[str] = frozenset({"open", "io.open"})
 
 #: RNG constructors that must only appear in sanctioned modules (ST004).
 RNG_CONSTRUCTORS: FrozenSet[str] = frozenset(
@@ -64,27 +44,6 @@ class AttrWrite:
 
     attr: str
     method: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class ValueSite:
-    """An attribute assignment whose *value* matters (ST002)."""
-
-    attr: str
-    kind: str
-    method: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class AliasSite:
-    """``self.X = <param>`` where the param is a mutable container."""
-
-    attr: str
-    param: str
     line: int
     col: int
 
@@ -116,14 +75,6 @@ class ClassInventory:
     outside_writes: List[AttrWrite] = field(default_factory=list)
     #: ``setattr(self, <non-literal>, ...)`` sites.
     dynamic_writes: List[AttrWrite] = field(default_factory=list)
-    #: suspicious values assigned to attributes (ST002).
-    value_sites: List[ValueSite] = field(default_factory=list)
-    #: mutable-container params stored as attributes (ST005).
-    alias_sites: List[AliasSite] = field(default_factory=list)
-    #: attrs this class declares it merely borrows (owner elsewhere).
-    borrowed: Tuple[str, ...] = ()
-    #: attrs this class declares it owns even though they arrived aliased.
-    owned: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -139,7 +90,7 @@ class ModuleInventory:
 
 
 class StateInventory:
-    """The whole-tree inventory the ST rules and the snapshotter share."""
+    """The whole-tree inventory the ST rules filter."""
 
     def __init__(self, modules: Dict[str, ModuleInventory]) -> None:
         self.modules = modules
@@ -248,7 +199,7 @@ def _is_constant_table(name: str, value: ast.AST) -> bool:
     """ALL_CAPS literal tables are read-only by convention.
 
     A module-level ``TIMINGS = {...}`` of constants is a lookup table,
-    not state: nothing writes it, fork/restore cannot skew it.  Only
+    not state: nothing writes it, so no cell can leave it changed.  Only
     literal contents qualify -- a ``count()`` or comprehension is
     stateful/derived and stays flagged regardless of naming.  Dunder
     metadata (``__all__`` and friends) is interpreter-facing, not
@@ -260,65 +211,6 @@ def _is_constant_table(name: str, value: ast.AST) -> bool:
         return False
     if isinstance(value, (ast.List, ast.Dict, ast.Set)):
         return _is_constant(value)
-    return False
-
-
-def _suspicious_value(
-    value: ast.AST, aliases: Dict[str, str]
-) -> Optional[str]:
-    """ST002 classification of an assigned value, or None."""
-    if isinstance(value, ast.Lambda):
-        return "a lambda (unsnapshottable callable state)"
-    if isinstance(value, ast.GeneratorExp):
-        return "a generator expression (unsnapshottable iterator state)"
-    if isinstance(value, ast.Call):
-        dotted = _dotted(value.func, aliases)
-        if dotted is None:
-            return None
-        if dotted in UNSNAPSHOTTABLE_CALLS:
-            return "an open file handle"
-        if dotted.startswith(UNSNAPSHOTTABLE_CALL_PREFIXES):
-            return f"a {dotted}() object (thread/lock/socket state)"
-    return None
-
-
-def _is_container_annotation(node: Optional[ast.AST]) -> bool:
-    """Is the *outermost* annotated type a mutable container?
-
-    ``List[int]`` yes, ``Optional[Dict[str, int]]`` yes (one of the
-    union arms is), ``Callable[[List[int]], None]`` no -- the container
-    is buried inside a callable signature, the parameter itself is not
-    a container.
-    """
-    if node is None:
-        return False
-    if isinstance(node, ast.Name):
-        return node.id in MUTABLE_CONTAINER_NAMES
-    if isinstance(node, ast.Attribute):
-        return node.attr in MUTABLE_CONTAINER_NAMES
-    if isinstance(node, ast.Subscript):
-        head = node.value
-        head_name = (
-            head.id if isinstance(head, ast.Name)
-            else head.attr if isinstance(head, ast.Attribute)
-            else ""
-        )
-        if head_name in MUTABLE_CONTAINER_NAMES:
-            return True
-        if head_name in ("Optional", "Union"):
-            arms = (
-                node.slice.elts
-                if isinstance(node.slice, ast.Tuple)
-                else [node.slice]
-            )
-            return any(_is_container_annotation(arm) for arm in arms)
-        return False
-    if isinstance(node, ast.BinOp):  # PEP 604: X | None
-        return _is_container_annotation(node.left) or \
-            _is_container_annotation(node.right)
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        head = node.value.split("[", 1)[0].strip().rsplit(".", 1)[-1]
-        return head in MUTABLE_CONTAINER_NAMES
     return False
 
 
@@ -398,11 +290,7 @@ def _scan_class(
         ):
             name = stmt.target.id
             ci.declared.setdefault(name, stmt.lineno)
-            if name == "_snapshot_borrowed_" and stmt.value is not None:
-                ci.borrowed = _str_tuple(stmt.value)
-            elif name == "_snapshot_owns_" and stmt.value is not None:
-                ci.owned = _str_tuple(stmt.value)
-            elif stmt.value is not None and not ci.is_dataclass:
+            if stmt.value is not None and not ci.is_dataclass:
                 kind = _mutable_kind(stmt.value, aliases)
                 if kind and not _is_constant_table(name, stmt.value):
                     module_mutable.append(
@@ -421,12 +309,6 @@ def _scan_class(
                         ci.declared.setdefault(attr, stmt.lineno)
                     continue
                 ci.declared.setdefault(name, stmt.lineno)
-                if name == "_snapshot_borrowed_":
-                    ci.borrowed = _str_tuple(stmt.value)
-                    continue
-                if name == "_snapshot_owns_":
-                    ci.owned = _str_tuple(stmt.value)
-                    continue
                 kind = _mutable_kind(stmt.value, aliases)
                 if kind and not _is_constant_table(name, stmt.value):
                     module_mutable.append(
@@ -453,9 +335,6 @@ def _scan_method(
         return
     self_name = args[0].arg
     is_init = method.name in INIT_METHODS
-    container_params = {
-        a.arg for a in args[1:] if _is_container_annotation(a.annotation)
-    }
 
     for node in ast.walk(method):
         for attr, line, col in _self_attr_targets(node, self_name):
@@ -465,23 +344,6 @@ def _scan_method(
                 ci.outside_writes.append(
                     AttrWrite(attr, method.name, line, col)
                 )
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
-                node.value is not None:
-            targets = _self_attr_targets(node, self_name)
-            if targets:
-                kind = _suspicious_value(node.value, aliases)
-                if kind is not None:
-                    attr, line, col = targets[0]
-                    ci.value_sites.append(
-                        ValueSite(attr, kind, method.name, line, col)
-                    )
-                if is_init and isinstance(node.value, ast.Name):
-                    param = node.value.id
-                    if param in container_params:
-                        attr, line, col = targets[0]
-                        ci.alias_sites.append(
-                            AliasSite(attr, param, line, col)
-                        )
         if isinstance(node, ast.Call):
             dotted = _dotted(node.func, aliases)
             if dotted == "setattr" and node.args:
@@ -599,8 +461,6 @@ def inventory_as_dict(inv: StateInventory) -> Dict[str, object]:
             classes[name] = {
                 "bases": list(ci.bases),
                 "declared": sorted(inv.declared_attrs(ci)),
-                "borrowed": list(ci.borrowed),
-                "owned": list(ci.owned),
                 "dataclass": ci.is_dataclass,
             }
         if classes:

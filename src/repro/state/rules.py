@@ -1,4 +1,4 @@
-"""The simstate rules (ST001-ST005).
+"""The simstate rules (ST001, ST003, ST004).
 
 Like simflow's rules, these see the whole tree at once -- the inventory
 (:mod:`repro.state.inventory`) already did the AST work, so each rule is
@@ -11,15 +11,14 @@ suppressions and the module allowlist.
 rule     invariant
 =======  =============================================================
 ST001    every attribute written outside ``__init__`` is declared in
-         ``__init__`` (snapshot completeness: no dynamic attributes)
-ST002    no unsnapshottable state on components: file handles,
-         threads/locks/sockets, generators, lambdas held as attributes
+         ``__init__`` (a component's state can be read off its
+         constructor: no dynamic attributes)
 ST003    no module- or class-level mutable state in simulation
-         packages (fork-safety for pool workers, replay-safety for
-         restore)
-ST004    all RNG state flows through ``sim/rng.py`` named streams
-ST005    mutable containers passed into a constructor and stored must
-         declare ownership (``_snapshot_owns_`` / ``_snapshot_borrowed_``)
+         packages (a pool worker keeps module state from one cell to
+         the next)
+ST004    all RNG state flows through ``sim/rng.py`` named streams (a
+         run is reproducible from its seed only if every stream
+         derives from the root)
 =======  =============================================================
 """
 
@@ -33,8 +32,8 @@ from .inventory import StateInventory
 Finding = Tuple[str, int, int, str]
 
 #: simstate analyses the packages whose objects live inside a running
-#: simulation and therefore inside a snapshot.  Analysis/plotting/CLI
-#: layers hold no simulated state and are out of scope by construction.
+#: simulation.  Analysis/plotting/CLI layers hold no simulated state and
+#: are out of scope by construction.
 STATE_SCOPE_PREFIXES: Tuple[str, ...] = (
     "repro/sim/",
     "repro/bridge/",
@@ -64,8 +63,8 @@ class UndeclaredAttribute(StateRule):
     name = "undeclared-attribute"
     description = (
         "an attribute is written outside __init__/__post_init__ but "
-        "never declared at construction time -- the snapshot inventory "
-        "cannot enumerate it, so restore would silently drop state"
+        "never declared at construction time -- a component's state "
+        "must be readable off its constructor"
     )
 
     def check(self, inv: StateInventory) -> Iterator[Finding]:
@@ -82,39 +81,14 @@ class UndeclaredAttribute(StateRule):
                         f"attribute '{write.attr}' is written in "
                         f"{ci.name}.{write.method}() but never declared "
                         f"in __init__ -- declare it at construction "
-                        f"time so the snapshot inventory is complete",
+                        f"time so the constructor lists all its state",
                     )
                 for write in ci.dynamic_writes:
                     yield (
                         module_path, write.line, write.col,
                         f"setattr() with a dynamic attribute name in "
-                        f"{ci.name}.{write.method}() -- the state "
-                        f"inventory cannot enumerate dynamic attributes",
-                    )
-
-
-class UnsnapshottableState(StateRule):
-    code = "ST002"
-    name = "unsnapshottable-state"
-    description = (
-        "a component stores state that cannot be captured by "
-        "snapshot/restore: open file handles, thread/lock/socket "
-        "objects, generator expressions, or lambdas held as "
-        "attributes (scheduled callbacks are sanctioned via the "
-        "engine queue, not as component attributes)"
-    )
-
-    def check(self, inv: StateInventory) -> Iterator[Finding]:
-        for module_path in sorted(inv.modules):
-            mod = inv.modules[module_path]
-            for name in sorted(mod.classes):
-                ci = mod.classes[name]
-                for site in ci.value_sites:
-                    yield (
-                        module_path, site.line, site.col,
-                        f"{ci.name}.{site.method}() stores {site.kind} "
-                        f"in attribute '{site.attr}' -- unsnapshottable "
-                        f"state must not live on simulation objects",
+                        f"{ci.name}.{write.method}() -- the constructor "
+                        f"cannot list a dynamic attribute",
                     )
 
 
@@ -123,9 +97,10 @@ class ModuleLevelState(StateRule):
     name = "module-level-state"
     description = (
         "module- or class-level mutable state in a simulation package "
-        "-- pool worker forks and snapshot restore cannot capture it, "
-        "so runs would diverge (ALL_CAPS literal constant tables are "
-        "exempt; stateful factories like itertools.count() never are)"
+        "-- a pool worker keeps it from one cell to the next, so a "
+        "cell's result would depend on the cells run before it "
+        "(ALL_CAPS literal constant tables are exempt; stateful "
+        "factories like itertools.count() never are)"
     )
 
     def check(self, inv: StateInventory) -> Iterator[Finding]:
@@ -146,8 +121,8 @@ class ModuleLevelState(StateRule):
                 yield (
                     module_path, line, col,
                     f"'global {name}' rebinds module state from inside "
-                    f"a simulation package -- fork/restore cannot "
-                    f"capture it",
+                    f"a simulation package -- a pool worker carries it "
+                    f"into the next cell",
                 )
 
 
@@ -156,8 +131,9 @@ class UnmanagedRNG(StateRule):
     name = "unmanaged-rng"
     description = (
         "an RNG is constructed outside the sim/rng.py named-stream "
-        "facade -- its state cannot be captured/restored; derive a "
-        "substream from the system root instead"
+        "facade -- a run is reproducible from its seed only if every "
+        "stream derives from the system root; derive a substream "
+        "instead"
     )
 
     def check(self, inv: StateInventory) -> Iterator[Finding]:
@@ -169,46 +145,14 @@ class UnmanagedRNG(StateRule):
                     f"RNG constructed via {callee}() outside the "
                     f"named-stream facade -- use "
                     f"DeterministicRNG.substream() from the system "
-                    f"root so snapshot/restore can capture its state",
+                    f"root so the run is reproducible from its seed",
                 )
-
-
-class UnownedAlias(StateRule):
-    code = "ST005"
-    name = "unowned-alias"
-    description = (
-        "a mutable container passed into __init__ is stored as an "
-        "attribute without registered ownership -- aliasing across "
-        "components breaks per-object restore; declare the attribute "
-        "in _snapshot_owns_ (sole owner) or _snapshot_borrowed_ "
-        "(owner registered elsewhere)"
-    )
-
-    def check(self, inv: StateInventory) -> Iterator[Finding]:
-        for module_path in sorted(inv.modules):
-            mod = inv.modules[module_path]
-            for name in sorted(mod.classes):
-                ci = mod.classes[name]
-                sanctioned = set(ci.borrowed) | set(ci.owned)
-                for site in ci.alias_sites:
-                    if site.attr in sanctioned:
-                        continue
-                    yield (
-                        module_path, site.line, site.col,
-                        f"{ci.name}.__init__ stores mutable container "
-                        f"parameter '{site.param}' as attribute "
-                        f"'{site.attr}' without registered ownership "
-                        f"-- declare it in _snapshot_owns_ or "
-                        f"_snapshot_borrowed_",
-                    )
 
 
 STATE_RULES: Tuple[StateRule, ...] = (
     UndeclaredAttribute(),
-    UnsnapshottableState(),
     ModuleLevelState(),
     UnmanagedRNG(),
-    UnownedAlias(),
 )
 
 STATE_RULE_CODES = frozenset(rule.code for rule in STATE_RULES)

@@ -11,8 +11,8 @@ running :class:`~repro.runtime.system.NDPSystem`.
 Everything here is purely generative and deterministic: the full request
 list is a function of ``(spec, keyspace, seed)`` alone, computed before
 the simulation starts.  That is what makes open-loop runs cacheable (the
-stream is a pure function of the cell key) and snapshottable (the stream
-is plain data on the app).
+stream is a pure function of the cell key) and resumable after a pause
+(the stream is plain data on the app).
 
 Arrival processes
 -----------------

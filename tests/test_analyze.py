@@ -3,14 +3,19 @@
 Each family's rule fixtures and its path through the real gate live in
 ``tests/test_{lint,flow,state,race}.py``.  This module pins what the
 core decides for all four at once: which files the gate is given, and
-which module path -- and so which rule scope -- each file gets.
+which module path -- and so which rule scope -- each file gets.  It also
+pins that a simulation run never loads the analyzers.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.analyze import check_sources, module_path_of
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -51,3 +56,53 @@ def test_exemptions_ignore_directories_above_the_package():
     results = dict(check_sources([(path, module_path_of(Path(path)), source)]))
     assert "SL001" in [d.rule for d in results["simlint"]]
     assert "RC003" in [d.rule for d in results["simrace"]]
+
+
+# ----------------------------------------------------------------------
+# the runtime never loads the analyzers
+# ----------------------------------------------------------------------
+def _run_probe(checks, **env):
+    """Run ``checks`` in a fresh interpreter after a plain run of ``ll``
+    and an import of ``repro.exec``, which pool workers import."""
+    probe = (
+        "import sys\n"
+        "from repro import Design, make_app, run_app\n"
+        "from repro.config import tiny_config\n"
+        "import repro.exec\n"
+        "run_app(make_app('ll', scale=0.05, seed=1), "
+        "tiny_config(Design.B))\n"
+        + checks
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin", **env},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_run_and_exec_import_no_analyzer():
+    """Zero fast-path cost: a plain run loads no analyzer, no checking
+    code and no sharded-engine module."""
+    _run_probe(
+        "banned = ('repro.state', 'repro.analyze', 'repro.lint', "
+        "'repro.race', 'repro.flow')\n"
+        "loaded = sorted(m for m in sys.modules"
+        " if m.startswith(banned) or 'shard' in m)\n"
+        "assert not loaded, f'plain run imported {loaded}'\n"
+    )
+
+
+def test_sanitized_run_imports_only_the_auditor():
+    """The only checking code a sanitized run loads is simflow's message
+    auditor, the runtime half of simflow; it loads no rule."""
+    _run_probe(
+        "assert 'repro.flow.auditor' in sys.modules\n"
+        "banned = ('repro.state', 'repro.analyze', 'repro.lint', "
+        "'repro.race', 'repro.flow.rules', 'repro.flow.graph')\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(banned))\n"
+        "assert not loaded, f'sanitized run imported {loaded}'\n",
+        NDPBRIDGE_SANITIZE="1",
+    )

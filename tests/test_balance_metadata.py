@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.balance import DataBorrowedTable, IsLentBitmap
 from repro.balance.metadata import BorrowEntry
 
+from .conftest import component_registry
+
 
 class TestIsLentBitmap:
     def test_set_clear(self):
@@ -115,7 +117,6 @@ def filled_sets(table):
 def test_fresh_128_unit_system_holds_no_borrowed_set():
     from repro.config import Design, scaled_config
     from repro.runtime.runner import build_system
-    from repro.state.snapshot import component_registry
 
     system = build_system(scaled_config(128, Design.O, seed=42))
     tables = [obj for obj in component_registry(system).values()

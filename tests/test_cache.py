@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.config import Design, scaled_config, tiny_config
 from repro.ndp.cache import HIT_LATENCY, L1Cache
 
+from .conftest import component_registry
+
 
 def test_first_access_misses_then_hits():
     c = L1Cache(1024, ways=4)
@@ -87,7 +89,6 @@ def filled_sets(cache):
 
 def test_fresh_128_unit_system_holds_no_cache_set():
     from repro.runtime.runner import build_system
-    from repro.state.snapshot import component_registry
 
     system = build_system(scaled_config(128, Design.O, seed=42))
     caches = [obj for obj in component_registry(system).values()

@@ -52,11 +52,17 @@ def test_designs_and_apps_lists(capsys):
 def test_unknown_design_rejected():
     with pytest.raises(SystemExit):
         main(["matrix", "--designs", "Z", "--apps", "ht"])
+    with pytest.raises(SystemExit, match="unknown design 'Z'"):
+        main(["run", "--app", "ht", "--design", "Z"])
 
 
 def test_unknown_app_rejected():
     with pytest.raises(SystemExit):
         main(["matrix", "--designs", "C", "--apps", "sorting"])
+    # Rejected before any cell reaches the worker pool.
+    with pytest.raises(SystemExit, match="unknown app 'nope'"):
+        main(["sweep", "--param", "g_xfer", "--values", "128",
+              "--apps", "nope"])
 
 
 def test_parser_requires_command():
@@ -80,6 +86,9 @@ def test_sweep_rejects_unknown_param():
 
     with _pytest.raises(SystemExit):
         main(["sweep", "--param", "bogus", "--values", "1"])
+    with _pytest.raises(SystemExit, match="invalid --values '128,abc'"):
+        main(["sweep", "--param", "g_xfer", "--values", "128,abc",
+              "--apps", "ht"])
 
 
 def test_invalid_units_friendly_error():

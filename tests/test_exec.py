@@ -6,11 +6,13 @@ from the on-disk cache.
 """
 
 import json
+import os
+import time
 
 import pytest
 
 from repro.analysis.metrics import RunMetrics
-from repro.config import Design, tiny_config
+from repro.config import ConfigError, Design, tiny_config
 from repro.energy import EnergyBreakdown
 from repro.exec import (
     CellRequest,
@@ -18,6 +20,7 @@ from repro.exec import (
     cell_key,
     code_version,
     config_fingerprint,
+    default_jobs,
     execute_cells,
     metrics_from_payload,
     metrics_to_payload,
@@ -215,3 +218,46 @@ def test_run_matrix_shape_and_keys(tmp_path):
     assert set(results["ht"]) == {"B", "O"}
     assert results["ht"]["B"].design == "B"
     assert results["ht"]["O"].app == "ht"
+
+
+# ----------------------------------------------------------------------
+# worker count: NDPBRIDGE_JOBS
+# ----------------------------------------------------------------------
+def test_default_jobs_reads_the_knob(monkeypatch):
+    monkeypatch.delenv("NDPBRIDGE_JOBS", raising=False)
+    assert default_jobs() == (os.cpu_count() or 1)
+    monkeypatch.setenv("NDPBRIDGE_JOBS", "3")
+    assert default_jobs() == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_default_jobs_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("NDPBRIDGE_JOBS", value)
+    with pytest.raises(ConfigError, match="NDPBRIDGE_JOBS"):
+        default_jobs()
+
+
+def test_bench_engine_records_the_jobs_the_pool_used(monkeypatch, tmp_path):
+    from benchmarks import bench_engine
+
+    monkeypatch.setenv("NDPBRIDGE_JOBS", "3")
+    used, recorded = [], {}
+
+    def fake_matrix(apps, designs, **kwargs):
+        used.append(kwargs["jobs"])
+        if len(used) == 1:
+            time.sleep(0.02)  # the cold pass, which the bench asserts slower
+        return {app: {d.value: 1 for d in designs} for app in apps}
+
+    class Benchmark:
+        def pedantic(self, fn, **kwargs):
+            return fn()
+
+    monkeypatch.setattr(bench_engine, "exec_run_matrix", fake_matrix)
+    monkeypatch.setattr(
+        bench_engine, "record",
+        lambda path, key, payload: recorded.update(payload),
+    )
+    bench_engine.test_fig10_matrix_cold_vs_warm(Benchmark(), tmp_path)
+    assert used == [3, 3]
+    assert recorded["jobs"] == 3

@@ -8,7 +8,7 @@ Four layers:
 * determinism and stream-independence of request generation,
 * exact nearest-rank percentile semantics (edge cases pinned bit-for-bit),
 * the request driver end-to-end, including the composition oracles:
-  plain vs sanitized, snapshot-fork vs run-through.
+  plain vs sanitized, paused-and-resumed vs run-through.
 """
 
 import dataclasses
@@ -389,7 +389,7 @@ class TestRequestDriver:
 
 
 # ----------------------------------------------------------------------
-# composition oracles: sanitize / snapshot
+# composition oracles: sanitize
 # ----------------------------------------------------------------------
 class TestOpenLoopComposition:
     def test_plain_vs_sanitized_bit_identical(self, monkeypatch):
@@ -403,21 +403,3 @@ class TestOpenLoopComposition:
         assert sanitized.system.sim.sanitize is True
         assert dataclasses.asdict(plain.metrics) == \
             dataclasses.asdict(sanitized.metrics)
-
-    def test_snapshot_fork_vs_run_through_bit_identical(self):
-        # Snapshot mid-stream (arrival pump event in flight), restore,
-        # finish from the fork: the fork must land on the exact run.
-        cfg = tiny_config(Design.O)
-        through = run_openloop("tree", cfg, small_spec(), scale=0.05,
-                               seed=7)
-        forked = run_openloop("tree", cfg, small_spec(), scale=0.05,
-                              seed=7, snapshot_at=2500)
-        assert dataclasses.asdict(through.metrics) == \
-            dataclasses.asdict(forked.metrics)
-
-    def test_sharded_rejects_snapshot_at(self):
-        # Snapshots fork the serial engine only; a sharded request is
-        # refused before any snapshot is taken.
-        with pytest.raises(ConfigError, match="serial"):
-            run_openloop("ll", tiny_config(Design.C), small_spec(),
-                         scale=0.1, seed=7, shards=2, snapshot_at=100)

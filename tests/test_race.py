@@ -247,8 +247,12 @@ def test_cache_import_check_rejects_unknown_field(monkeypatch):
 
 def test_cell_key_fields_match_cell_key_blob():
     from repro.config import Design, scaled_config
+    from repro.workloads import OpenLoopSpec, TenantSpec
 
     cfg = scaled_config(128, Design.O, seed=42)
+    spec = OpenLoopSpec(
+        tenants=(TenantSpec(name="a", n_requests=4, mean_gap=10.0),)
+    )
     # Every field name cell_key() hashes must be declared; the declared
     # tuple may be a superset (optional fields).
     import json as _json
@@ -263,9 +267,7 @@ def test_cell_key_fields_match_cell_key_blob():
         return real_dumps(obj, **kw)
 
     with mock.patch.object(exec_cache.json, "dumps", side_effect=spy):
-        exec_cache.cell_key(
-            "tree", cfg, 0.1, 7, snapshot_at=10, openloop=None,
-        )
+        exec_cache.cell_key("tree", cfg, 0.1, 7, openloop=spec)
     assert captured
     assert set(captured) <= set(exec_cache.CELL_KEY_FIELDS)
 

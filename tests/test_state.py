@@ -7,6 +7,8 @@ variant of the same code.  Allowlisted module paths are exercised with
 a real allowlist entry.  Meta-tests assert the repository's own
 simulation tree is clean through the real gate, ``python -m
 repro.analyze``, and pin the gate's cross-family text and SARIF output.
+A live system, paused mid-run, holds no attribute the inventory does
+not declare.
 """
 
 import json
@@ -15,7 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro.analyze import ALLOWLIST, TOOLS, build_tree_inventory, check_sources
+from repro.apps import make_app
+from repro.config import Design, tiny_config
+from repro.runtime.runner import build_system
 from repro.state.rules import STATE_RULE_CODES, STATE_RULES
+
+from .conftest import attr_names, component_registry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,15 +52,7 @@ FIXTURES = {
         "repro/ndp/fixture.py",
         5,
     ),
-    # An open file handle stored on a simulation object.
-    "ST002": (
-        "class Tracer:\n"
-        "    def __init__(self, path):\n"
-        "        self.fh = open(path)\n",
-        "repro/runtime/fixture.py",
-        3,
-    ),
-    # Module-level mutable cache: invisible to fork/restore.
+    # Module-level mutable cache: a pool worker keeps it across cells.
     "ST003": (
         "seen = {}\n"
         "def mark(k):\n"
@@ -69,15 +68,6 @@ FIXTURES = {
         "repro/links/fixture.py",
         3,
     ),
-    # Container handed into __init__ and stored with no declared owner.
-    "ST005": (
-        "from typing import List\n"
-        "class View:\n"
-        "    def __init__(self, items: List[int]):\n"
-        "        self.items = items\n",
-        "repro/runtime/fixture.py",
-        4,
-    ),
 }
 
 #: Clean variants of each fixture: same shape, hazard removed.
@@ -92,13 +82,6 @@ CLEAN = {
         "        self.backlog = []\n",
         "repro/ndp/fixture.py",
     ),
-    # Only the path (a string) is stored; no live handle.
-    "ST002": (
-        "class Tracer:\n"
-        "    def __init__(self, path):\n"
-        "        self.path = path\n",
-        "repro/runtime/fixture.py",
-    ),
     # ALL_CAPS literal table: a read-only constant, exempt.
     "ST003": (
         "LIMITS = {'depth': 4, 'fanout': 8}\n"
@@ -112,22 +95,13 @@ CLEAN = {
         "    return rng.substream('link').random()\n",
         "repro/links/fixture.py",
     ),
-    # Ownership declared: the view is the sole owner of the list.
-    "ST005": (
-        "from typing import List\n"
-        "class View:\n"
-        "    _snapshot_owns_ = ('items',)\n"
-        "    def __init__(self, items: List[int]):\n"
-        "        self.items = items\n",
-        "repro/runtime/fixture.py",
-    ),
 }
 
 
 def test_every_rule_has_fixtures():
     assert set(FIXTURES) == set(STATE_RULE_CODES)
     assert set(CLEAN) == set(STATE_RULE_CODES)
-    assert len(STATE_RULES) == 5
+    assert len(STATE_RULES) == 3
 
 
 @pytest.mark.parametrize("code", sorted(FIXTURES))
@@ -223,21 +197,6 @@ def test_st001_flags_dynamic_setattr():
     assert "ST001" in codes(source)
 
 
-def test_st005_callable_annotation_is_not_a_container():
-    # A hook parameter whose *signature* mentions List must not trip
-    # the alias rule -- the parameter itself is a callable.
-    source = (
-        "from typing import Callable, List, Optional\n"
-        "class Engine:\n"
-        "    def __init__(\n"
-        "        self,\n"
-        "        hook: Optional[Callable[[List[int]], None]] = None,\n"
-        "    ):\n"
-        "        self.hook = hook\n"
-    )
-    assert "ST005" not in codes(source, "repro/sim/fixture.py")
-
-
 def test_dunder_module_metadata_is_exempt():
     source = "__all__ = ['a', 'b']\n"
     assert "ST003" not in codes(source, "repro/sim/fixture.py")
@@ -256,6 +215,39 @@ def test_tree_inventory_covers_component_classes():
     assert units, "NDPUnit missing from the tree inventory"
     declared = inv.declared_attrs(units[0])
     assert "sim" in declared  # inherited from Component.__init__
+
+
+def test_verify_inventory_clean_on_live_system():
+    """Every attribute a paused live system holds is statically declared
+    (ST001's promise), for every class the inventory knows."""
+    inventory = build_tree_inventory([REPO_ROOT / "src"])
+    app = make_app("tree", scale=0.1, seed=7)
+    system = build_system(tiny_config(Design.O))
+    app.attach(system)
+    app.seed_tasks(system)
+    system.start().advance(until=5000)
+
+    problems = []
+    for path, obj in component_registry(system).items():
+        classes = inventory.classes_named(type(obj).__name__)
+        if not classes:
+            continue
+        declared = inventory.declared_attrs(classes[0])
+        for attr in attr_names(obj):
+            if attr in declared:
+                continue
+            # An instance attribute shadowing a method or property is an
+            # instrumentation wrapper (the sanitizer's scheduling hooks,
+            # the flow auditor's observers), not model state of its own.
+            shadowed = getattr(type(obj), attr, None)
+            if callable(shadowed) or isinstance(shadowed, property):
+                continue
+            problems.append(
+                f"{path} ({type(obj).__name__}) holds undeclared "
+                f"attribute '{attr}'"
+            )
+    assert problems == [], "\n".join(problems)
+    system.finish()
 
 
 # ----------------------------------------------------------------------
