@@ -15,89 +15,69 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.report import geomean, speedups, text_table
 from repro.config import Design
 
-from .common import bench_config, format_table, geomean, run_one
+from .common import bench_config, run_matrix
 
 APPS = ["tree", "pr"]
 
 
 def test_l1_cache_ablation(benchmark):
-    def _run():
-        results = {}
-        cfg = bench_config(Design.B)
-        from repro.config import SRAMConfig
-
-        tiny_cache = cfg.replace(
+    cfg = bench_config(Design.B)
+    configs = {
+        "64kB": cfg,
+        "1kB": cfg.replace(
             sram=replace(cfg.sram, l1d_kb=1)  # effectively no reuse
-        )
-        for app in APPS:
-            results[("64kB", app)] = run_one(app, Design.B, config=cfg)
-            results[("1kB", app)] = run_one(app, Design.B, config=tiny_cache)
-        return results
-
-    results = benchmark.pedantic(_run, rounds=1, iterations=1,
-                                 warmup_rounds=0)
-    gain = geomean(
-        results[("1kB", app)].makespan / results[("64kB", app)].makespan
-        for app in APPS
-    )
-    rows = [[app,
-             results[("1kB", app)].makespan,
-             results[("64kB", app)].makespan] for app in APPS]
-    print(format_table(
-        "Model ablation - per-unit L1 cache (design B)",
+        ),
+    }
+    results = benchmark.pedantic(lambda: run_matrix(APPS, configs),
+                                 rounds=1, iterations=1, warmup_rounds=0)
+    speedup = speedups(results, "1kB")
+    gain = geomean(speedup[app]["64kB"] for app in APPS)
+    rows = [[app, results[app]["1kB"].makespan, results[app]["64kB"].makespan]
+            for app in APPS]
+    print("\n" + text_table(
         ["app", "1kB L1", "64kB L1"], rows,
+        title="Model ablation - per-unit L1 cache (design B)",
     ))
     print(f"geomean speedup from the Table-I L1: {gain:.2f}x")
     assert gain >= 1.0
 
 
 def test_multichunk_round_ablation(benchmark):
-    def _run():
-        results = {}
-        multi = bench_config(Design.B)
-        single = multi.replace(
+    multi = bench_config(Design.B)
+    configs = {
+        "multi": multi,
+        "single": multi.replace(
             comm=replace(multi.comm, max_chunks_per_round=1)
-        )
-        for app in APPS:
-            results[("multi", app)] = run_one(app, Design.B, config=multi)
-            results[("single", app)] = run_one(app, Design.B, config=single)
-        return results
-
-    results = benchmark.pedantic(_run, rounds=1, iterations=1,
-                                 warmup_rounds=0)
-    gain = geomean(
-        results[("single", app)].makespan / results[("multi", app)].makespan
-        for app in APPS
-    )
+        ),
+    }
+    results = benchmark.pedantic(lambda: run_matrix(APPS, configs),
+                                 rounds=1, iterations=1, warmup_rounds=0)
+    speedup = speedups(results, "single")
+    gain = geomean(speedup[app]["multi"] for app in APPS)
     print(f"\nmulti-chunk rounds vs 1-chunk rate cap: {gain:.2f}x")
     assert gain >= 0.95
 
 
 def test_host_poll_interval_sensitivity(benchmark):
-    def _run():
-        results = {}
-        for interval in (500, 2000, 8000):
-            cfg = bench_config(Design.C)
-            cfg = cfg.replace(comm=replace(
-                cfg.comm, host_poll_interval_cycles=interval
-            ))
-            for app in APPS:
-                results[(interval, app)] = run_one(
-                    app, Design.C, config=cfg
-                )
-        return results
-
-    results = benchmark.pedantic(_run, rounds=1, iterations=1,
-                                 warmup_rounds=0)
-    rows = []
-    for interval in (500, 2000, 8000):
-        gm = geomean(results[(interval, app)].makespan for app in APPS)
-        rows.append([interval, int(gm)])
-    print(format_table(
-        "Design C sensitivity - host poll interval",
+    cfg = bench_config(Design.C)
+    configs = {
+        str(interval): cfg.replace(comm=replace(
+            cfg.comm, host_poll_interval_cycles=interval
+        ))
+        for interval in (500, 2000, 8000)
+    }
+    results = benchmark.pedantic(lambda: run_matrix(APPS, configs),
+                                 rounds=1, iterations=1, warmup_rounds=0)
+    rows = [
+        [label, int(geomean(results[app][label].makespan for app in APPS))]
+        for label in configs
+    ]
+    print("\n" + text_table(
         ["interval (cycles)", "geomean makespan"], rows,
+        title="Design C sensitivity - host poll interval",
     ))
     # Slower polling cannot make the host path faster.
     assert rows[-1][1] >= rows[0][1] * 0.9

@@ -12,9 +12,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.report import geomean, speedups, text_table
 from repro.config import Design
 
-from .common import bench_config, format_table, geomean, run_one
+from .common import bench_config, run_matrix
 
 APPS = ["tree", "bfs", "pr"]
 UNITS = 256  # multi-rank so cross-rank traffic exists
@@ -28,35 +29,24 @@ def _config(links: bool):
 
 
 def _run():
-    results = {}
-    for variant, links in (("channel", False), ("dimm-link", True)):
-        cfg = _config(links)
-        for app in APPS:
-            results[(variant, app)] = run_one(app, Design.B, config=cfg)
-    return results
+    return run_matrix(APPS, {"channel": _config(False),
+                             "dimm-link": _config(True)})
 
 
 def test_dimmlink_tandem(benchmark):
     results = benchmark.pedantic(_run, rounds=1, iterations=1,
                                  warmup_rounds=0)
-    rows = []
-    for app in APPS:
-        rows.append([
-            app,
-            results[("channel", app)].makespan,
-            results[("dimm-link", app)].makespan,
-            results[("channel", app)].makespan
-            / results[("dimm-link", app)].makespan,
-        ])
-    gm = geomean(
-        results[("channel", app)].makespan
-        / results[("dimm-link", app)].makespan
+    speedup = speedups(results, "channel")
+    rows = [
+        [app, results[app]["channel"].makespan,
+         results[app]["dimm-link"].makespan, speedup[app]["dimm-link"]]
         for app in APPS
-    )
+    ]
+    gm = geomean(speedup[app]["dimm-link"] for app in APPS)
     rows.append(["geomean", "", "", gm])
-    print(format_table(
-        "NDPBridge + DIMM-Link p2p inter-rank links (B, 256 units)",
+    print("\n" + text_table(
         ["app", "channel cycles", "p2p cycles", "speedup"], rows,
+        title="NDPBridge + DIMM-Link p2p inter-rank links (B, 256 units)",
     ))
     # Shape: dedicated links never hurt cross-rank communication.
     assert gm >= 0.98

@@ -110,14 +110,16 @@ def test_fig10_matrix_cold_vs_warm(benchmark, tmp_path):
     the parallel + cached harness."""
     apps = ["ll", "tree"] if SMOKE else ALL_APPS
     designs = [Design.C, Design.B, Design.W, Design.O]
+    configs = {
+        d.value: scaled_config(TREE_UNITS, d, seed=TREE_SEED) for d in designs
+    }
     cache = ResultCache(tmp_path / "fig10")
     jobs = default_jobs()
 
     def _matrix():
         return exec_run_matrix(
-            apps, designs,
-            config_of=lambda d: scaled_config(TREE_UNITS, d, seed=TREE_SEED),
-            scale=TREE_SCALE, seed=TREE_SEED, jobs=jobs, cache=cache,
+            apps, configs, scale=TREE_SCALE, seed=TREE_SEED, jobs=jobs,
+            cache=cache,
         )
 
     t0 = time.perf_counter()
@@ -141,7 +143,5 @@ def test_fig10_matrix_cold_vs_warm(benchmark, tmp_path):
           f"({cold_s / max(warm_s, 1e-9):.0f}x) with jobs={jobs}")
 
     # Warm runs must be pure cache hits with identical results.
-    for app in apps:
-        for d in designs:
-            assert cold[app][d.value] == warm[app][d.value]
+    assert warm == cold
     assert warm_s < cold_s

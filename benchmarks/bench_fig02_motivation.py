@@ -9,13 +9,14 @@ maximum and average per-unit time (load imbalance).
 
 import pytest
 
+from repro.analysis.report import text_table
 from repro.config import Design
 
-from .common import bench_config, format_table, run_one
+from .common import bench_config, run_matrix
 
 
 def _run_motivation():
-    return run_one("tree", Design.C)
+    return run_matrix(["tree"], {"C": bench_config(Design.C)})["tree"]["C"]
 
 
 def test_fig02_tree_on_baseline(benchmark):
@@ -28,9 +29,9 @@ def test_fig02_tree_on_baseline(benchmark):
         ["avg / max", metrics.avg_over_max],
         ["wait fraction of total", metrics.wait_fraction],
     ]
-    print(format_table(
-        "Fig. 2 - tree traversal on baseline design C",
+    print("\n" + text_table(
         ["quantity", "value"], rows,
+        title="Fig. 2 - tree traversal on baseline design C",
     ))
     # Paper: 32.9% wait and a large max/avg gap.  Shape assertions:
     assert metrics.wait_fraction > 0.10, "baseline should wait on the host"

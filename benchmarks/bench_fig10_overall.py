@@ -8,58 +8,53 @@ speedup table, the avg/max load-balance ratios and the wait fractions.
 
 import pytest
 
+from repro.analysis.report import geomean, speedups, text_table
 from repro.config import Design
 
-from .common import (
-    ALL_APPS,
-    format_table,
-    geomean,
-    run_matrix,
-    speedups_vs,
-)
+from .common import ALL_APPS, bench_config, run_matrix
 
 DESIGNS = [Design.C, Design.B, Design.W, Design.O]
 
 
 def _run_fig10():
-    return run_matrix(ALL_APPS, DESIGNS)
+    return run_matrix(ALL_APPS, {d.value: bench_config(d) for d in DESIGNS})
 
 
 def test_fig10_overall_comparison(benchmark):
     results = benchmark.pedantic(
         _run_fig10, rounds=1, iterations=1, warmup_rounds=0
     )
-    speedups = speedups_vs(results, "C")
+    speedup = speedups(results, "C")
 
     rows = []
     for app in ALL_APPS:
-        rows.append([app] + [speedups[app][d.value] for d in DESIGNS])
+        rows.append([app] + [speedup[app][d.value] for d in DESIGNS])
     gm = {
-        d.value: geomean(speedups[a][d.value] for a in ALL_APPS)
+        d.value: geomean(speedup[a][d.value] for a in ALL_APPS)
         for d in DESIGNS
     }
     rows.append(["geomean"] + [gm[d.value] for d in DESIGNS])
-    print(format_table(
-        "Fig. 10 - speedup over design C",
+    print("\n" + text_table(
         ["app", "C", "B", "W", "O"], rows,
+        title="Fig. 10 - speedup over design C",
     ))
 
     balance_rows = [
         [app] + [results[app][d.value].avg_over_max for d in DESIGNS]
         for app in ALL_APPS
     ]
-    print(format_table(
-        "Fig. 10 - avg/max unit time (load balance, higher is better)",
+    print("\n" + text_table(
         ["app", "C", "B", "W", "O"], balance_rows,
+        title="Fig. 10 - avg/max unit time (load balance, higher is better)",
     ))
 
     wait_rows = [
         [app] + [results[app][d.value].wait_fraction for d in DESIGNS]
         for app in ALL_APPS
     ]
-    print(format_table(
-        "Fig. 10 - wait fraction of total time",
+    print("\n" + text_table(
         ["app", "C", "B", "W", "O"], wait_rows,
+        title="Fig. 10 - wait fraction of total time",
     ))
 
     # Shape assertions (paper: O > W > B > C on geomean).
@@ -68,14 +63,16 @@ def test_fig10_overall_comparison(benchmark):
     assert gm["O"] > gm["W"], "data-transfer-aware LB must beat stealing"
     # ll/ht/spmv are communication-free without balancing: B == C.
     for app in ("ll", "ht", "spmv"):
-        assert abs(speedups[app]["B"] - 1.0) < 0.05
+        assert abs(speedup[app]["B"] - 1.0) < 0.05
 
 
 def test_fig10_balancing_improves_avg_over_max(benchmark):
     """The O design's avg/max ratio must improve on B's (Section VIII-A:
     22.4% -> 59.0% in the paper)."""
     def _run():
-        return run_matrix(["ll", "ht", "bfs"], [Design.B, Design.O])
+        return run_matrix(["ll", "ht", "bfs"], {
+            d.value: bench_config(d) for d in (Design.B, Design.O)
+        })
 
     results = benchmark.pedantic(_run, rounds=1, iterations=1,
                                  warmup_rounds=0)

@@ -8,34 +8,35 @@ RowClone copies, host forwarding across chips) is 1.35x over C, and O is
 
 import pytest
 
+from repro.analysis.report import geomean, speedups, text_table
 from repro.config import Design
 
-from .common import ALL_APPS, format_table, geomean, run_matrix, speedups_vs
+from .common import ALL_APPS, bench_config, run_matrix
 
 DESIGNS = [Design.H, Design.C, Design.R, Design.O]
 
 
 def _run_fig11():
-    return run_matrix(ALL_APPS, DESIGNS)
+    return run_matrix(ALL_APPS, {d.value: bench_config(d) for d in DESIGNS})
 
 
 def test_fig11_architecture_comparison(benchmark):
     results = benchmark.pedantic(
         _run_fig11, rounds=1, iterations=1, warmup_rounds=0
     )
-    speedups = speedups_vs(results, "H")
+    speedup = speedups(results, "H")
     rows = [
-        [app] + [speedups[app][d.value] for d in DESIGNS]
+        [app] + [speedup[app][d.value] for d in DESIGNS]
         for app in ALL_APPS
     ]
     gm = {
-        d.value: geomean(speedups[a][d.value] for a in ALL_APPS)
+        d.value: geomean(speedup[a][d.value] for a in ALL_APPS)
         for d in DESIGNS
     }
     rows.append(["geomean"] + [gm[d.value] for d in DESIGNS])
-    print(format_table(
-        "Fig. 11 - speedup over host-only execution (H)",
+    print("\n" + text_table(
         ["app", "H", "C", "R", "O"], rows,
+        title="Fig. 11 - speedup over host-only execution (H)",
     ))
 
     # Shape assertions (paper Section VIII-A).  Note on H: the paper's

@@ -11,9 +11,10 @@ import os
 
 import pytest
 
+from repro.analysis.report import text_table
 from repro.config import Design
 
-from .common import BENCH_SCALE, bench_config, format_table, run_one
+from .common import BENCH_SCALE, bench_config, run_matrix
 
 UNIT_COUNTS = [64, 128, 256, 512]
 if os.environ.get("NDPBRIDGE_BENCH_FULL"):
@@ -29,38 +30,33 @@ FIG12_SCALE = max(2.0, BENCH_SCALE * 4)
 
 
 def _run_fig12():
-    results = {}
-    for units in UNIT_COUNTS:
-        for design in DESIGNS:
-            results[(units, design.value)] = run_one(
-                "pr", design, config=bench_config(design, units=units),
-                scale=FIG12_SCALE,
-            )
-    return results
+    configs = {
+        f"{units}/{d.value}": bench_config(d, units=units)
+        for units in UNIT_COUNTS for d in DESIGNS
+    }
+    return run_matrix(["pr"], configs, scale=FIG12_SCALE)["pr"]
 
 
 def test_fig12_scalability(benchmark):
     results = benchmark.pedantic(
         _run_fig12, rounds=1, iterations=1, warmup_rounds=0
     )
-    base = results[(64, "C")].makespan
+    base = results["64/C"].makespan
     rows = []
     for units in UNIT_COUNTS:
         rows.append([units] + [
-            base / results[(units, d.value)].makespan for d in DESIGNS
+            base / results[f"{units}/{d.value}"].makespan for d in DESIGNS
         ])
-    print(format_table(
-        "Fig. 12 - pr speedup normalized to C @ 64 units",
+    print("\n" + text_table(
         ["units", "C", "B", "W", "O"], rows,
+        title="Fig. 12 - pr speedup normalized to C @ 64 units",
     ))
 
     # Shape: O's advantage over C grows (or at least persists) with scale.
-    small_gap = (
-        results[(64, "C")].makespan / results[(64, "O")].makespan
-    )
+    small_gap = results["64/C"].makespan / results["64/O"].makespan
     large = UNIT_COUNTS[-1]
     large_gap = (
-        results[(large, "C")].makespan / results[(large, "O")].makespan
+        results[f"{large}/C"].makespan / results[f"{large}/O"].makespan
     )
     print(f"\nO over C: {small_gap:.2f}x @ 64 units, "
           f"{large_gap:.2f}x @ {large} units")

@@ -10,15 +10,16 @@ moves more data.  ll/ht/spmv show no communication energy savings for B
 
 import pytest
 
+from repro.analysis.report import energy_table, geomean, text_table
 from repro.config import Design
 
-from .common import ALL_APPS, format_table, geomean, run_matrix
+from .common import ALL_APPS, bench_config, run_matrix
 
 DESIGNS = [Design.C, Design.B, Design.W, Design.O]
 
 
 def _run_fig13():
-    return run_matrix(ALL_APPS, DESIGNS)
+    return run_matrix(ALL_APPS, {d.value: bench_config(d) for d in DESIGNS})
 
 
 def test_fig13_energy_comparison(benchmark):
@@ -41,28 +42,14 @@ def test_fig13_energy_comparison(benchmark):
         for d in DESIGNS
     }
     rows.append(["geomean"] + [gm[d.value] for d in DESIGNS])
-    print(format_table(
-        "Fig. 13 - total energy normalized to O",
+    print("\n" + text_table(
         ["app", "C", "B", "W", "O"], rows,
+        title="Fig. 13 - total energy normalized to O",
     ))
 
     # Component breakdown for one communication-heavy app.
-    breakdown_rows = []
-    for d in DESIGNS:
-        e = results["bfs"][d.value].energy
-        breakdown_rows.append([
-            d.value,
-            e.core_sram_pj / 1e6,
-            e.local_dram_pj / 1e6,
-            e.comm_dram_pj / 1e6,
-            e.static_pj / 1e6,
-            e.total_pj / 1e6,
-        ])
-    print(format_table(
-        "Fig. 13 - bfs energy breakdown (uJ)",
-        ["design", "core+SRAM", "local DRAM", "comm DRAM", "static",
-         "total"],
-        breakdown_rows,
+    print("\n" + energy_table(
+        results["bfs"], title="Fig. 13 - bfs energy breakdown (uJ)"
     ))
 
     # Shape: O consumes less than C on average (paper: -56.4%).

@@ -9,16 +9,10 @@ together as O (1.35x over W).
 
 import pytest
 
+from repro.analysis.report import geomean, speedups, text_table
 from repro.config import Design, ablation_config
 
-from .common import (
-    ALL_APPS,
-    BENCH_UNITS,
-    bench_config,
-    format_table,
-    geomean,
-    run_one,
-)
+from .common import ALL_APPS, bench_config, run_matrix
 
 VARIANTS = [
     ("W", dict(advance_trigger=False, fine_grained=False, hot_selection=False)),
@@ -29,34 +23,26 @@ VARIANTS = [
 ]
 
 
-def _variant_config(flags):
-    base = bench_config(Design.W, units=BENCH_UNITS)
-    return ablation_config(base=base, seed=base.seed, **flags)
-
-
 def _run_fig14a():
-    results = {}
-    for name, flags in VARIANTS:
-        cfg = _variant_config(flags)
-        for app in ALL_APPS:
-            results[(name, app)] = run_one(app, cfg.design, config=cfg)
-    return results
+    base = bench_config(Design.W)
+    return run_matrix(ALL_APPS, {
+        name: ablation_config(base=base, seed=base.seed, **flags)
+        for name, flags in VARIANTS
+    })
 
 
 def test_fig14a_ablation(benchmark):
     results = benchmark.pedantic(
         _run_fig14a, rounds=1, iterations=1, warmup_rounds=0
     )
-    gms = {}
-    for name, _ in VARIANTS:
-        gms[name] = geomean(
-            results[("W", app)].makespan / results[(name, app)].makespan
-            for app in ALL_APPS
-        )
-    rows = [[name, gms[name]] for name, _ in VARIANTS]
-    print(format_table(
-        "Fig. 14(a) - geomean speedup over W",
-        ["variant", "speedup"], rows,
+    speedup = speedups(results, "W")
+    gms = {
+        name: geomean(speedup[app][name] for app in ALL_APPS)
+        for name, _ in VARIANTS
+    }
+    print("\n" + text_table(
+        ["variant", "speedup"], list(gms.items()),
+        title="Fig. 14(a) - geomean speedup over W",
     ))
 
     # Shape: every single optimization helps on average, and the full

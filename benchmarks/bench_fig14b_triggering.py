@@ -11,9 +11,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.report import geomean, speedups, text_table
 from repro.config import Design, TriggerMode
 
-from .common import ALL_APPS, bench_config, format_table, geomean, run_one
+from .common import ALL_APPS, bench_config, run_matrix
 
 MODES = [TriggerMode.DYNAMIC, TriggerMode.FIXED, TriggerMode.FIXED_2X]
 
@@ -24,12 +25,7 @@ def _mode_config(mode):
 
 
 def _run_fig14b():
-    results = {}
-    for mode in MODES:
-        cfg = _mode_config(mode)
-        for app in ALL_APPS:
-            results[(mode.value, app)] = run_one(app, Design.B, config=cfg)
-    return results
+    return run_matrix(ALL_APPS, {m.value: _mode_config(m) for m in MODES})
 
 
 def test_fig14b_dynamic_triggering(benchmark):
@@ -37,24 +33,22 @@ def test_fig14b_dynamic_triggering(benchmark):
         _run_fig14b, rounds=1, iterations=1, warmup_rounds=0
     )
     fixed = TriggerMode.FIXED.value
+    speedup = speedups(results, fixed)
     rows = []
     perf = {}
     energy = {}
     for mode in MODES:
         key = mode.value
-        perf[key] = geomean(
-            results[(fixed, app)].makespan / results[(key, app)].makespan
-            for app in ALL_APPS
-        )
+        perf[key] = geomean(speedup[app][key] for app in ALL_APPS)
         energy[key] = geomean(
-            results[(key, app)].energy.comm_dram_pj
-            / max(1.0, results[(fixed, app)].energy.comm_dram_pj)
+            results[app][key].energy.comm_dram_pj
+            / max(1.0, results[app][fixed].energy.comm_dram_pj)
             for app in ALL_APPS
         )
         rows.append([key, perf[key], energy[key]])
-    print(format_table(
-        "Fig. 14(b) - vs fixed I_min triggering",
+    print("\n" + text_table(
         ["mode", "rel. performance", "rel. comm energy"], rows,
+        title="Fig. 14(b) - vs fixed I_min triggering",
     ))
 
     dyn = TriggerMode.DYNAMIC.value

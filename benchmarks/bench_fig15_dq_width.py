@@ -8,13 +8,12 @@ chips bandwidth is plentiful and the *load balancing* (W, O over B)
 contributes most.
 """
 
-from dataclasses import replace
-
 import pytest
 
+from repro.analysis.report import geomean, speedups, text_table
 from repro.config import Design, SystemConfig, TopologyConfig
 
-from .common import BENCH_SEED, SWEEP_APPS, format_table, geomean, run_one
+from .common import BENCH_SCALE, BENCH_SEED, SWEEP_APPS, run_matrix
 
 DESIGNS = [Design.C, Design.B, Design.W, Design.O]
 WIDTHS = [4, 8, 16]
@@ -30,20 +29,14 @@ def _width_config(dq_bits, design):
 
 
 def _run_fig15():
-    from .common import BENCH_SCALE
-
     results = {}
     for width in WIDTHS:
-        for design in DESIGNS:
-            cfg = _width_config(width, design)
-            # The bank count varies with chip width (128/64/32 here); keep
-            # per-unit work constant so the sweep isolates link bandwidth,
-            # as the paper's fixed large inputs do.
-            scale = BENCH_SCALE * cfg.topology.total_units / 64
-            for app in SWEEP_APPS:
-                results[(width, design.value, app)] = run_one(
-                    app, design, config=cfg, scale=scale
-                )
+        configs = {d.value: _width_config(width, d) for d in DESIGNS}
+        # The bank count varies with chip width (128/64/32 here); keep
+        # per-unit work constant so the sweep isolates link bandwidth,
+        # as the paper's fixed large inputs do.
+        scale = BENCH_SCALE * configs["C"].topology.total_units / 64
+        results[width] = run_matrix(SWEEP_APPS, configs, scale=scale)
     return results
 
 
@@ -54,19 +47,15 @@ def test_fig15_dq_pin_width(benchmark):
     rows = []
     gain = {}
     for width in WIDTHS:
-        speedups = {
-            d.value: geomean(
-                results[(width, "C", app)].makespan
-                / results[(width, d.value, app)].makespan
-                for app in SWEEP_APPS
-            )
+        speedup = speedups(results[width], "C")
+        gain[width] = {
+            d.value: geomean(speedup[app][d.value] for app in SWEEP_APPS)
             for d in DESIGNS
         }
-        gain[width] = speedups
-        rows.append([f"x{width}"] + [speedups[d.value] for d in DESIGNS])
-    print(format_table(
-        "Fig. 15 - geomean speedup over C per chip width",
+        rows.append([f"x{width}"] + [gain[width][d.value] for d in DESIGNS])
+    print("\n" + text_table(
         ["width", "C", "B", "W", "O"], rows,
+        title="Fig. 15 - geomean speedup over C per chip width",
     ))
 
     # Shape: B's (communication) gain is largest with narrow x4 links and

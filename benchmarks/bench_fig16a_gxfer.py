@@ -11,9 +11,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.report import geomean, text_table
 from repro.config import Design
 
-from .common import SWEEP_APPS, bench_config, format_table, geomean, run_one
+from .common import SWEEP_APPS, bench_config, run_matrix
 
 G_XFERS = [64, 256, 1024]
 META_SCALES = [0.25, 1.0, 4.0]
@@ -28,35 +29,30 @@ def _config(g_xfer, meta_scale):
 
 
 def _run_fig16a():
-    results = {}
-    for g in G_XFERS:
-        for scale in META_SCALES:
-            cfg = _config(g, scale)
-            for app in SWEEP_APPS:
-                results[(g, scale, app)] = run_one(app, Design.O, config=cfg)
-    return results
+    return run_matrix(SWEEP_APPS, {
+        f"{g}/{scale}": _config(g, scale)
+        for g in G_XFERS for scale in META_SCALES
+    })
 
 
 def test_fig16a_gxfer_and_metadata(benchmark):
     results = benchmark.pedantic(
         _run_fig16a, rounds=1, iterations=1, warmup_rounds=0
     )
-    base = geomean(
-        results[(256, 1.0, app)].makespan for app in SWEEP_APPS
-    )
+    base = geomean(results[app]["256/1.0"].makespan for app in SWEEP_APPS)
     rows = []
     perf = {}
     for g in G_XFERS:
         row = [f"{g}B"]
         for scale in META_SCALES:
-            gm = geomean(results[(g, scale, app)].makespan
+            gm = geomean(results[app][f"{g}/{scale}"].makespan
                          for app in SWEEP_APPS)
             perf[(g, scale)] = base / gm
             row.append(base / gm)
         rows.append(row)
-    print(format_table(
-        "Fig. 16(a) - performance vs default (G_xfer=256B, 1x metadata)",
+    print("\n" + text_table(
         ["G_xfer", "1/4x meta", "1x meta", "4x meta"], rows,
+        title="Fig. 16(a) - performance vs default (G_xfer=256B, 1x metadata)",
     ))
 
     # Shape: the default is competitive with every alternative.

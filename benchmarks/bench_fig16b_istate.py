@@ -9,9 +9,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.report import geomean, text_table
 from repro.config import Design
 
-from .common import SWEEP_APPS, bench_config, format_table, geomean, run_one
+from .common import SWEEP_APPS, bench_config, run_matrix
 
 I_STATES = [500, 1000, 2000, 4000, 8000]
 
@@ -22,29 +23,23 @@ def _config(i_state):
 
 
 def _run_fig16b():
-    results = {}
-    for i_state in I_STATES:
-        cfg = _config(i_state)
-        for app in SWEEP_APPS:
-            results[(i_state, app)] = run_one(app, Design.O, config=cfg)
-    return results
+    return run_matrix(SWEEP_APPS, {str(i): _config(i) for i in I_STATES})
 
 
 def test_fig16b_istate_sweep(benchmark):
     results = benchmark.pedantic(
         _run_fig16b, rounds=1, iterations=1, warmup_rounds=0
     )
-    base = geomean(results[(2000, app)].makespan for app in SWEEP_APPS)
-    rows = []
-    perf = {}
-    for i_state in I_STATES:
-        gm = geomean(results[(i_state, app)].makespan for app in SWEEP_APPS)
-        perf[i_state] = base / gm
-        rows.append([i_state, base / gm])
-    print(format_table(
-        "Fig. 16(b) - performance vs default I_state = 2000 cycles",
-        ["I_state", "rel. performance"], rows,
+    base = geomean(results[app]["2000"].makespan for app in SWEEP_APPS)
+    perf = {
+        label: base / geomean(results[app][label].makespan
+                              for app in SWEEP_APPS)
+        for label in results[SWEEP_APPS[0]]
+    }
+    print("\n" + text_table(
+        ["I_state", "rel. performance"], list(perf.items()),
+        title="Fig. 16(b) - performance vs default I_state = 2000 cycles",
     ))
 
     # Shape: the default retains close-to-best performance.
-    assert perf[2000] >= 0.8 * max(perf.values())
+    assert perf["2000"] >= 0.8 * max(perf.values())

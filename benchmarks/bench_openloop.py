@@ -28,11 +28,12 @@ from __future__ import annotations
 import os
 from typing import Dict, List
 
+from repro.analysis.report import text_table
 from repro.config import Design
 from repro.exec.runner import CellRequest, execute_cells
 from repro.workloads.openloop import OpenLoopSpec, TenantSpec
 
-from .common import BENCH_SEED, bench_config, format_table, record
+from .common import BENCH_SEED, bench_config, record
 
 SMOKE = os.environ.get("NDPBRIDGE_BENCH_SMOKE", "0") not in ("0", "")
 
@@ -148,10 +149,10 @@ def test_openloop_tail_latency_and_throughput():
             ])
         payload["designs"][design.value] = per_design  # type: ignore[index]
 
-    print(format_table(
-        f"Open-loop {APP}: per-tenant latency (cycles) at reference rate",
-        ["design", "tenant", "n", "p50", "p99", "p999", "max"],
-        rows,
+    print("\n" + text_table(
+        ["design", "tenant", "n", "p50", "p99", "p999", "max"], rows,
+        title=f"Open-loop {APP}: per-tenant latency (cycles) at reference "
+              f"rate",
     ))
 
     # -- max sustainable throughput ------------------------------------
@@ -182,10 +183,9 @@ def test_openloop_tail_latency_and_throughput():
             design.value, round(best, 2), int(slo),
             best_factor if best_factor is not None else "-",
         ])
-    print(format_table(
-        "Max sustainable throughput (requests / 1000 cycles)",
-        ["design", "max rate", "SLO p99<=", "gap factor"],
-        tp_rows,
+    print("\n" + text_table(
+        ["design", "max rate", "SLO p99<=", "gap factor"], tp_rows,
+        title="Max sustainable throughput (requests / 1000 cycles)",
     ))
 
     record("BENCH_openloop.json", _suffix(f"openloop_{APP}"), payload)

@@ -11,11 +11,12 @@ crosses banks).  The interesting question is how much dynamic balancing
 
 import pytest
 
+from repro.analysis.report import text_table
 from repro.apps import BfsApp, PageRankApp
 from repro.config import Design
 from repro.runtime.runner import run_app
 
-from .common import BENCH_SCALE, BENCH_SEED, bench_config, format_table
+from .common import BENCH_SCALE, BENCH_SEED, bench_config
 
 LAYOUTS = ["blocked", "striped"]
 DESIGNS = [Design.B, Design.O]
@@ -56,9 +57,9 @@ def test_partitioning_schemes(benchmark):
                 results[(layout, "B", name)].makespan
                 / results[(layout, "O", name)].makespan,
             ])
-    print(format_table(
-        "Partitioning schemes (future-work extension)",
+    print("\n" + text_table(
         ["app", "layout", "B cycles", "O cycles", "O gain"], rows,
+        title="Partitioning schemes (future-work extension)",
     ))
 
     # Both layouts must produce correct results (run_app verifies) and

@@ -8,11 +8,12 @@ and its win must grow monotonically-ish with skew.
 
 import pytest
 
+from repro.analysis.report import text_table
 from repro.apps.hash_table import HashTableApp
 from repro.config import Design
 from repro.runtime.runner import run_app
 
-from .common import BENCH_SEED, bench_config, format_table
+from .common import BENCH_SEED, bench_config
 
 SKEWS = [0.0, 0.6, 1.0, 1.3]
 
@@ -48,10 +49,10 @@ def test_skew_sensitivity(benchmark):
             results[(skew, "B")].avg_over_max,
             results[(skew, "O")].avg_over_max,
         ])
-    print(format_table(
-        "Balancing benefit vs Zipf skew (ht, O over B)",
+    print("\n" + text_table(
         ["skew", "B cycles", "O cycles", "O/B speedup",
          "B avg/max", "O avg/max"], rows,
+        title="Balancing benefit vs Zipf skew (ht, O over B)",
     ))
 
     # Shape: balancing must not hurt the uniform case much, and must help

@@ -11,44 +11,31 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.report import geomean, speedups, text_table
 from repro.config import Design
 
-from .common import ALL_APPS, bench_config, format_table, geomean, run_one
-
-
-def _split_config(design):
-    cfg = bench_config(design)
-    return cfg.replace(comm=replace(cfg.comm, split_dimm=True))
+from .common import ALL_APPS, bench_config, run_matrix
 
 
 def _run_splitdimm():
-    results = {}
-    for variant, config_of in (
-        ("unified", bench_config),
-        ("split", _split_config),
-    ):
-        for app in ALL_APPS:
-            results[(variant, app)] = run_one(
-                app, Design.O, config=config_of(Design.O)
-            )
-    return results
+    unified = bench_config(Design.O)
+    split = unified.replace(comm=replace(unified.comm, split_dimm=True))
+    return run_matrix(ALL_APPS, {"unified": unified, "split": split})
 
 
 def test_splitdimm_chameleon(benchmark):
     results = benchmark.pedantic(
         _run_splitdimm, rounds=1, iterations=1, warmup_rounds=0
     )
-    rel_perf = geomean(
-        results[("unified", app)].makespan / results[("split", app)].makespan
-        for app in ALL_APPS
-    )
+    speedup = speedups(results, "unified")
+    rel_perf = geomean(speedup[app]["split"] for app in ALL_APPS)
     rows = [
         ["unified buffer", 1.0],
         ["split DBs (chameleon-s)", rel_perf],
     ]
-    print(format_table(
-        "Split-DIMM variant - relative performance",
+    print("\n" + text_table(
         ["implementation", "rel. performance"], rows,
+        title="Split-DIMM variant - relative performance",
     ))
 
     # Shape: the split variant is somewhat slower (paper: -9.1%), but not

@@ -1,7 +1,6 @@
 """Result analysis: metrics, reporting, and metadata audits."""
 
 from .audit import AuditReport, audit_system
-from .sweep import SweepResult, Variant, run_sweep
 from .timeline import UnitActivity, render_timeline, system_timeline, utilization_summary
 from .latency import LatencyRecorder, exact_percentile
 from .metrics import RunMetrics, collect_metrics
@@ -10,15 +9,13 @@ from .report import (
     geomean,
     metrics_table,
     speedup_summary,
+    speedups,
     text_table,
     to_json,
 )
 
 __all__ = [
     "AuditReport",
-    "SweepResult",
-    "Variant",
-    "run_sweep",
     "UnitActivity",
     "render_timeline",
     "system_timeline",
@@ -32,6 +29,7 @@ __all__ = [
     "geomean",
     "metrics_table",
     "speedup_summary",
+    "speedups",
     "text_table",
     "to_json",
 ]

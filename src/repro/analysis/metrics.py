@@ -41,12 +41,6 @@ class RunMetrics:
             return 1.0
         return self.avg_unit_time / self.max_unit_time
 
-    def speedup_over(self, other: "RunMetrics") -> float:
-        """How much faster this run is than ``other``."""
-        if self.makespan == 0:
-            return float("inf")
-        return other.makespan / self.makespan
-
     def as_dict(self) -> dict:
         out = {
             "design": self.design,

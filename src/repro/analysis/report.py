@@ -16,7 +16,9 @@ from .metrics import RunMetrics
 def geomean(values: Iterable[float]) -> float:
     vals = list(values)
     if not vals:
-        return 0.0
+        # Returning 0.0 here once silently poisoned speedup aggregation
+        # (an empty app list looked like an infinite slowdown).
+        raise ValueError("geomean of an empty sequence is undefined")
     return math.exp(sum(math.log(max(v, 1e-12)) for v in vals) / len(vals))
 
 
@@ -49,23 +51,32 @@ def text_table(
     return "\n".join(lines)
 
 
+def speedups(
+    results: Mapping[str, Mapping[str, RunMetrics]], baseline: str
+) -> Dict[str, Dict[str, float]]:
+    """Per-app speedup of every column over the ``baseline`` column."""
+    return {
+        app: {
+            label: row[baseline].makespan / m.makespan
+            for label, m in row.items()
+        }
+        for app, row in results.items()
+    }
+
+
 def speedup_summary(
     results: Mapping[str, Mapping[str, RunMetrics]],
     baseline: str,
     designs: Sequence[str],
 ) -> str:
     """A Fig.-10-style speedup table with a geomean row."""
-    rows = []
-    per_design: Dict[str, List[float]] = {d: [] for d in designs}
-    for app, by_design in results.items():
-        base = by_design[baseline].makespan
-        row: List[object] = [app]
-        for d in designs:
-            s = base / by_design[d].makespan
-            per_design[d].append(s)
-            row.append(s)
-        rows.append(row)
-    rows.append(["geomean"] + [geomean(per_design[d]) for d in designs])
+    table = speedups(results, baseline)
+    rows: List[List[object]] = [
+        [app] + [row[d] for d in designs] for app, row in table.items()
+    ]
+    rows.append(["geomean"] + [
+        geomean(row[d] for row in table.values()) for d in designs
+    ])
     return text_table(
         ["app"] + list(designs), rows,
         title=f"speedup over design {baseline}",

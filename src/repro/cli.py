@@ -6,9 +6,16 @@ Commands
 
     python -m repro run --app tree --design O --units 64 --scale 0.5
 
-``matrix``  the Fig.-10 app x design sweep with a speedup table::
+``matrix``  the Fig.-10 app x design grid with a speedup table::
 
     python -m repro matrix --designs C,B,W,O --apps tree,bfs --scale 0.25
+
+``sweep``   one communication parameter across values on design O::
+
+    python -m repro sweep --param g_xfer --values 256,64,1024 --apps tree,pr
+
+Both grids run through :func:`repro.exec.run_matrix`: cells fan out
+over worker processes and land in the on-disk result cache.
 
 ``designs`` / ``apps``  list what is available.
 """
@@ -17,16 +24,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List
 
 from .analysis.report import (
     energy_table,
+    geomean,
     metrics_table,
     speedup_summary,
+    text_table,
     to_json,
 )
 from .apps import APP_CLASSES, EXTENSION_APPS, make_app
-from .config import Design, scaled_config
+from .config import ConfigError, Design, scaled_config, validate_config
+from .exec import run_matrix
 from .runtime.runner import run_app
 
 
@@ -81,15 +92,8 @@ def cmd_run(args) -> int:
 def cmd_matrix(args) -> int:
     designs = _parse_designs(args.designs)
     apps = _parse_apps(args.apps)
-    results = {}
-    for app_name in apps:
-        results[app_name] = {}
-        for design in designs:
-            app = make_app(app_name, scale=args.scale, seed=args.seed)
-            metrics = run_app(
-                app, _config(design, args.units, args.seed)
-            ).metrics
-            results[app_name][design.value] = metrics
+    configs = {d.value: _config(d, args.units, args.seed) for d in designs}
+    results = run_matrix(apps, configs, scale=args.scale, seed=args.seed)
     if args.json:
         print(to_json(results))
     else:
@@ -99,31 +103,48 @@ def cmd_matrix(args) -> int:
     return 0
 
 
+#: ``sweep --param`` name -> the ``CommConfig`` field it sets.
+SWEEP_PARAMS = {
+    "g_xfer": "g_xfer_bytes",
+    "i_state": "i_state_cycles",
+    "max_chunks": "max_chunks_per_round",
+}
+
+
 def cmd_sweep(args) -> int:
     """Sweep one communication parameter across values (Fig.-16 style)."""
-    from dataclasses import replace
-
-    from .analysis.sweep import Variant, run_sweep
-
     apps = _parse_apps(args.apps)
     values = _parse_values(args.values)
-    variants = []
+    if len(set(values)) != len(values):
+        raise SystemExit(f"invalid --values {args.values!r}: "
+                         f"each value may appear only once")
+    base = _config(Design.O, args.units, args.seed)
+    configs = {}
     for value in values:
-        cfg = _config(Design.O, args.units, args.seed)
-        if args.param == "g_xfer":
-            cfg = cfg.replace(comm=replace(cfg.comm, g_xfer_bytes=value))
-        elif args.param == "i_state":
-            cfg = cfg.replace(comm=replace(cfg.comm, i_state_cycles=value))
-        elif args.param == "max_chunks":
-            cfg = cfg.replace(
-                comm=replace(cfg.comm, max_chunks_per_round=value)
-            )
-        else:
-            raise SystemExit(f"unknown sweep parameter {args.param!r}")
-        variants.append(Variant(f"{args.param}={value}", cfg))
-    result = run_sweep(variants, apps, scale=args.scale, seed=args.seed)
-    print(result.table(baseline=variants[0].label,
-                       title=f"{args.param} sweep (design O)"))
+        cfg = base.replace(
+            comm=replace(base.comm, **{SWEEP_PARAMS[args.param]: value})
+        )
+        try:
+            validate_config(cfg)
+        except ConfigError as exc:
+            raise SystemExit(f"invalid --values {value} for --param "
+                             f"{args.param}: {exc}")
+        configs[f"{args.param}={value}"] = cfg
+    results = run_matrix(apps, configs, scale=args.scale, seed=args.seed)
+    # One row per value: its makespan on every app, then its geomean
+    # speedup over the first value.
+    gm = {
+        label: geomean(results[app][label].makespan for app in apps)
+        for label in configs
+    }
+    base_gm = next(iter(gm.values()))
+    rows = [
+        [label] + [results[app][label].makespan for app in apps]
+        + [base_gm / gm[label]]
+        for label in configs
+    ]
+    print(text_table(["variant"] + apps + ["geomean"], rows,
+                     title=f"{args.param} sweep (design O)"))
     return 0
 
 
@@ -168,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="parameter sweep on design O")
     sweep_p.add_argument("--param", required=True,
-                         choices=["g_xfer", "i_state", "max_chunks"])
+                         choices=list(SWEEP_PARAMS))
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values, first is baseline")
     sweep_p.add_argument("--apps", default="tree,pr")

@@ -4,6 +4,12 @@ Every knob the evaluation sweeps is an explicit field here.  The defaults
 reproduce Table I of the paper: a 512-unit system (2 channels x 4 ranks x
 8 chips x 8 banks), UPMEM-style 400 MHz in-order cores, DDR4-2400 links,
 17 ns CAS/RCD/RP, ``G_xfer`` = 256 B and ``I_state`` = 2000 cycles.
+
+Table I also lists parts that no module models, so they have no field:
+a 32 kB L1-I per unit (task code is taken to be resident), 10 mW per
+core (the energy model reads ``EnergyConfig.core_power_mw``), and the
+host's 2.6 GHz clock, 20 MB LLC and two memory channels (the host model
+reads ``speedup_vs_ndp_core`` and ``mem_bandwidth_gb_s`` instead).
 """
 
 from __future__ import annotations
@@ -83,7 +89,6 @@ class CoreConfig:
     dispatch_overhead_cycles: int = 8   # fetch task descriptor + setup
     enqueue_overhead_cycles: int = 4    # build + push one child task
     local_dma_bytes_per_cycle: float = 2.0  # core <-> local bank bandwidth
-    power_mw: float = 10.0
 
     @property
     def cycle_ns(self) -> float:
@@ -116,7 +121,6 @@ class SRAMConfig:
     """Per-unit SRAM structures (Table I)."""
 
     l1d_kb: int = 64
-    l1i_kb: int = 32
     islent_bytes: int = 2 * 1024
     databorrowed_bytes: int = 16 * 1024
     databorrowed_ways: int = 8
@@ -140,8 +144,6 @@ class BridgeConfig:
     mailbox_bytes: int = 128 * 1024
     databorrowed_bytes: int = 1024 * 1024
     databorrowed_ways: int = 16
-    # Fixed per-round bridge-internal processing cost (routing etc.).
-    route_overhead_cycles: int = 2
 
 
 @dataclass(frozen=True)
@@ -232,14 +234,11 @@ class HostConfig:
     """The host CPU used by designs C/R (forwarding) and H (execution)."""
 
     cores: int = 16
-    freq_mhz: int = 2600
     # A 2.6 GHz OoO host core vs the 400 MHz in-order NDP core.  The
     # evaluated workloads are irregular and memory-latency-bound, where
     # out-of-order execution recovers little IPC, so the advantage is
     # close to the 6.5x frequency ratio rather than frequency x IPC.
     speedup_vs_ndp_core: float = 6.5
-    llc_mb: int = 20
-    mem_channels: int = 2
     mem_bandwidth_gb_s: float = 38.4  # 2 x DDR4-2400
     # Uncached access latency (~100 ns = 40 NDP cycles) and the memory-
     # level parallelism one core sustains on dependent-pointer code.

@@ -41,6 +41,8 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         )
     if comm.i_state_cycles <= 0:
         raise ConfigError("I_state must be positive")
+    if comm.max_chunks_per_round < 1:
+        raise ConfigError("a round must move at least one G_xfer chunk")
     if not (0.0 < comm.split_dimm_data_pin_fraction <= 1.0):
         raise ConfigError("split-DIMM data pin fraction must be in (0, 1]")
 

@@ -2,9 +2,10 @@
 
 ``repro.exec`` decouples *what* to simulate (a :class:`CellRequest`) from
 *where* it runs (in-process, a worker pool, or straight out of the
-on-disk result cache).  The benchmark harness and the parameter sweeps
-are both built on it; see :mod:`repro.exec.runner` for the execution
-model and :mod:`repro.exec.cache` for the cache key design.
+on-disk result cache).  Every grid the benchmark harness and the CLI
+run goes through :func:`run_matrix`; see :mod:`repro.exec.runner` for
+the execution model and :mod:`repro.exec.cache` for the cache key
+design.
 """
 
 from .cache import (

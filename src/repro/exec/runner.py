@@ -33,10 +33,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.metrics import RunMetrics
-from ..config import ConfigError, Design, SystemConfig
+from ..config import ConfigError, SystemConfig
 from ..workloads.openloop import OpenLoopSpec
 from .cache import ResultCache, cell_key, metrics_from_payload, \
     metrics_to_payload
@@ -116,14 +116,12 @@ def execute_cells(
     requests: Sequence[CellRequest],
     jobs: Optional[int] = None,
     cache: "Optional[ResultCache]" = _UNSET,  # type: ignore[assignment]
-    on_cell: Optional[Callable[[CellRequest, RunMetrics], None]] = None,
 ) -> List[RunMetrics]:
     """Execute every request, returning metrics in request order.
 
     Cache hits are returned without simulating; misses run in parallel
     across ``jobs`` worker processes (serially in-process when ``jobs``
-    is 1 or only one miss exists).  ``on_cell`` fires once per request in
-    request order after all cells finish.
+    is 1 or only one miss exists).
     """
     if jobs is None:
         jobs = default_jobs()
@@ -157,40 +155,29 @@ def execute_cells(
 
     out = [m for m in results if m is not None]
     assert len(out) == len(requests)
-    if on_cell is not None:
-        for request, metrics in zip(requests, out):
-            on_cell(request, metrics)
     return out
 
 
 def run_matrix(
     apps: Sequence[str],
-    designs: Sequence[Design],
-    config_of: Callable[[Design], SystemConfig],
+    configs: Mapping[str, SystemConfig],
     scale: float,
     seed: int,
     jobs: Optional[int] = None,
     cache: "Optional[ResultCache]" = _UNSET,  # type: ignore[assignment]
     verify: bool = True,
 ) -> Dict[str, Dict[str, RunMetrics]]:
-    """Run the (app x design) matrix and key results like the old serial
-    loop: ``results[app_name][design.value]``."""
+    """Run every (app, column) cell of a grid through :func:`execute_cells`.
+
+    ``configs`` maps a column label (a design letter, a swept value) to
+    the configuration of that column; results come back keyed
+    ``results[app][label]`` in the order of ``apps`` and ``configs``.
+    """
     requests = [
-        CellRequest(
-            app=app,
-            config=config_of(design),
-            scale=scale,
-            seed=seed,
-            verify=verify,
-        )
+        CellRequest(app=app, config=config, scale=scale, seed=seed,
+                    verify=verify)
         for app in apps
-        for design in designs
+        for config in configs.values()
     ]
-    metrics = execute_cells(requests, jobs=jobs, cache=cache)
-    results: Dict[str, Dict[str, RunMetrics]] = {}
-    it = iter(metrics)
-    for app in apps:
-        results[app] = {}
-        for design in designs:
-            results[app][design.value] = next(it)
-    return results
+    it = iter(execute_cells(requests, jobs=jobs, cache=cache))
+    return {app: {label: next(it) for label in configs} for app in apps}

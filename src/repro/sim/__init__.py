@@ -3,7 +3,6 @@
 from .engine import SimulationError, Simulator, sanitize_from_env
 from .component import Component
 from .rng import DeterministicRNG
-from .tracing import NULL_TRACER, TraceRecord, Tracer, TracerError
 from .stats import Accumulator, Counter, Histogram, StatsRegistry
 
 __all__ = [
@@ -16,8 +15,4 @@ __all__ = [
     "Counter",
     "Histogram",
     "StatsRegistry",
-    "NULL_TRACER",
-    "TraceRecord",
-    "Tracer",
-    "TracerError",
 ]

@@ -1,5 +1,6 @@
 """Shared fixtures for the NDPBridge test suite."""
 
+import os
 import subprocess
 import sys
 import types
@@ -12,6 +13,20 @@ from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_result_cache(tmp_path_factory):
+    """Cache results in a per-session directory, not the checkout's
+    ``.ndpbridge-cache/``, unless ``NDPBRIDGE_CACHE_DIR`` names one."""
+    if "NDPBRIDGE_CACHE_DIR" in os.environ:
+        yield
+        return
+    os.environ["NDPBRIDGE_CACHE_DIR"] = str(
+        tmp_path_factory.mktemp("ndpbridge-cache")
+    )
+    yield
+    del os.environ["NDPBRIDGE_CACHE_DIR"]
 
 
 @pytest.fixture

@@ -4,27 +4,9 @@ import json
 import os
 import platform
 
-import pytest
-
 from benchmarks import common
-from benchmarks.common import (
-    ALL_APPS,
-    bench_config,
-    format_table,
-    geomean,
-    record,
-    speedups_vs,
-)
-from repro.analysis.metrics import RunMetrics
+from benchmarks.common import ALL_APPS, bench_config, record
 from repro.config import Design
-
-
-def metrics(makespan):
-    return RunMetrics(
-        design="X", app="a", makespan=makespan, avg_unit_time=1.0,
-        max_unit_time=makespan, wait_fraction=0.0, total_busy_cycles=1,
-        tasks_executed=1, task_messages=0, data_messages=0,
-    )
 
 
 def test_all_apps_are_the_papers_eight():
@@ -36,34 +18,6 @@ def test_bench_config_unit_override():
     cfg = bench_config(Design.B, units=256)
     assert cfg.topology.total_units == 256
     assert cfg.design is Design.B
-
-
-def test_geomean():
-    assert geomean([4.0, 1.0]) == pytest.approx(2.0)
-
-
-def test_geomean_rejects_empty_sequence():
-    with pytest.raises(ValueError):
-        geomean([])
-    with pytest.raises(ValueError):
-        geomean(x for x in ())
-
-
-def test_speedups_vs_baseline():
-    results = {
-        "tree": {"C": metrics(300), "O": metrics(100)},
-    }
-    s = speedups_vs(results, "C")
-    assert s["tree"]["O"] == pytest.approx(3.0)
-    assert s["tree"]["C"] == pytest.approx(1.0)
-
-
-def test_format_table_shape():
-    out = format_table("t", ["a", "b"], [[1, 2.5]])
-    lines = [l for l in out.splitlines() if l]
-    assert lines[0] == "=== t ==="
-    assert lines[1].split() == ["a", "b"]
-    assert "2.50" in lines[-1]
 
 
 def test_record_merges_keys_and_stamps_the_machine(tmp_path, monkeypatch):

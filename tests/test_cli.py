@@ -82,12 +82,23 @@ def test_sweep_command(capsys):
 
 
 def test_sweep_rejects_unknown_param():
-    import pytest as _pytest
-
-    with _pytest.raises(SystemExit):
+    with pytest.raises(SystemExit):
         main(["sweep", "--param", "bogus", "--values", "1"])
-    with _pytest.raises(SystemExit, match="invalid --values '128,abc'"):
+    with pytest.raises(SystemExit, match="invalid --values '128,abc'"):
         main(["sweep", "--param", "g_xfer", "--values", "128,abc",
+              "--apps", "ht"])
+    # Each of these is a one-line usage error before any cell runs.
+    with pytest.raises(SystemExit, match="invalid --values '128,128'"):
+        main(["sweep", "--param", "g_xfer", "--values", "128,128",
+              "--apps", "ht"])
+    with pytest.raises(SystemExit, match="G_xfer .100. must be a multiple"):
+        main(["sweep", "--param", "g_xfer", "--values", "100",
+              "--apps", "ht"])
+    with pytest.raises(SystemExit, match="I_state must be positive"):
+        main(["sweep", "--param", "i_state", "--values", "0",
+              "--apps", "ht"])
+    with pytest.raises(SystemExit, match="at least one G_xfer chunk"):
+        main(["sweep", "--param", "max_chunks", "--values", "0",
               "--apps", "ht"])
 
 

@@ -1,7 +1,12 @@
 """Tests for configuration presets and validation (paper Table I)."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import (
     ConfigError,
     Design,
@@ -122,6 +127,38 @@ def test_validation_rejects_bad_topology():
     )
     with pytest.raises(ConfigError):
         validate_config(bad)
+
+
+def test_validation_rejects_zero_chunks_per_round():
+    cfg = default_config()
+    validate_config(cfg.replace(
+        comm=dataclasses.replace(cfg.comm, max_chunks_per_round=1)
+    ))
+    with pytest.raises(ConfigError, match="at least one G_xfer chunk"):
+        validate_config(cfg.replace(
+            comm=dataclasses.replace(cfg.comm, max_chunks_per_round=0)
+        ))
+
+
+def test_every_config_field_is_read():
+    """A settable field that no module reads is a knob that does nothing:
+    each field of each config dataclass must appear as ``.<field>``
+    somewhere in the package (validation alone does not count)."""
+    root = Path(repro.__file__).parent
+    source = "\n".join(
+        path.read_text() for path in sorted(root.rglob("*.py"))
+        if path != root / "config" / "validation.py"
+    )
+    classes = [SystemConfig] + [
+        f.default_factory for f in dataclasses.fields(SystemConfig)
+        if dataclasses.is_dataclass(f.default_factory)
+    ]
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in classes for f in dataclasses.fields(cls)
+        if not re.search(rf"\.{f.name}\b", source)
+    ]
+    assert unread == []
 
 
 def test_validation_rejects_lb_on_design_c():

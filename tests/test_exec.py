@@ -197,27 +197,23 @@ def test_double_run_same_seed_identical(tmp_path):
     assert a == b
 
 
-def test_on_cell_fires_in_request_order(tmp_path):
-    reqs = [request(Design.B), request(Design.O)]
-    seen = []
-    execute_cells(
-        reqs, jobs=1, cache=ResultCache(tmp_path),
-        on_cell=lambda r, m: seen.append((r.config.design.value, m.makespan)),
-    )
-    assert [d for d, _ in seen] == ["B", "O"]
-    assert all(mk > 0 for _, mk in seen)
-
-
 def test_run_matrix_shape_and_keys(tmp_path):
+    configs = {"base": tiny_config(Design.B), "full": tiny_config(Design.O)}
     results = run_matrix(
-        ["ht"], [Design.B, Design.O],
-        config_of=tiny_config, scale=SCALE, seed=SEED,
+        ["ht", "ll"], configs, scale=SCALE, seed=SEED,
         jobs=1, cache=ResultCache(tmp_path),
     )
-    assert set(results) == {"ht"}
-    assert set(results["ht"]) == {"B", "O"}
-    assert results["ht"]["B"].design == "B"
-    assert results["ht"]["O"].app == "ht"
+    assert list(results) == ["ht", "ll"]
+    for app in results:
+        assert list(results[app]) == ["base", "full"]
+        assert results[app]["base"].design == "B"
+        assert results[app]["full"].design == "O"
+        assert results[app]["full"].app == app
+    # Same cells, same metrics as running the requests one by one.
+    assert results["ll"]["full"] == execute_cells(
+        [CellRequest(app="ll", config=configs["full"], scale=SCALE,
+                     seed=SEED)], jobs=1, cache=None,
+    )[0]
 
 
 # ----------------------------------------------------------------------
@@ -243,11 +239,11 @@ def test_bench_engine_records_the_jobs_the_pool_used(monkeypatch, tmp_path):
     monkeypatch.setenv("NDPBRIDGE_JOBS", "3")
     used, recorded = [], {}
 
-    def fake_matrix(apps, designs, **kwargs):
+    def fake_matrix(apps, configs, **kwargs):
         used.append(kwargs["jobs"])
         if len(used) == 1:
             time.sleep(0.02)  # the cold pass, which the bench asserts slower
-        return {app: {d.value: 1 for d in designs} for app in apps}
+        return {app: dict.fromkeys(configs, 1) for app in apps}
 
     class Benchmark:
         def pedantic(self, fn, **kwargs):

@@ -24,13 +24,6 @@ def test_avg_over_max():
     assert zero.avg_over_max == 1.0
 
 
-def test_speedup_over():
-    fast = make_metrics(makespan=100)
-    slow = make_metrics(makespan=300)
-    assert fast.speedup_over(slow) == pytest.approx(3.0)
-    assert slow.speedup_over(fast) == pytest.approx(1 / 3)
-
-
 def test_as_dict_contains_energy():
     m = make_metrics()
     m.energy = EnergyBreakdown(1.0, 2.0, 3.0, 4.0)

@@ -10,6 +10,7 @@ from repro.analysis.report import (
     geomean,
     metrics_table,
     speedup_summary,
+    speedups,
     text_table,
     to_json,
 )
@@ -26,7 +27,24 @@ def metrics(app="tree", design="O", makespan=100):
 
 def test_geomean():
     assert geomean([2.0, 8.0]) == pytest.approx(4.0)
-    assert geomean([]) == 0.0
+    with pytest.raises(ValueError):
+        geomean([])
+
+
+def test_geomean_rejects_empty_sequence():
+    with pytest.raises(ValueError):
+        geomean([])
+    with pytest.raises(ValueError):
+        geomean(x for x in ())
+
+
+def test_speedups_relative_to_baseline():
+    results = {"tree": {"C": metrics(makespan=300),
+                        "O": metrics(makespan=100)}}
+    s = speedups(results, "C")
+    assert s["tree"]["O"] == pytest.approx(3.0)
+    assert s["tree"]["C"] == pytest.approx(1.0)
+    assert speedups(results, "O")["tree"]["C"] == pytest.approx(1 / 3)
 
 
 def test_text_table_alignment():

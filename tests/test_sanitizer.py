@@ -17,13 +17,7 @@ import pytest
 from repro.apps import make_app
 from repro.config import Design, tiny_config
 from repro.runtime.runner import run_app
-from repro.sim import (
-    SimulationError,
-    Simulator,
-    Tracer,
-    TracerError,
-    sanitize_from_env,
-)
+from repro.sim import SimulationError, Simulator, sanitize_from_env
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,32 +124,6 @@ def test_audit_runs_automatically_at_run_exit():
     sim._queue.pop()
     with pytest.raises(SimulationError, match="conservation"):
         sim.run()
-
-
-def test_tracer_strict_raises_without_clock():
-    t = Tracer(enabled=True, strict=True)
-    with pytest.raises(TracerError, match="no clock bound"):
-        t.emit("x", a=1)
-
-
-def test_tracer_lenient_stamps_zero_without_clock():
-    t = Tracer(enabled=True, strict=False)
-    t.emit("x", a=1)
-    assert t.records[0].cycle == 0
-
-
-def test_tracer_strict_follows_env(monkeypatch):
-    monkeypatch.setenv("NDPBRIDGE_SANITIZE", "1")
-    assert Tracer(enabled=True).strict is True
-    monkeypatch.delenv("NDPBRIDGE_SANITIZE")
-    assert Tracer(enabled=True).strict is False
-
-
-def test_tracer_strict_fine_once_clock_bound():
-    t = Tracer(enabled=True, strict=True)
-    t.bind_clock(lambda: 42)
-    t.emit("x")
-    assert t.records[0].cycle == 42
 
 
 # ----------------------------------------------------------------------
