@@ -42,13 +42,15 @@ def make_app(name: str, scale: float = 1.0, seed: int = 1) -> NDPApplication:
     """Build an application sized by ``scale`` (1.0 = bench default).
 
     Scale multiplies the dominant size knobs so benches can trade fidelity
-    for runtime via a single parameter.
+    for runtime via a single parameter; it must be positive.
     """
     if name not in APP_CLASSES and name not in EXTENSION_APPS:
         raise KeyError(
             f"unknown application {name!r}; choose from "
             f"{sorted(APP_CLASSES) + sorted(EXTENSION_APPS)}"
         )
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
 
     def s(v: int, minimum: int = 1) -> int:
         return max(minimum, int(v * scale))

@@ -40,11 +40,8 @@ class ReservedQueue:
             raise ValueError("chunk pool geometry must be positive")
         if static_chunks > total_chunks:
             raise ValueError("static chunks exceed the pool")
-        self.total_chunks = total_chunks
-        self.chunk_bytes = chunk_bytes
         self.tasks_per_chunk = max(1, chunk_bytes // avg_task_bytes)
         # Chunks statically assigned to sketch entries are always "allocated".
-        self.static_chunks = static_chunks
         self._free_dynamic = total_chunks - static_chunks
         self._chains: Dict[int, _BlockChain] = {}
 

@@ -58,9 +58,6 @@ class HotDataSketch:
         self._buckets: List[Dict[int, SketchEntry]] = [
             {} for _ in range(config.buckets)
         ]
-        self.observations = 0
-        self.decays = 0
-        self.replacements = 0
 
     def _bucket_of(self, block_id: int) -> Dict[int, SketchEntry]:
         return self._buckets[block_id % self.config.buckets]
@@ -75,7 +72,6 @@ class HotDataSketch:
         """
         if workload <= 0:
             raise ValueError("workload must be positive")
-        self.observations += 1
         bucket = self._buckets[block_id % self.config.buckets]
         entry = bucket.get(block_id)
         cmax = self.config.counter_max
@@ -89,13 +85,11 @@ class HotDataSketch:
         e_min = min(bucket.values(), key=lambda e: (e.workload, e.block_id))
         decay_prob = self.config.decay_base ** (-e_min.workload)
         if self.rng.random() < decay_prob:
-            self.decays += 1
             e_min.workload -= workload
             if e_min.workload < 0:
                 evicted = e_min.block_id
                 del bucket[evicted]
                 bucket[block_id] = SketchEntry(block_id, min(cmax, workload))
-                self.replacements += 1
                 return ObserveResult(True, evicted_block=evicted)
         return _NOT_RESIDENT
 

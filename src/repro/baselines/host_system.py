@@ -25,7 +25,7 @@ from ..runtime.partition import PartitionMap
 from ..runtime.program import TaskContext, TaskRegistry
 from ..runtime.task import Task
 from ..runtime.tracker import RunTracker
-from ..sim import DeterministicRNG, SimulationError, Simulator, StatsRegistry
+from ..sim import SimulationError, Simulator, StatsRegistry
 
 
 class _HostCore:
@@ -46,7 +46,6 @@ class HostSystem:
         self.config = config
         self.sim = Simulator(max_cycles=config.max_cycles)
         self.stats = StatsRegistry()
-        self.rng = DeterministicRNG(config.seed)
         self.addr_map = AddressMap(config)
         self.partition = PartitionMap(self.addr_map)
         self.registry = TaskRegistry()

@@ -67,7 +67,6 @@ class Level1Bridge:
         self.config = config
         self.system = system
         self.global_rank = global_rank
-        self.rng = rng
         topo = config.topology
 
         unit_ids = list(system.addr_map.units_in_rank(global_rank))
@@ -128,7 +127,6 @@ class Level1Bridge:
         #: Set by the fabric to nudge the level-2 bridge on upward traffic.
         self.on_up_push = None
         self.last_round_end = 0
-        self.last_round_duration = 0
         self._round_active = False
         self._recheck_scheduled = False
         self.all_idle = False
@@ -163,9 +161,6 @@ class Level1Bridge:
 
     def _finished(self) -> bool:
         return self.system.tracker.finished
-
-    def _unit_at(self, chip: int, bank: int) -> NDPUnit:
-        return self.units[chip * self.config.topology.banks_per_chip + bank]
 
     def _link_of(self, unit_id: int) -> Link:
         """The DQ-slice link of the chip holding ``unit_id``'s bank."""
@@ -511,8 +506,6 @@ class Level1Bridge:
             self.last_round_end = self.sim.now
             self._schedule_recheck(self.sim.now + self.i_min)
             return
-        duration = max(max_finish - t0, 1)
-        self.last_round_duration = duration
         self.sim.schedule_at(max_finish, self._round_done)
 
     def _round_done(self) -> None:
@@ -664,10 +657,6 @@ class Level1Bridge:
             self._stat_backup_overflow.add()
         self._backup.setdefault(route_key, deque()).append(msg)
         self._backup_bytes += msg.wire_bytes
-
-    @property
-    def backup_used_bytes(self) -> int:
-        return self._backup_bytes
 
     def backup_messages(self) -> tuple:
         """Snapshot of backup-buffered messages (audits and tests).

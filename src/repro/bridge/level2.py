@@ -47,7 +47,6 @@ class Level2Bridge:
         self.config = config
         self.system = system
         self.rank_bridges = rank_bridges
-        self.rng = rng
         topo = config.topology
         scope = "bridge_l2"
         self.channel_links: List[Link] = [

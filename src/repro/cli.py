@@ -49,8 +49,16 @@ def _parse_design(text: str) -> Design:
                          f"choose from {[d.value for d in Design]}")
 
 
+def _unique(flag: str, text: str, items: list) -> list:
+    if len(set(items)) != len(items):
+        raise SystemExit(f"invalid {flag} {text!r}: "
+                         f"each value may appear only once")
+    return items
+
+
 def _parse_designs(text: str) -> List[Design]:
-    return [_parse_design(token) for token in text.split(",")]
+    return _unique("--designs", text,
+                   [_parse_design(token) for token in text.split(",")])
 
 
 def _parse_apps(text: str) -> List[str]:
@@ -60,7 +68,7 @@ def _parse_apps(text: str) -> List[str]:
         if app_name not in known:
             raise SystemExit(f"unknown app {app_name!r}; "
                              f"choose from {sorted(known)}")
-    return apps
+    return _unique("--apps", text, apps)
 
 
 def _parse_values(text: str) -> List[int]:
@@ -70,18 +78,28 @@ def _parse_values(text: str) -> List[int]:
         raise SystemExit(f"invalid --values {text!r}: {exc}")
 
 
+def _check_scale(scale: float) -> None:
+    if not scale > 0:
+        raise SystemExit(f"invalid --scale {scale}: must be positive")
+
+
 def _config(design: Design, units: int, seed: int):
     try:
-        return scaled_config(units, design, seed=seed)
+        cfg = scaled_config(units, design, seed=seed)
     except ValueError as exc:
         raise SystemExit(f"invalid --units {units}: {exc}")
+    try:
+        return validate_config(cfg)
+    except ConfigError as exc:
+        raise SystemExit(f"invalid --seed {seed}: {exc}")
 
 
 def cmd_run(args) -> int:
     design = _parse_design(args.design)
+    _check_scale(args.scale)
+    config = _config(design, args.units, args.seed)
     app = make_app(args.app, scale=args.scale, seed=args.seed)
-    result = run_app(app, _config(design, args.units, args.seed),
-                     verify=not args.no_verify)
+    result = run_app(app, config, verify=not args.no_verify)
     print(metrics_table([result.metrics], title=f"{args.app} on {design.value}"))
     if result.metrics.energy is not None:
         print()
@@ -92,6 +110,7 @@ def cmd_run(args) -> int:
 def cmd_matrix(args) -> int:
     designs = _parse_designs(args.designs)
     apps = _parse_apps(args.apps)
+    _check_scale(args.scale)
     configs = {d.value: _config(d, args.units, args.seed) for d in designs}
     results = run_matrix(apps, configs, scale=args.scale, seed=args.seed)
     if args.json:
@@ -114,10 +133,8 @@ SWEEP_PARAMS = {
 def cmd_sweep(args) -> int:
     """Sweep one communication parameter across values (Fig.-16 style)."""
     apps = _parse_apps(args.apps)
-    values = _parse_values(args.values)
-    if len(set(values)) != len(values):
-        raise SystemExit(f"invalid --values {args.values!r}: "
-                         f"each value may appear only once")
+    values = _unique("--values", args.values, _parse_values(args.values))
+    _check_scale(args.scale)
     base = _config(Design.O, args.units, args.seed)
     configs = {}
     for value in values:

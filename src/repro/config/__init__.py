@@ -18,17 +18,10 @@ from .system import (
 )
 from .presets import (
     ablation_config,
-    dimm_link_config,
     default_config,
-    dq_width_config,
-    gxfer_config,
-    istate_config,
     scaled_config,
-    sketch_config,
     small_config,
-    split_dimm_config,
     tiny_config,
-    trigger_mode_config,
 )
 from .validation import ConfigError, validate_config
 
@@ -50,15 +43,8 @@ __all__ = [
     "ConfigError",
     "validate_config",
     "ablation_config",
-    "dimm_link_config",
     "default_config",
-    "dq_width_config",
-    "gxfer_config",
-    "istate_config",
     "scaled_config",
-    "sketch_config",
     "small_config",
-    "split_dimm_config",
     "tiny_config",
-    "trigger_mode_config",
 ]

@@ -76,10 +76,6 @@ class TopologyConfig:
     def total_units(self) -> int:
         return self.ranks * self.banks_per_rank
 
-    @property
-    def units_per_channel(self) -> int:
-        return self.ranks_per_channel * self.banks_per_rank
-
 
 @dataclass(frozen=True)
 class CoreConfig:

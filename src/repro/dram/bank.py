@@ -75,9 +75,6 @@ class DRAMBank:
         self._bridge_accesses = stats.counter(scope, "bridge_accesses")
         self._busy_cycles = stats.counter(scope, "busy_cycles")
 
-    def row_of(self, addr: int) -> int:
-        return addr // self._row_bytes
-
     def access(
         self,
         now: int,

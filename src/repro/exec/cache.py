@@ -33,41 +33,9 @@ from typing import Any, Dict, Optional
 from ..analysis.metrics import RunMetrics
 from ..config import SystemConfig
 from ..energy import EnergyBreakdown
-from . import knobs
 
 #: Bump to invalidate caches when the serialization format changes.
 FORMAT_VERSION = 1
-
-#: Every field :func:`cell_key` can put into the key blob.  The knob
-#: registry (:mod:`repro.exec.knobs`) declares which environment knobs
-#: influence results and which cache-key field carries each one; the
-#: cross-check below fails at import time if a knob claims a field this
-#: module does not actually hash, so a result-affecting knob can never
-#: reach the simulation without reaching the key.
-CELL_KEY_FIELDS = (
-    "format",
-    "app",
-    "design",
-    "config",
-    "scale",
-    "seed",
-    "verify",
-    "code",
-    "openloop",
-)
-
-
-def _check_fingerprint_registry() -> None:
-    for knob, field in knobs.fingerprint_field_of().items():
-        if field not in CELL_KEY_FIELDS:
-            raise RuntimeError(
-                f"environment knob {knob} declares cache-key field "
-                f"{field!r}, but cell_key() does not hash such a field "
-                f"-- result caching would ignore the knob"
-            )
-
-
-_check_fingerprint_registry()
 
 _code_version: Optional[str] = None
 

@@ -22,10 +22,12 @@ Environment knobs:
   :mod:`repro.exec.cache`.
 
 Every knob read here is declared in the knob registry
-(:mod:`repro.exec.knobs`): knobs that influence results must map onto a
-cache-key field, and pure execution knobs (like these) carry a
-justification for why they cannot change a cached value.  The simrace
-rule RC003 flags any ``os.environ`` read missing from the registry.
+(:mod:`repro.exec.knobs`) with a justification of why it cannot change a
+cached value.  No environment knob may change results: a value that does
+is a field of :class:`CellRequest` or its
+:class:`~repro.config.SystemConfig`, and :func:`~repro.exec.cache.cell_key`
+hashes both.  The simrace rule RC003 flags any ``os.environ`` read missing
+from the registry.
 """
 
 from __future__ import annotations

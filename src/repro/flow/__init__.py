@@ -2,7 +2,7 @@
 
 simlint (:mod:`repro.lint`) checks per-file determinism invariants;
 simflow checks the *protocol*: the cross-module send->handle graph of
-TASK/DATA/STATE messages through the bridge hierarchy, plus a runtime
+TASK and DATA messages through the bridge hierarchy, plus a runtime
 conservation audit of every message a sanitized run creates.
 
 Static rules (:mod:`repro.flow.rules` over :mod:`repro.flow.graph`, run
@@ -27,7 +27,7 @@ silences the line).
 
 Runtime half: ``NDPBRIDGE_SANITIZE=1`` attaches a
 :class:`~repro.flow.auditor.MessageAuditor` that tags every message id
-and proves ``created == delivered + dropped + in_flight`` at run()
+and proves ``created == delivered + in_flight`` at run()
 exit, flagging leaks, double deliveries, and rejections the stats
 never recorded.  Importing the auditor loads none of the static rules.
 """

@@ -4,7 +4,7 @@ The static half of simflow proves properties of the *code*; this module
 proves the matching property of a *run*: every message the system ever
 creates is accounted for at exit,
 
-    created == delivered + dropped + in_flight
+    created == delivered + in_flight
 
 per message type, where ``in_flight`` messages must be physically
 resident in some container (mailbox, backlog, scatter/up/backup buffer,
@@ -44,10 +44,8 @@ class MessageAuditor:
     def __init__(self) -> None:
         self._created: Dict[int, str] = {}       # msg_id -> mtype
         self._delivered: Dict[int, int] = {}     # msg_id -> delivery count
-        self._dropped: Dict[int, str] = {}       # msg_id -> mtype (terminal)
         self.created_by_type: Dict[str, int] = {}
         self.delivered_by_type: Dict[str, int] = {}
-        self.dropped_by_type: Dict[str, int] = {}
         #: enqueue/push admissions per bridge level (0 = unit mailbox,
         #: 1 = level-1 buffers, 2 = level-2 down buffers).
         self.enqueued_by_level: Dict[int, int] = {}
@@ -86,18 +84,6 @@ class MessageAuditor:
         self._delivered[msg.msg_id] = count + 1
         self.delivered_by_type[_mtype(msg)] = (
             self.delivered_by_type.get(_mtype(msg), 0) + 1
-        )
-
-    def on_dropped(self, msg: Message) -> None:
-        """An intentional terminal drop (no current caller in src;
-        exercised by tests and kept for policy experiments)."""
-        if msg.msg_id in self._dropped:
-            raise FlowAuditError(
-                f"message {msg.msg_id} dropped twice"
-            )
-        self._dropped[msg.msg_id] = _mtype(msg)
-        self.dropped_by_type[_mtype(msg)] = (
-            self.dropped_by_type.get(_mtype(msg), 0) + 1
         )
 
     def on_enqueued(self, msg: Message, level: int) -> None:
@@ -260,7 +246,7 @@ class MessageAuditor:
         pending_events: int,
         container_dropped: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Prove ``created == delivered + dropped + in_flight``.
+        """Prove ``created == delivered + in_flight``.
 
         ``resident`` is a ``(container_name, messages)`` snapshot;
         ``pending_events`` is the simulator's live event count (messages
@@ -279,20 +265,11 @@ class MessageAuditor:
                 f"{recount} but counters say {self.created_by_type}"
             )
 
-        # -- double accounting -------------------------------------------
-        for msg_id, mtype in self._dropped.items():
-            if self._delivered.get(msg_id):
-                raise FlowAuditError(
-                    f"{mtype} message {msg_id} both delivered and "
-                    f"recorded dropped"
-                )
-
         # -- locate every outstanding id ---------------------------------
         outstanding = {
             msg_id: mtype
             for msg_id, mtype in self._created.items()
             if not self._delivered.get(msg_id)
-            and msg_id not in self._dropped
         }
         resident_ids: Dict[int, str] = {}
         resident_by_container: Dict[str, int] = {}
@@ -305,14 +282,10 @@ class MessageAuditor:
                         f"container {name} holds {_mtype(msg)} message "
                         f"{msg.msg_id} that was never sent"
                     )
-                if (
-                    self._delivered.get(msg.msg_id)
-                    or msg.msg_id in self._dropped
-                ):
+                if self._delivered.get(msg.msg_id):
                     raise FlowAuditError(
                         f"container {name} still holds message "
-                        f"{msg.msg_id} that was already "
-                        f"delivered/dropped"
+                        f"{msg.msg_id} that was already delivered"
                     )
                 resident_ids[msg.msg_id] = name
 
@@ -328,8 +301,8 @@ class MessageAuditor:
             )
             raise FlowAuditError(
                 f"message leak: {len(unlocated)} message(s) created but "
-                f"neither delivered, dropped, nor resident in any "
-                f"container with the event queue drained: {detail}"
+                f"neither delivered nor resident in any container with "
+                f"the event queue drained: {detail}"
             )
 
         # -- rejection accounting ----------------------------------------
@@ -349,25 +322,21 @@ class MessageAuditor:
         for msg_id, mtype in outstanding.items():
             in_flight_by_type[mtype] = in_flight_by_type.get(mtype, 0) + 1
         for mtype in sorted(
-            set(self.created_by_type)
-            | set(self.delivered_by_type)
-            | set(self.dropped_by_type)
+            set(self.created_by_type) | set(self.delivered_by_type)
         ):
             created = self.created_by_type.get(mtype, 0)
             delivered = self.delivered_by_type.get(mtype, 0)
-            dropped = self.dropped_by_type.get(mtype, 0)
             in_flight = in_flight_by_type.get(mtype, 0)
-            if created != delivered + dropped + in_flight:
+            if created != delivered + in_flight:
                 raise FlowAuditError(
                     f"conservation violated for {mtype}: "
                     f"created={created} != delivered={delivered} + "
-                    f"dropped={dropped} + in_flight={in_flight}"
+                    f"in_flight={in_flight}"
                 )
 
         report: Dict[str, Any] = {
             "created_by_type": dict(self.created_by_type),
             "delivered_by_type": dict(self.delivered_by_type),
-            "dropped_by_type": dict(self.dropped_by_type),
             "in_flight_by_type": in_flight_by_type,
             "resident_by_container": resident_by_container,
             "enqueued_by_level": dict(self.enqueued_by_level),

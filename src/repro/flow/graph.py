@@ -5,8 +5,8 @@ which message type* and *who can consume it* -- a cross-module property
 that per-file linting (simlint) cannot see.  This module extracts both
 sides from the AST:
 
-* **producers** -- every ``TaskMessage(...)`` / ``DataMessage(...)`` /
-  ``StateMessage(...)`` construction site;
+* **producers** -- every ``TaskMessage(...)`` / ``DataMessage(...)``
+  construction site;
 * **handlers** -- every function that plausibly consumes a message
   type, detected either from a ``deliver*``/``handle*`` name with an
   annotated ``Message`` parameter, or an ``isinstance(x, XxxMessage)``
@@ -30,7 +30,6 @@ from ..lint.rules import terminal_name
 MESSAGE_CLASSES: Dict[str, str] = {
     "TaskMessage": "task",
     "DataMessage": "data",
-    "StateMessage": "state",
 }
 
 #: The six fabric designs from the paper (runtime.config.Design).
@@ -74,7 +73,7 @@ class ProducerSite:
     module_path: str
     line: int
     col: int
-    mtype: str  # "task" | "data" | "state"
+    mtype: str  # "task" | "data"
     cls_name: str
 
 

@@ -120,8 +120,8 @@ class UnhandledBackpressure(FlowRule):
                     f".{call.func.attr}() returns False on backpressure "
                     f"but the result is discarded -- the message is "
                     f"silently dropped when the container is full "
-                    f"(check the return value, or use enqueue_or_raise "
-                    f"/ force_push to make the policy explicit)",
+                    f"(check the return value, or use force_push to make "
+                    f"the policy explicit)",
                 )
 
 
@@ -138,7 +138,7 @@ class UnhandledBackpressure(FlowRule):
 # / ``if x.enqueue(...) ... else`` failure branch to provably escape.
 
 _ESCAPE_CALL_ATTRS = frozenset(
-    {"append", "appendleft", "extend", "force_push", "enqueue_or_raise"}
+    {"append", "appendleft", "extend", "force_push"}
 )
 
 

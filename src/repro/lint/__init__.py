@@ -20,8 +20,6 @@ SL003    no iteration over ``set``/``frozenset`` in modules that call
          ``schedule*`` -- hash order must never feed event order
 SL004    no float arithmetic assigned to cycle/time-named variables in
          ``sim/``, ``bridge/``, ``links/`` -- simulated time is integral
-SL005    no mutable default arguments on methods of ``Component``
-         subclasses
 SL006    ``schedule*()`` lambda callbacks must not close over loop
          variables (late-binding hazard)
 SL007    no builtin ``hash()`` -- salted per process

@@ -429,66 +429,6 @@ class NoFloatTime(Rule):
 
 
 # ----------------------------------------------------------------------
-# SL005 -- mutable default args in Component subclasses
-# ----------------------------------------------------------------------
-_MUTABLE_CALLS = frozenset(
-    {"list", "dict", "set", "deque", "defaultdict", "bytearray", "Counter"}
-)
-
-
-def _is_component_class(node: ast.ClassDef) -> bool:
-    for base in node.bases:
-        terminal = terminal_name(base)
-        if terminal is not None and terminal.endswith("Component"):
-            return True
-    return False
-
-
-def _is_mutable_default(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(node, ast.Call):
-        return terminal_name(node.func) in _MUTABLE_CALLS
-    return False
-
-
-class NoMutableComponentDefaults(Rule):
-    code = "SL005"
-    name = "no-mutable-component-defaults"
-    description = (
-        "a mutable default on a Component method is shared across every "
-        "instance of that component -- cross-bank state bleeds between "
-        "units and ruins run isolation"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not _is_component_class(node):
-                continue
-            for item in node.body:
-                if not isinstance(
-                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    continue
-                defaults = list(item.args.defaults) + [
-                    d for d in item.args.kw_defaults if d is not None
-                ]
-                for default in defaults:
-                    if _is_mutable_default(default):
-                        yield (
-                            default.lineno,
-                            default.col_offset,
-                            f"mutable default argument on "
-                            f"`{node.name}.{item.name}` -- shared across "
-                            f"all instances; default to None and "
-                            f"allocate inside",
-                        )
-
-
-# ----------------------------------------------------------------------
 # SL006 -- schedule lambdas closing over loop variables
 # ----------------------------------------------------------------------
 def _loop_target_names(target: ast.expr) -> Set[str]:
@@ -697,7 +637,6 @@ RULES: Tuple[Rule, ...] = (
     NoGlobalRandom(),
     NoHashOrderIteration(),
     NoFloatTime(),
-    NoMutableComponentDefaults(),
     NoLateBindingCallback(),
     NoBuiltinHash(),
     NoIdOrdering(),

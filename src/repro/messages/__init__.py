@@ -5,12 +5,11 @@ from .types import (
     Message,
     MessageType,
     MESSAGE_BYTES,
-    StateMessage,
     TaskMessage,
     frame_bytes,
     sub_message_count,
 )
-from .mailbox import Mailbox, MailboxFullError
+from .mailbox import Mailbox
 from .buffers import MessageBuffer
 
 __all__ = [
@@ -18,11 +17,9 @@ __all__ = [
     "Message",
     "MessageType",
     "MESSAGE_BYTES",
-    "StateMessage",
     "TaskMessage",
     "frame_bytes",
     "sub_message_count",
     "Mailbox",
-    "MailboxFullError",
     "MessageBuffer",
 ]

@@ -25,7 +25,6 @@ class MessageBuffer:
         self.capacity_bytes = capacity_bytes
         self._queue: Deque[Message] = deque()
         self._used = 0
-        self.high_water = 0
         # Rejection accounting, mirroring Mailbox: every push that
         # returns False is recorded so no message can vanish silently.
         self.dropped_messages = 0
@@ -54,8 +53,6 @@ class MessageBuffer:
                 return False
         self._queue.append(msg)
         self._used += msg.wire_bytes
-        if self._used > self.high_water:
-            self.high_water = self._used
         return True
 
     def force_push(self, msg: Message) -> None:
@@ -65,12 +62,10 @@ class MessageBuffer:
         the level-1 backup-buffer behaviour rather than wedging a round):
         the message is admitted, ``used_bytes`` may exceed
         ``capacity_bytes``, and -- unlike poking the private queue -- the
-        byte accounting and high-water mark stay coherent.
+        byte accounting stays coherent.
         """
         self._queue.append(msg)
         self._used += msg.wire_bytes
-        if self._used > self.high_water:
-            self.high_water = self._used
 
     def pop(self) -> Optional[Message]:
         if not self._queue:
@@ -78,9 +73,6 @@ class MessageBuffer:
         msg = self._queue.popleft()
         self._used -= msg.wire_bytes
         return msg
-
-    def peek(self) -> Optional[Message]:
-        return self._queue[0] if self._queue else None
 
     def pop_up_to(self, budget_bytes: int) -> List[Message]:
         """Pop whole messages from the head totalling <= ``budget_bytes``."""

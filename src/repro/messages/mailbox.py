@@ -5,7 +5,9 @@ holding outgoing messages; the unit controller keeps the head and tail
 pointers.  New messages append at the tail; the parent bridge's GATHER
 drains from the head at ``G_xfer`` granularity.  When the region is full
 the next enqueue stalls -- modelled by ``enqueue`` returning ``False`` so
-the caller can block and retry after a drain.
+the caller can block and retry after a drain.  That return is the only
+full-region signal (nothing raises), and every rejection is counted in
+``dropped_messages``/``dropped_bytes``.
 
 Because one message may be larger than a single gather (a 256 B data block
 with ``G_xfer`` = 64 B spans four gathers), the mailbox tracks how many
@@ -16,13 +18,9 @@ the bridge only once fully transferred.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from .types import Message
-
-
-class MailboxFullError(RuntimeError):
-    """Raised by ``enqueue_or_raise`` when the ring buffer has no space."""
 
 
 class Mailbox:
@@ -35,9 +33,6 @@ class Mailbox:
         self._queue: Deque[Message] = deque()
         self._used = 0
         self._head_fetched = 0  # bytes of head message already gathered
-        self.high_water = 0
-        self.total_enqueued = 0
-        self.total_dequeued = 0
         # Rejection accounting: a False return hands the message back to
         # the caller, and a caller that forgets it has silently dropped
         # it.  These counters record every rejection so stats and the
@@ -71,16 +66,7 @@ class Mailbox:
             return False
         self._queue.append(msg)
         self._used += msg.wire_bytes
-        self.total_enqueued += 1
-        if self._used > self.high_water:
-            self.high_water = self._used
         return True
-
-    def enqueue_or_raise(self, msg: Message) -> None:
-        if not self.enqueue(msg):
-            raise MailboxFullError(
-                f"mailbox full ({self._used}/{self.capacity_bytes} bytes)"
-            )
 
     # -- consumer (bridge GATHER) side --------------------------------------
     def __len__(self) -> int:
@@ -88,9 +74,6 @@ class Mailbox:
 
     def is_empty(self) -> bool:
         return not self._queue
-
-    def peek(self) -> Optional[Message]:
-        return self._queue[0] if self._queue else None
 
     def fetch(self, budget_bytes: int) -> Tuple[List[Message], int]:
         """Gather up to ``budget_bytes`` from the head.
@@ -114,7 +97,6 @@ class Mailbox:
                 self._queue.popleft()
                 self._used -= head.wire_bytes
                 self._head_fetched = 0
-                self.total_dequeued += 1
         return completed, taken
 
     def pending_messages(self) -> Tuple[Message, ...]:
@@ -127,5 +109,4 @@ class Mailbox:
         self._queue.clear()
         self._used = 0
         self._head_fetched = 0
-        self.total_dequeued += len(out)
         return out

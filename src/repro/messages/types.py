@@ -1,14 +1,16 @@
 """Message formats (paper Fig. 5).
 
-Three message types cross the bridges:
+Two message types cross the bridges:
 
 * **task messages** move a task to the unit holding (or borrowing) its data
   element;
 * **data messages** move a ``G_xfer``-sized data block for data-first load
-  balancing (either *lending* it to a receiver or *returning* it home);
-* **state messages** carry a child's state -- mailbox length, queued and
-  finished workload -- up to its bridge, optionally with the list of
-  blocks just scheduled out.
+  balancing (either *lending* it to a receiver or *returning* it home).
+
+The paper's third type, the state message a child returns to a
+STATE-GATHER, is modelled without a message object: the bridge occupies
+its chip links for the gather and reads each unit's
+:meth:`~repro.ndp.unit.NDPUnit.collect_state` directly.
 
 Every message is framed into 64-byte sub-messages on the wire
 (``wire_bytes``); larger payloads span several sub-messages, matching the
@@ -21,7 +23,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..runtime.task import Task
 
@@ -33,7 +35,6 @@ _message_ids = itertools.count()
 class MessageType(enum.Enum):
     TASK = "task"
     DATA = "data"
-    STATE = "state"
 
 
 def frame_bytes(payload_bytes: int, frame: int = MESSAGE_BYTES) -> int:
@@ -115,22 +116,3 @@ class DataMessage(Message):
     def payload_bytes(self) -> int:
         # 16 B header (type/index/address) plus the block itself.
         return 16 + self.block_bytes
-
-
-@dataclass
-class StateMessage(Message):
-    """Child state reported to the parent bridge (STATE-GATHER response)."""
-
-    mailbox_len: int = 0             # L_mailbox, bytes waiting
-    queue_workload: int = 0          # W_queue
-    finished_workload: int = 0       # W_finish
-    sched_out: Tuple = ()            # ((block_id, workload), ...) step 3
-    all_idle: bool = False           # level-1 -> level-2 escalation flag
-
-    @property
-    def mtype(self) -> MessageType:
-        return MessageType.STATE
-
-    @property
-    def payload_bytes(self) -> int:
-        return 24 + 12 * len(self.sched_out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from ..balance.metadata import DataBorrowedTable, IsLentBitmap
 from ..balance.reserved_queue import ReservedQueue
@@ -41,11 +41,9 @@ class UnitState:
     """State snapshot returned to a STATE-GATHER (Section V-B)."""
 
     unit_id: int
-    mailbox_len: int          # L_mailbox (bytes)
     queue_workload: int       # W_queue
     finished_workload: int    # W_finish
     busy_cycles: int = 0      # cycles spent executing (for S_exe)
-    sched_out: Tuple = ()     # blocks scheduled out since last snapshot
     idle: bool = False
 
 
@@ -74,7 +72,6 @@ class NDPUnit:
         self.config = config
         self.unit_id = unit_id
         self.system = system                   # NDPSystem facade
-        self.rng = rng
         self.bank = DRAMBank(sim, config, stats, unit_id)
         self.mailbox = Mailbox(config.unit_mem.mailbox_bytes)
         self.cache = L1Cache.from_config(config)
@@ -145,7 +142,6 @@ class NDPUnit:
         self.finish_time = 0
         self.tasks_executed = 0
         self.finished_workload = 0
-        self._sched_out_log: List[Tuple[int, int]] = []
 
         scope = f"unit{unit_id}"
         self._stat_forwarded = stats.counter(scope, "tasks_forwarded")
@@ -443,7 +439,6 @@ class NDPUnit:
         self._try_start()
         for bundle in bundles:
             self._stat_lent.add()
-            self._sched_out_log.append((bundle.block_id, bundle.workload))
             data = DataMessage(
                 src_unit=self.unit_id,
                 dst_unit=None,
@@ -605,15 +600,11 @@ class NDPUnit:
     # state gathering
     # ------------------------------------------------------------------
     def collect_state(self) -> UnitState:
-        sched_out = tuple(self._sched_out_log)
-        self._sched_out_log.clear()
         return UnitState(
             unit_id=self.unit_id,
-            mailbox_len=self.mailbox.used_bytes,
             queue_workload=self._queue_workload,
             finished_workload=self.finished_workload,
             busy_cycles=self.busy_cycles,
-            sched_out=sched_out,
             idle=self.idle,
         )
 

@@ -7,8 +7,9 @@ make each one a build failure instead:
 
 * **RC002** process-boundary payload safety -- nothing unpicklable may
   statically reach a ``ProcessPoolExecutor`` or a ``Process``,
-* **RC003** cache-fingerprint completeness -- every environment read
-  must name a knob declared in :mod:`repro.exec.knobs`,
+* **RC003** declared environment knobs -- every environment read must
+  name a knob declared in :mod:`repro.exec.knobs`, where each entry
+  justifies why it cannot change results,
 * **RC005** worker-context independence -- worker-executed modules may
   not observe pid/cwd/start-method/host identity.
 
@@ -234,17 +235,17 @@ class PayloadSafety(Rule):
 
 
 # ----------------------------------------------------------------------
-# RC003 -- cache-fingerprint completeness
+# RC003 -- declared environment knobs
 # ----------------------------------------------------------------------
-class FingerprintCompleteness(Rule):
+class DeclaredEnvKnob(Rule):
     code = "RC003"
-    name = "fingerprint-completeness"
+    name = "declared-env-knob"
     description = (
-        "every os.environ/os.getenv read that can influence simulation "
-        "results must name a knob declared in repro.exec.knobs; "
-        "the registry maps result-affecting knobs onto cache-key fields "
-        "(enforced by repro.exec.cache at import), so an undeclared knob "
-        "is a latent cache-poisoning hazard"
+        "every os.environ/os.getenv read must name a knob declared in "
+        "repro.exec.knobs, whose entries each justify why the knob "
+        "cannot change results; the result cache hashes no environment "
+        "variable, so an undeclared knob that changed results would "
+        "poison it"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -262,8 +263,7 @@ class FingerprintCompleteness(Rule):
                     node.lineno,
                     node.col_offset,
                     "environment variable name must be a string literal "
-                    "so the fingerprint registry can be checked "
-                    "statically",
+                    "so the knob registry can be checked statically",
                 )
                 continue
             if not is_registered(name_expr.value):
@@ -272,8 +272,9 @@ class FingerprintCompleteness(Rule):
                     node.col_offset,
                     f"read of undeclared environment knob "
                     f"{name_expr.value!r} -- declare it in "
-                    f"repro/exec/knobs.py as fingerprinted (cache-"
-                    f"key field) or execution_only (with justification)",
+                    f"repro/exec/knobs.py with a justification of why it "
+                    f"cannot change results, or make the value a "
+                    f"SystemConfig/CellRequest field",
                 )
 
     @staticmethod
@@ -351,7 +352,7 @@ class WorkerContextIndependence(Rule):
 
 RACE_RULES: Tuple[Rule, ...] = (
     PayloadSafety(),
-    FingerprintCompleteness(),
+    DeclaredEnvKnob(),
     WorkerContextIndependence(),
 )
 

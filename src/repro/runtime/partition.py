@@ -37,9 +37,6 @@ class DataArray:
     per_unit: int                 # elements placed in each unit
     unit_offsets: Tuple[int, ...]  # byte offset of this array in each bank
 
-    def bytes_per_unit(self) -> int:
-        return self.per_unit * self.element_size
-
 
 class PartitionMap:
     """Allocates arrays into banks and resolves element <-> address."""
@@ -79,9 +76,6 @@ class PartitionMap:
         self._next_offset += nbytes
         self._arrays[name] = arr
         return arr
-
-    def array(self, name: str) -> DataArray:
-        return self._arrays[name]
 
     # -- element <-> placement ---------------------------------------------
     def placement(self, arr: DataArray, index: int) -> Tuple[int, int]:
@@ -127,7 +121,3 @@ class PartitionMap:
             hi = min(arr.n_elements, lo + arr.per_unit)
             return list(range(lo, hi))
         return list(range(unit_id, arr.n_elements, self.units))
-
-    @property
-    def bytes_used_per_bank(self) -> int:
-        return self._next_offset

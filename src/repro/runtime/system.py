@@ -29,7 +29,7 @@ class NDPSystem:
         self.config = config
         self.sim = Simulator(max_cycles=config.max_cycles)
         self.stats = StatsRegistry()
-        self.rng = DeterministicRNG(config.seed)
+        rng = DeterministicRNG(config.seed)
         self.addr_map = AddressMap(config)
         self.partition = PartitionMap(self.addr_map)
         self.registry = TaskRegistry()
@@ -37,12 +37,12 @@ class NDPSystem:
         self.units: List[NDPUnit] = [
             NDPUnit(
                 self.sim, config, self.stats, unit_id, self,
-                self.rng.substream(f"unit{unit_id}"),
+                rng.substream(f"unit{unit_id}"),
             )
             for unit_id in range(config.topology.total_units)
         ]
         self.fabric = build_fabric(
-            self.sim, config, self.stats, self, self.rng.substream("fabric")
+            self.sim, config, self.stats, self, rng.substream("fabric")
         )
         # Sanitizer mode implies message-lifecycle auditing: observation-
         # only instance wrappers, so plain runs pay zero overhead and

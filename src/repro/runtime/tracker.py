@@ -100,11 +100,6 @@ class RunTracker:
             if ts > self.epoch
         )
 
-    @property
-    def has_future_work(self) -> bool:
-        """Outstanding tasks exist for timestamps beyond the current epoch."""
-        return self._future_work_exists()
-
     # -- barrier -------------------------------------------------------
     def check_progress(self) -> None:
         """Advance the epoch or finish the run if quiescent."""

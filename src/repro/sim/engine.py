@@ -3,8 +3,8 @@
 The whole NDPBridge model runs on a single global event queue with integer
 time.  Time is measured in *NDP-core cycles* (400 MHz by default, i.e. one
 cycle is 2.5 ns).  Every hardware structure (banks, links, bridges, cores)
-is a :class:`~repro.sim.component.Component` that schedules callbacks on the
-shared :class:`Simulator`.
+holds a reference to the shared :class:`Simulator` and schedules its
+callbacks on it.
 
 The engine is the hottest code in the repository -- every figure of the
 evaluation replays millions of events through it -- so the common case is

@@ -1,14 +1,14 @@
 """Lightweight statistics collection.
 
-Every component registers named counters/accumulators with a shared
-:class:`StatsRegistry`.  The registry is a plain nested dict at heart; the
-value classes only add convenience (increments, means, merging) and a
-uniform ``as_dict`` for reporting.
+Every unit, bank, bridge and link registers named counters with a shared
+:class:`StatsRegistry`.  The registry is a plain dict of
+:class:`Counter` objects keyed ``"<scope>.<name>"``, with a suffix sum for
+machine-wide totals and a uniform ``as_dict`` for reporting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 
 class Counter:
@@ -23,77 +23,15 @@ class Counter:
     def add(self, amount: int = 1) -> None:
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counter({self.name}={self.value})"
 
 
-class Accumulator:
-    """Tracks count / total / min / max of observed samples."""
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Accumulator({self.name}: n={self.count}, mean={self.mean:.2f})"
-
-
-class Histogram:
-    """Fixed-bucket histogram, used for task sizes and queue depths."""
-
-    def __init__(self, name: str, bucket_bounds: Iterable[float]) -> None:
-        self.name = name
-        self.bounds: List[float] = sorted(bucket_bounds)
-        self.counts: List[int] = [0] * (len(self.bounds) + 1)
-
-    def observe(self, value: float) -> None:
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Histogram({self.name}, n={self.total})"
-
-
 class StatsRegistry:
-    """Shared registry of named statistics, grouped by component scope."""
+    """Shared registry of named counters, grouped by component scope."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._accumulators: Dict[str, Accumulator] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, scope: str, name: str) -> Counter:
         key = f"{scope}.{name}"
@@ -101,36 +39,11 @@ class StatsRegistry:
             self._counters[key] = Counter(key)
         return self._counters[key]
 
-    def accumulator(self, scope: str, name: str) -> Accumulator:
-        key = f"{scope}.{name}"
-        if key not in self._accumulators:
-            self._accumulators[key] = Accumulator(key)
-        return self._accumulators[key]
-
-    def histogram(self, scope: str, name: str, bounds: Iterable[float]) -> Histogram:
-        key = f"{scope}.{name}"
-        if key not in self._histograms:
-            self._histograms[key] = Histogram(key, bounds)
-        return self._histograms[key]
-
-    def counters_matching(self, prefix: str) -> Dict[str, int]:
-        return {
-            k: c.value for k, c in self._counters.items() if k.startswith(prefix)
-        }
-
     def sum_counters(self, suffix: str) -> int:
         """Sum all counters whose key ends with ``suffix``."""
         return sum(
             c.value for k, c in self._counters.items() if k.endswith(suffix)
         )
 
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for k, c in self._counters.items():
-            out[k] = c.value
-        for k, a in self._accumulators.items():
-            out[k] = {"count": a.count, "total": a.total, "mean": a.mean,
-                      "min": a.min, "max": a.max}
-        for k, h in self._histograms.items():
-            out[k] = {"bounds": h.bounds, "counts": h.counts}
-        return out
+    def as_dict(self) -> Dict[str, int]:
+        return {k: c.value for k, c in self._counters.items()}

@@ -1,6 +1,5 @@
 """Workload and dataset generators."""
 
-from .datasets import REGISTRY, DatasetSpec, dataset_names, load_dataset
 from .graphs import Graph, chain_graph, rmat_graph, uniform_graph
 from .matrices import SparseMatrix, banded_matrix, powerlaw_matrix
 from .openloop import (
@@ -16,10 +15,6 @@ from .trees import BinaryTree, balanced_bst, random_bst
 from .zipf import ZipfGenerator, ZipfSampler, shuffled_identity
 
 __all__ = [
-    "REGISTRY",
-    "DatasetSpec",
-    "dataset_names",
-    "load_dataset",
     "Graph",
     "chain_graph",
     "rmat_graph",

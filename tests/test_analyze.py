@@ -4,16 +4,18 @@ Each family's rule fixtures and its path through the real gate live in
 ``tests/test_{lint,flow,state,race}.py``.  This module pins what the
 core decides for all four at once: which files the gate is given, and
 which module path -- and so which rule scope -- each file gets.  It also
-pins that a simulation run never loads the analyzers.
+pins that a simulation run never loads the analyzers, and that the rule
+reference in ``docs/analysis.md`` names exactly the rules the gate runs.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analyze import check_sources, module_path_of
+from repro.analyze import TOOLS, check_sources, module_path_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -106,3 +108,14 @@ def test_sanitized_run_imports_only_the_auditor():
         "assert not loaded, f'sanitized run imported {loaded}'\n",
         NDPBRIDGE_SANITIZE="1",
     )
+
+
+# ----------------------------------------------------------------------
+# the rule reference documents exactly the rules the gate runs
+# ----------------------------------------------------------------------
+def test_analysis_doc_rule_tables_match_tools():
+    doc = (REPO_ROOT / "docs" / "analysis.md").read_text()
+    tables = doc.split("\n## Rule table\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| ([A-Z]{2}\d{3}) \|", tables, re.M)
+    codes = [rule.code for tool in TOOLS for rule in tool.rules]
+    assert sorted(documented) == sorted(codes)

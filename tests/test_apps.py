@@ -176,6 +176,12 @@ class TestFactory:
         small = make_app("tree", scale=0.1)
         assert small.n_nodes < big.n_nodes
 
+    @pytest.mark.parametrize("scale", [0, -1, -0.5])
+    def test_non_positive_scale_rejected(self, scale):
+        # Used to build the minimum-size app instead.
+        with pytest.raises(ValueError, match="scale must be positive"):
+            make_app("tree", scale=scale)
+
 
 class TestPartitionLayouts:
     @pytest.mark.parametrize("layout", ["blocked", "striped"])

@@ -1,8 +1,10 @@
 """Tests for the Section V-A area model."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.config import Design, default_config, gxfer_config, split_dimm_config
+from repro.config import default_config
 from repro.energy.area import (
     AreaBreakdown,
     BUFFER_CHIP_MM2,
@@ -41,14 +43,24 @@ def test_unit_area_is_small():
 
 
 def test_metadata_scale_scales_area():
-    small = estimate_area(gxfer_config(256, metadata_scale=0.25))
-    big = estimate_area(gxfer_config(256, metadata_scale=4.0))
+    base = default_config()
+
+    def scaled(metadata_scale):
+        return estimate_area(base.replace(
+            balance=replace(base.balance, metadata_scale=metadata_scale)
+        ))
+
+    small = scaled(0.25)
+    big = scaled(4.0)
     assert big.unit_sram_mm2 > small.unit_sram_mm2
     assert big.bridge_sram_mm2 > small.bridge_sram_mm2
 
 
 def test_split_dimm_adds_logic():
-    unified = estimate_area(default_config())
-    split = estimate_area(split_dimm_config())
+    base = default_config()
+    unified = estimate_area(base)
+    split = estimate_area(
+        base.replace(comm=replace(base.comm, split_dimm=True))
+    )
     assert split.bridge_logic_mm2 > unified.bridge_logic_mm2
     assert split.bridge_sram_mm2 == unified.bridge_sram_mm2

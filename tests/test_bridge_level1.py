@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import Design, TriggerMode, tiny_config, trigger_mode_config
+from repro.config import Design, TriggerMode, tiny_config
 from repro.messages import DataMessage, TaskMessage
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
@@ -51,12 +51,11 @@ class TestRounds:
         assert bridge._stat_wasted_gathers.value == 0
 
     def test_fixed_mode_wastes_gathers(self):
-        cfg = trigger_mode_config(TriggerMode.FIXED, Design.B)
         from dataclasses import replace
 
+        cfg = tiny_config(Design.B)
         cfg = cfg.replace(
-            topology=tiny_config(Design.B).topology,
-            balance=replace(cfg.balance, enabled=False),
+            comm=replace(cfg.comm, trigger_mode=TriggerMode.FIXED),
         )
         sys_ = NDPSystem(cfg)
         sys_.registry.register("noop", lambda ctx, task: None)

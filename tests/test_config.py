@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,18 +11,13 @@ import repro
 from repro.config import (
     ConfigError,
     Design,
+    SketchConfig,
     SystemConfig,
     TriggerMode,
     default_config,
-    dq_width_config,
-    gxfer_config,
-    istate_config,
     scaled_config,
-    sketch_config,
     small_config,
-    split_dimm_config,
     tiny_config,
-    trigger_mode_config,
     validate_config,
 )
 
@@ -74,50 +70,74 @@ def test_scaled_configs():
         cfg = scaled_config(units)
         assert cfg.topology.total_units == units
         validate_config(cfg)
-    with pytest.raises(ValueError):
-        scaled_config(100)
+    # 0 and -64 are multiples of 64 but name no rank at all.
+    for units in (100, 0, -64, -1):
+        with pytest.raises(ValueError):
+            scaled_config(units)
+
+
+def _comm(cfg, **changes):
+    return cfg.replace(comm=replace(cfg.comm, **changes))
 
 
 def test_dq_width_configs():
-    x4 = dq_width_config(4)
+    # Fig. 15: the channel stays 64 bits wide, so a rank has 64 / width
+    # chips and the bank count scales inversely with chip width.
+    base = default_config()
+
+    def width(dq_bits, chips):
+        return base.replace(topology=replace(
+            base.topology, dq_bits_per_chip=dq_bits, chips_per_rank=chips,
+        ))
+
+    x4 = validate_config(width(4, 16))
     assert x4.topology.total_units == 1024
     assert x4.chip_link_bytes_per_cycle == pytest.approx(3.0)
-    x16 = dq_width_config(16)
+    x16 = validate_config(width(16, 4))
     assert x16.topology.total_units == 256
     assert x16.chip_link_bytes_per_cycle == pytest.approx(12.0)
-    with pytest.raises(ValueError):
-        dq_width_config(32)
+    with pytest.raises(ConfigError, match="must tile the channel"):
+        validate_config(width(16, 8))
 
 
 def test_split_dimm_reduces_bandwidth():
-    cfg = split_dimm_config()
     base = default_config()
+    cfg = validate_config(_comm(base, split_dimm=True))
     assert cfg.chip_link_bytes_per_cycle == pytest.approx(
         0.75 * base.chip_link_bytes_per_cycle
     )
-    validate_config(cfg)
 
 
 def test_trigger_mode_config():
-    cfg = trigger_mode_config(TriggerMode.FIXED_2X)
+    cfg = validate_config(
+        _comm(default_config(), trigger_mode=TriggerMode.FIXED_2X)
+    )
     assert cfg.comm.trigger_mode is TriggerMode.FIXED_2X
 
 
 def test_gxfer_config_validation():
-    cfg = gxfer_config(1024, metadata_scale=4.0)
+    base = default_config()
+    cfg = validate_config(_comm(base, g_xfer_bytes=1024).replace(
+        balance=replace(base.balance, metadata_scale=4.0)
+    ))
     assert cfg.comm.g_xfer_bytes == 1024
     assert cfg.balance.metadata_scale == 4.0
-    with pytest.raises(ValueError):
-        gxfer_config(100)
+    with pytest.raises(ConfigError, match="multiple of the message size"):
+        validate_config(_comm(base, g_xfer_bytes=100))
 
 
 def test_istate_and_sketch_configs():
-    assert istate_config(500).comm.i_state_cycles == 500
-    sk = sketch_config(8, 32)
+    base = default_config()
+    assert validate_config(
+        _comm(base, i_state_cycles=500)
+    ).comm.i_state_cycles == 500
+    sk = validate_config(base.replace(
+        sketch=SketchConfig(buckets=8, entries_per_bucket=32)
+    ))
     assert sk.sketch.buckets == 8
     assert sk.sketch.entries_per_bucket == 32
-    with pytest.raises(ValueError):
-        istate_config(0)
+    with pytest.raises(ConfigError, match="I_state must be positive"):
+        validate_config(_comm(base, i_state_cycles=0))
 
 
 def test_validation_rejects_bad_topology():

@@ -65,17 +65,19 @@ def test_phantom_delivery_detected():
         tracker.message_delivered(is_data=False)
 
 
-def test_mailbox_overfill_raises_on_strict_path():
-    from repro.messages import MailboxFullError
-
+def test_mailbox_overfill_rejected_on_strict_path():
     mb = Mailbox(64)
-    mb.enqueue_or_raise(TaskMessage(
-        src_unit=0, dst_unit=1, task=Task(func="f", ts=0, data_addr=0),
-    ))
-    with pytest.raises(MailboxFullError):
-        mb.enqueue_or_raise(TaskMessage(
-            src_unit=0, dst_unit=1, task=Task(func="f", ts=0, data_addr=64),
-        ))
+    first, overflow = (
+        TaskMessage(src_unit=0, dst_unit=1,
+                    task=Task(func="f", ts=0, data_addr=addr))
+        for addr in (0, 64)
+    )
+    assert mb.enqueue(first)
+    # A full mailbox hands the message back and counts the rejection.
+    assert not mb.enqueue(overflow)
+    assert mb.dropped_messages == 1
+    assert mb.dropped_bytes == overflow.wire_bytes
+    assert mb.pending_messages() == (first,)
 
 
 def test_audit_catches_injected_orphan_borrow():

@@ -32,11 +32,11 @@ def codes(source, module_path="repro/bridge/fixture.py", path="fixture.py"):
 # per-rule fixtures: (source, module_path, line_to_suppress)
 # ----------------------------------------------------------------------
 FIXTURES = {
-    # A StateMessage produced with no handler anywhere in the tree.
+    # A DataMessage produced with no handler anywhere in the tree.
     "FL001": (
-        "from repro.messages.types import StateMessage\n"
+        "from repro.messages.types import DataMessage\n"
         "def report(self):\n"
-        "    self._send(StateMessage(src_unit=0, dst_unit=1))\n",
+        "    self._send(DataMessage(src_unit=0, dst_unit=1))\n",
         "repro/ndp/fixture.py",
         3,
     ),
@@ -68,10 +68,10 @@ FIXTURES = {
 CLEAN = {
     # The message type gains a handler, so production is consumed.
     "FL001": (
-        "from repro.messages.types import StateMessage\n"
+        "from repro.messages.types import DataMessage\n"
         "def report(self):\n"
-        "    self._send(StateMessage(src_unit=0, dst_unit=1))\n"
-        "def deliver_state_message(self, msg: StateMessage):\n"
+        "    self._send(DataMessage(src_unit=0, dst_unit=1))\n"
+        "def deliver_data_message(self, msg: DataMessage):\n"
         "    pass\n",
         "repro/ndp/fixture.py",
     ),
@@ -195,11 +195,11 @@ def test_fl001_reports_only_designs_missing_the_handler():
 
 def test_isinstance_dispatch_counts_as_handler():
     source = (
-        "from repro.messages.types import StateMessage\n"
+        "from repro.messages.types import DataMessage\n"
         "def send(self):\n"
-        "    self._send(StateMessage(src_unit=0, dst_unit=1))\n"
+        "    self._send(DataMessage(src_unit=0, dst_unit=1))\n"
         "def handle_message(self, msg):\n"
-        "    if isinstance(msg, StateMessage):\n"
+        "    if isinstance(msg, DataMessage):\n"
         "        pass\n"
     )
     assert "FL001" not in codes(source, "repro/ndp/fixture.py")

@@ -12,11 +12,12 @@ Three groups, mirroring tests/test_sanitizer.py's contract:
    carry zero instance-level hooks (no fast-path overhead).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps import make_app
-from repro.config import Design, tiny_config
-from repro.config.presets import split_dimm_config
+from repro.config import Design, default_config, tiny_config
 from repro.flow.auditor import FlowAuditError, MessageAuditor
 from repro.messages.mailbox import Mailbox
 from repro.messages.types import DataMessage, TaskMessage
@@ -186,7 +187,6 @@ def test_clean_report_after_real_run(design, monkeypatch):
     for mtype, created in report["created_by_type"].items():
         assert created == (
             report["delivered_by_type"].get(mtype, 0)
-            + report["dropped_by_type"].get(mtype, 0)
             + report["in_flight_by_type"].get(mtype, 0)
         )
 
@@ -194,7 +194,8 @@ def test_clean_report_after_real_run(design, monkeypatch):
 def test_clean_report_on_level2_hierarchy(monkeypatch):
     monkeypatch.setenv("NDPBRIDGE_SANITIZE", "1")
     app = make_app("bfs", scale=0.05, seed=7)
-    result = run_app(app, split_dimm_config(Design.O))
+    cfg = default_config(Design.O)
+    result = run_app(app, cfg.replace(comm=replace(cfg.comm, split_dimm=True)))
     system = result.system
     assert system.has_level2
     report = system.auditor.last_report

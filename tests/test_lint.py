@@ -66,14 +66,6 @@ FIXTURES = {
         "repro/links/fixture.py",
         3,
     ),
-    "SL005": (
-        "from repro.sim import Component\n"
-        "class B(Component):\n"
-        "    def f(self, xs=[]):\n"
-        "        return xs\n",
-        "repro/ndp/fixture.py",
-        3,
-    ),
     "SL006": (
         "def f(sim, tasks):\n"
         "    for t in tasks:\n"

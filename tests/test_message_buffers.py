@@ -51,14 +51,6 @@ def test_pop_up_to_moves_oversized_head_alone():
     assert got == [big]
 
 
-def test_high_water():
-    buf = MessageBuffer("b", 1024)
-    for i in range(3):
-        buf.push(task_msg(i))
-    buf.pop()
-    assert buf.high_water == 192
-
-
 def test_invalid_capacity():
     with pytest.raises(ValueError):
         MessageBuffer("b", 0)
@@ -114,7 +106,6 @@ def test_force_push_ignores_capacity_but_keeps_accounting():
     assert not buf.push(msgs[2])
     buf.force_push(msgs[2])  # soft overflow: admitted anyway
     assert buf.used_bytes == 192 > buf.capacity_bytes
-    assert buf.high_water == 192
     assert [buf.pop() for _ in range(3)] == msgs
     assert buf.used_bytes == 0
 

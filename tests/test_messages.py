@@ -7,7 +7,6 @@ from repro.messages import (
     DataMessage,
     MESSAGE_BYTES,
     MessageType,
-    StateMessage,
     TaskMessage,
     frame_bytes,
     sub_message_count,
@@ -41,16 +40,6 @@ def test_data_message_block_framing():
     # 16 B header + 256 B block -> 5 sub-messages.
     assert msg.sub_messages == 5
     assert msg.wire_bytes == 320
-
-
-def test_state_message_grows_with_sched_out():
-    empty = StateMessage(src_unit=0, dst_unit=None)
-    loaded = StateMessage(
-        src_unit=0, dst_unit=None,
-        sched_out=tuple((i, 10) for i in range(8)),
-    )
-    assert loaded.payload_bytes > empty.payload_bytes
-    assert empty.wire_bytes == MESSAGE_BYTES
 
 
 def test_frame_bytes_rejects_non_positive():

@@ -3,10 +3,10 @@
 Mirrors the simlint/simflow/simstate contract: every RC rule must
 (a) catch its hazard in a positive fixture, (b) stay quiet under a
 ``# simrace: ignore[RULE]`` comment, and (c) stay quiet on a clean
-variant of the same code.  The fingerprint registry and its cache-key
-cross-check are exercised directly, and meta-tests assert the
-repository's own tree is clean through the real gate, ``python -m
-repro.analyze`` -- plus the gate's ``--baseline`` mode.
+variant of the same code.  The environment-knob registry is exercised
+directly, and meta-tests assert the repository's own tree is clean
+through the real gate, ``python -m repro.analyze`` -- plus the gate's
+``--baseline`` mode.
 """
 
 import json
@@ -14,13 +14,7 @@ import json
 import pytest
 
 from repro.analyze import baseline_fingerprints, check_sources
-from repro.exec import cache as exec_cache
-from repro.exec.knobs import (
-    ENV_REGISTRY,
-    fingerprint_field_of,
-    is_registered,
-    registered_names,
-)
+from repro.exec.knobs import ENV_REGISTRY, is_registered
 from repro.race.rules import RACE_RULE_CODES, RACE_RULES
 
 
@@ -107,7 +101,7 @@ def test_rc002_module_level_callable_is_clean():
 
 
 # ----------------------------------------------------------------------
-# RC003 -- cache-fingerprint completeness
+# RC003 -- declared environment knobs
 # ----------------------------------------------------------------------
 RC003_UNDECLARED = """\
 import os
@@ -214,11 +208,12 @@ def test_syntax_error_yields_rc000():
 
 
 # ----------------------------------------------------------------------
-# the fingerprint registry and its cache-key cross-check
+# the environment-knob registry
 # ----------------------------------------------------------------------
 def test_registry_covers_known_knobs():
-    names = registered_names()
+    names = [knob.name for knob in ENV_REGISTRY]
     assert "NDPBRIDGE_JOBS" in names
+    assert len(set(names)) == len(names)
     assert is_registered("NDPBRIDGE_SANITIZE")
     assert not is_registered("NDPBRIDGE_TURBO")
 
@@ -226,50 +221,6 @@ def test_registry_covers_known_knobs():
 def test_registry_entries_are_justified():
     for knob in ENV_REGISTRY:
         assert knob.justification.strip(), knob.name
-        assert knob.kind in ("fingerprinted", "execution_only")
-
-
-def test_fingerprinted_knobs_map_to_cache_key_fields():
-    for knob, field in fingerprint_field_of().items():
-        assert field in exec_cache.CELL_KEY_FIELDS, (knob, field)
-
-
-def test_cache_import_check_rejects_unknown_field(monkeypatch):
-    import repro.exec.knobs as knobs
-
-    monkeypatch.setattr(
-        knobs, "fingerprint_field_of",
-        lambda: {"NDPBRIDGE_X": "no_such_field"},
-    )
-    with pytest.raises(RuntimeError, match="no_such_field"):
-        exec_cache._check_fingerprint_registry()
-
-
-def test_cell_key_fields_match_cell_key_blob():
-    from repro.config import Design, scaled_config
-    from repro.workloads import OpenLoopSpec, TenantSpec
-
-    cfg = scaled_config(128, Design.O, seed=42)
-    spec = OpenLoopSpec(
-        tenants=(TenantSpec(name="a", n_requests=4, mean_gap=10.0),)
-    )
-    # Every field name cell_key() hashes must be declared; the declared
-    # tuple may be a superset (optional fields).
-    import json as _json
-    from unittest import mock
-
-    captured = {}
-    real_dumps = _json.dumps
-
-    def spy(obj, **kw):
-        if isinstance(obj, dict) and "code" in obj:
-            captured.update(obj)
-        return real_dumps(obj, **kw)
-
-    with mock.patch.object(exec_cache.json, "dumps", side_effect=spy):
-        exec_cache.cell_key("tree", cfg, 0.1, 7, openloop=spec)
-    assert captured
-    assert set(captured) <= set(exec_cache.CELL_KEY_FIELDS)
 
 
 # ----------------------------------------------------------------------

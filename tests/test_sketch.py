@@ -59,7 +59,6 @@ def test_full_bucket_decays_probabilistically():
             replaced = True
             break
     assert replaced
-    assert sk.replacements >= 1
 
 
 def test_eviction_reports_victim():

@@ -4,18 +4,21 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import Design, split_dimm_config, tiny_config, validate_config
+from repro.config import Design, default_config, tiny_config, validate_config
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
 
 
-def tiny_split(design=Design.B):
-    cfg = tiny_config(design)
+def split(cfg):
     return cfg.replace(comm=replace(cfg.comm, split_dimm=True))
 
 
+def tiny_split(design=Design.B):
+    return split(tiny_config(design))
+
+
 def test_preset_builds_and_validates():
-    cfg = split_dimm_config()
+    cfg = split(default_config())
     validate_config(cfg)
     assert cfg.comm.split_dimm
 

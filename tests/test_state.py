@@ -214,7 +214,7 @@ def test_tree_inventory_covers_component_classes():
     units = inv.classes_named("NDPUnit")
     assert units, "NDPUnit missing from the tree inventory"
     declared = inv.declared_attrs(units[0])
-    assert "sim" in declared  # inherited from Component.__init__
+    assert "sim" in declared  # assigned in NDPUnit.__init__
 
 
 def test_verify_inventory_clean_on_live_system():
