@@ -58,9 +58,14 @@ class HotDataSketch:
         self._buckets: List[Dict[int, SketchEntry]] = [
             {} for _ in range(config.buckets)
         ]
+        # The config is frozen: observe() reads its fields from here.
+        self._n_buckets = config.buckets
+        self._ways = config.entries_per_bucket
+        self._cmax = config.counter_max
+        self._decay_base = config.decay_base
 
     def _bucket_of(self, block_id: int) -> Dict[int, SketchEntry]:
-        return self._buckets[block_id % self.config.buckets]
+        return self._buckets[block_id % self._n_buckets]
 
     def observe(self, block_id: int, workload: int) -> ObserveResult:
         """Record a task's workload against its block.
@@ -72,18 +77,18 @@ class HotDataSketch:
         """
         if workload <= 0:
             raise ValueError("workload must be positive")
-        bucket = self._buckets[block_id % self.config.buckets]
+        bucket = self._buckets[block_id % self._n_buckets]
         entry = bucket.get(block_id)
-        cmax = self.config.counter_max
+        cmax = self._cmax
         if entry is not None:
             entry.workload = min(cmax, entry.workload + workload)
             return _RESIDENT
-        if len(bucket) < self.config.entries_per_bucket:
+        if len(bucket) < self._ways:
             bucket[block_id] = SketchEntry(block_id, min(cmax, workload))
             return _RESIDENT
         # Bucket full: probabilistic decay of the minimum entry.
         e_min = min(bucket.values(), key=lambda e: (e.workload, e.block_id))
-        decay_prob = self.config.decay_base ** (-e_min.workload)
+        decay_prob = self._decay_base ** (-e_min.workload)
         if self.rng.random() < decay_prob:
             e_min.workload -= workload
             if e_min.workload < 0:

@@ -36,19 +36,19 @@ class BridgeFabric:
     ):
         self.sim = sim
         self.config = config
-        self.system = system
         self.rank_bridges: List[Level1Bridge] = [
-            Level1Bridge(
-                sim, config, stats, system, rank,
-                rng.substream(f"bridge{rank}"),
-            )
+            Level1Bridge(sim, config, stats, system, rank, rng)
             for rank in range(config.topology.ranks)
+        ]
+        #: Unit id -> the level-1 bridge of its rank.
+        self._bridge_of_unit: List[Level1Bridge] = [
+            self.rank_bridges[system.addr_map.rank_of_unit(uid)]
+            for uid in range(config.topology.total_units)
         ]
         self.level2: Optional[Level2Bridge] = None
         if config.topology.ranks > 1:
             self.level2 = Level2Bridge(
-                sim, config, stats, system, self.rank_bridges,
-                rng.substream("bridge_l2"),
+                sim, config, stats, system, self.rank_bridges
             )
             for bridge in self.rank_bridges:
                 bridge.on_up_push = self.level2.maybe_start_round
@@ -60,8 +60,7 @@ class BridgeFabric:
             self.level2.start()
 
     def notify_enqueue(self, unit: NDPUnit) -> None:
-        rank = self.system.addr_map.rank_of_unit(unit.unit_id)
-        self.rank_bridges[rank].notify_enqueue(unit)
+        self._bridge_of_unit[unit.unit_id].notify_enqueue(unit)
 
     def try_direct(self, unit: NDPUnit, msg: Message) -> bool:
         return False

@@ -96,6 +96,7 @@ class Level1Bridge:
         self._backup: Dict[int, Deque[Message]] = {}
         self._backup_bytes = 0
         self.backup_capacity = config.bridge.backup_buffer_bytes
+        self._g_xfer = config.comm.g_xfer_bytes
         self.up_mailbox = MessageBuffer(
             f"{scope}.mailbox", config.bridge.mailbox_bytes
         )
@@ -104,10 +105,13 @@ class Level1Bridge:
             config.bridge.databorrowed_ways,
             config.balance.metadata_scale,
         )
+        # ``rng`` is the system's root stream: the policy stream is
+        # derived from it by name, and only when balancing is on.
         self.policy: Optional[SchedulingPolicy] = None
         if config.balance.enabled:
             self.policy = SchedulingPolicy(
-                config.balance, rng.substream("policy")
+                config.balance,
+                rng.substream(f"fabric/bridge{global_rank}/policy"),
             )
         from .triggering import CommTrigger
 
@@ -364,7 +368,7 @@ class Level1Bridge:
     # ------------------------------------------------------------------
     def notify_enqueue(self, unit: NDPUnit) -> None:
         self._mail_pending.add(unit.unit_id)
-        if unit.mailbox.used_bytes >= self.config.comm.g_xfer_bytes:
+        if unit.mailbox.used_bytes >= self._g_xfer:
             self._maybe_start_round()
 
     def _internal_pending(self) -> bool:
@@ -575,7 +579,7 @@ class Level1Bridge:
         self._route_to(msg, msg.dst_unit)
 
     def _route_task(self, msg: TaskMessage) -> None:
-        block = msg.task.data_addr // self.config.comm.g_xfer_bytes
+        block = msg.task.data_addr // self._g_xfer
         self._stat_sram.add()
         entry = self.borrowed.lookup(block)
         if entry is not None:
@@ -651,12 +655,13 @@ class Level1Bridge:
 
     def _overflow(self, msg: Message, route_key: int) -> None:
         """Destination buffer full: fall back to the shared backup buffer."""
-        if self._backup_bytes + msg.wire_bytes > self.backup_capacity:
+        size = msg.wire_bytes
+        if self._backup_bytes + size > self.backup_capacity:
             # Soft overflow: real hardware pauses gathering before this
             # point; we count the event and carry on to stay deadlock-free.
             self._stat_backup_overflow.add()
         self._backup.setdefault(route_key, deque()).append(msg)
-        self._backup_bytes += msg.wire_bytes
+        self._backup_bytes += size
 
     def backup_messages(self) -> tuple:
         """Snapshot of backup-buffered messages (audits and tests).

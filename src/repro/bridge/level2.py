@@ -20,7 +20,7 @@ from ..balance.metadata import DataBorrowedTable
 from ..config import SystemConfig
 from ..links import Link
 from ..messages import DataMessage, Message, MessageBuffer, TaskMessage
-from ..sim import DeterministicRNG, Simulator, StatsRegistry
+from ..sim import Simulator, StatsRegistry
 from .level1 import Level1Bridge, UP
 
 
@@ -41,7 +41,6 @@ class Level2Bridge:
         stats: StatsRegistry,
         system: "object",
         rank_bridges: List[Level1Bridge],
-        rng: DeterministicRNG,
     ):
         self.sim = sim
         self.config = config

@@ -68,8 +68,15 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     if cfg.bridge.scatter_buffer_bytes_per_bank < comm.message_bytes:
         raise ConfigError("scatter buffer must hold at least one message")
 
-    if cfg.core.freq_mhz <= 0:
+    core = cfg.core
+    if core.freq_mhz <= 0:
         raise ConfigError("core frequency must be positive")
+    if not core.local_dma_bytes_per_cycle > 0:
+        raise ConfigError("core DMA bandwidth must be positive")
+    if core.dispatch_overhead_cycles < 0 or core.enqueue_overhead_cycles < 0:
+        raise ConfigError(
+            "core dispatch and enqueue overheads must be non-negative"
+        )
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     return cfg

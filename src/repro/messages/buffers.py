@@ -38,21 +38,19 @@ class MessageBuffer:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self._used
 
-    def fits(self, msg: Message) -> bool:
-        return msg.wire_bytes <= self.free_bytes
-
     def push(self, msg: Message) -> bool:
-        if not self.fits(msg):
+        size = msg.wire_bytes
+        if size > self.capacity_bytes - self._used:
             # A message larger than the whole buffer is physically a train
             # of 64 B sub-messages streamed through it; accept it alone in
             # an otherwise-empty buffer (store-and-forward minimum), else
             # it could never traverse this hop at all.
-            if not (msg.wire_bytes > self.capacity_bytes and self.is_empty()):
+            if not (size > self.capacity_bytes and not self._queue):
                 self.dropped_messages += 1
-                self.dropped_bytes += msg.wire_bytes
+                self.dropped_bytes += size
                 return False
         self._queue.append(msg)
-        self._used += msg.wire_bytes
+        self._used += size
         return True
 
     def force_push(self, msg: Message) -> None:
@@ -78,17 +76,17 @@ class MessageBuffer:
         """Pop whole messages from the head totalling <= ``budget_bytes``."""
         out: List[Message] = []
         taken = 0
-        while self._queue:
-            head = self._queue[0]
-            if taken + head.wire_bytes > budget_bytes and out:
+        queue = self._queue
+        while queue:
+            size = queue[0].wire_bytes
+            # Stop at the first message past the budget, unless it is the
+            # head: a single over-budget message still moves alone (the
+            # link model charges its true size), and nothing follows it.
+            if taken + size > budget_bytes and out:
                 break
-            if taken + head.wire_bytes > budget_bytes and not out:
-                # A single over-budget message still moves alone; the link
-                # model charges its true size.
-                out.append(self.pop())
-                break
-            out.append(self.pop())
-            taken += head.wire_bytes
+            out.append(queue.popleft())
+            self._used -= size
+            taken += size
         return out
 
     def pending_messages(self) -> Tuple[Message, ...]:

@@ -51,21 +51,19 @@ class Mailbox:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self._used
 
-    def fits(self, msg: Message) -> bool:
-        return msg.wire_bytes <= self.free_bytes
-
     def enqueue(self, msg: Message) -> bool:
         """Append at the tail.  Returns False when the region is full.
 
         A rejected message stays the caller's responsibility; the
         rejection is recorded in ``dropped_messages``/``dropped_bytes``.
         """
-        if not self.fits(msg):
+        size = msg.wire_bytes
+        if size > self.capacity_bytes - self._used:
             self.dropped_messages += 1
-            self.dropped_bytes += msg.wire_bytes
+            self.dropped_bytes += size
             return False
         self._queue.append(msg)
-        self._used += msg.wire_bytes
+        self._used += size
         return True
 
     # -- consumer (bridge GATHER) side --------------------------------------
@@ -86,16 +84,17 @@ class Mailbox:
             raise ValueError("fetch budget must be positive")
         completed: List[Message] = []
         taken = 0
-        while self._queue and taken < budget_bytes:
-            head = self._queue[0]
-            remaining = head.wire_bytes - self._head_fetched
-            chunk = min(remaining, budget_bytes - taken)
+        queue = self._queue
+        while queue and taken < budget_bytes:
+            head = queue[0]
+            size = head.wire_bytes
+            chunk = min(size - self._head_fetched, budget_bytes - taken)
             taken += chunk
             self._head_fetched += chunk
-            if self._head_fetched == head.wire_bytes:
+            if self._head_fetched == size:
                 completed.append(head)
-                self._queue.popleft()
-                self._used -= head.wire_bytes
+                queue.popleft()
+                self._used -= size
                 self._head_fetched = 0
         return completed, taken
 

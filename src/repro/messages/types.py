@@ -54,7 +54,7 @@ class Message:
 
     src_unit: int
     dst_unit: Optional[int]          # None while awaiting bridge assignment
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
     _wire_cache: Optional[int] = field(
         default=None, repr=False, compare=False
     )

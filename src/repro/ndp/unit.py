@@ -72,6 +72,10 @@ class NDPUnit:
         self.config = config
         self.unit_id = unit_id
         self.system = system                   # NDPSystem facade
+        # The facade's tracker and registry outlive the unit; hold them,
+        # never their bound methods, which tests and the auditor replace.
+        self._tracker = system.tracker
+        self._registry = system.registry
         self.bank = DRAMBank(sim, config, stats, unit_id)
         self.mailbox = Mailbox(config.unit_mem.mailbox_bytes)
         self.cache = L1Cache.from_config(config)
@@ -79,6 +83,11 @@ class NDPUnit:
         block_bytes = config.comm.g_xfer_bytes
         bank_bytes = config.topology.bank_capacity_mb * 1024 * 1024
         self._block_bytes = block_bytes
+        self._bank_bytes = bank_bytes
+        core = config.core
+        self._dispatch_overhead = core.dispatch_overhead_cycles
+        self._enqueue_overhead = core.enqueue_overhead_cycles
+        self._dma_bytes_per_cycle = core.local_dma_bytes_per_cycle
         self._base_block = unit_id * bank_bytes // block_bytes
         # Home blocks: [_home_start, _home_end).  A block belongs to the
         # bank holding its first byte (AddressMap.unit_of_block), hence
@@ -103,7 +112,11 @@ class NDPUnit:
         self.sketch: Optional[HotDataSketch] = None
         self.reserved: Optional[ReservedQueue] = None
         if self._hot:
-            self.sketch = HotDataSketch(config.sketch, rng.substream("sketch"))
+            # ``rng`` is the system's root stream; only a hot-selecting
+            # unit draws from one.
+            self.sketch = HotDataSketch(
+                config.sketch, rng.substream(f"unit{unit_id}/sketch")
+            )
             self.reserved = ReservedQueue(
                 total_chunks=config.unit_mem.reserved_queue_chunks,
                 chunk_bytes=block_bytes,
@@ -128,8 +141,12 @@ class NDPUnit:
         self.parked: Dict[int, List[Task]] = {}
         self._queue_workload = 0
 
-        # Core state.
+        # Core state.  The core runs one task at a time: between dispatch
+        # and retirement it holds that task, its cycles and its children.
         self.core_busy = False
+        self._task: Optional[Task] = None
+        self._task_cycles = 0
+        self._children: List[Task] = []
         self.blocked_on_mailbox = False
         # Same-block spawn statistics: how often a task generates a child
         # on its own data block.  A migrated block attracts that follow-up
@@ -178,11 +195,12 @@ class NDPUnit:
         A task whose address lies beyond the machine is forwarded too,
         and :meth:`_forward` rejects it with ``ValueError``.
         """
+        # The ownership test of holds_block, made once.
         block = task.data_addr // self._block_bytes
-        if self.holds_block(block):
-            self._enqueue_local(task)
-            return
         if self._home_start <= block < self._home_end:
+            if not self.islent.is_lent(block):
+                self._enqueue_local(task)
+                return
             # Home unit but block lent out: the bridge metadata will
             # redirect it.  After several bounces the block must be in
             # return transit; park until it lands.
@@ -192,6 +210,10 @@ class NDPUnit:
                 return
             self._stat_bounced.add()
             self._forward(task, bounces + 1)
+            return
+        self._stat_sram.add()
+        if self.borrowed.contains(block):
+            self._enqueue_local(task)
             return
         self._forward(task, bounces)
 
@@ -204,7 +226,7 @@ class NDPUnit:
         self._send(msg)
 
     def _enqueue_local(self, task: Task) -> None:
-        if task.ts > self.system.tracker.epoch:
+        if task.ts > self._tracker.epoch:
             self.future.setdefault(task.ts, []).append(task)
             return
         self._push_runnable(task)
@@ -271,7 +293,6 @@ class NDPUnit:
         if task is None:
             return
         self.core_busy = True
-        cfg = self.config.core
         start = self.sim.now
         # Fetch the task's data element: from the L1 SRAM on a hit, or
         # from the local bank through the DMA engine on a miss (the access
@@ -279,32 +300,28 @@ class NDPUnit:
         if self.cache.access(task.data_addr):
             access_cycles = HIT_LATENCY
         else:
-            access = self.bank.access(
-                now=start,
-                addr=task.data_addr
-                % (self.config.topology.bank_capacity_mb << 20),
-                nbytes=task.data_bytes,
-                is_write=False,
-                bytes_per_cycle=cfg.local_dma_bytes_per_cycle,
-            )
-            access_cycles = access.finish - start
+            access_cycles = self.bank.access(
+                start, task.data_addr % self._bank_bytes, task.data_bytes,
+                False, self._dma_bytes_per_cycle,
+            ).finish - start
         duration = (
-            cfg.dispatch_overhead_cycles
+            self._dispatch_overhead
             + access_cycles
-            + self.system.registry.dispatch_cost(task)
+            + self._registry.dispatch_cost(task)
         )
-        self.sim.schedule(duration, lambda: self._complete(task, duration))
+        self._task = task
+        self._task_cycles = duration
+        self.sim.schedule(duration, self._complete)
 
-    def _complete(self, task: Task, duration: int) -> None:
-        ctx = TaskContext(
-            unit_id=self.unit_id, now=self.sim.now,
-            epoch=self.system.tracker.epoch,
-        )
-        fn = self.system.registry.lookup(task.func)
-        fn(ctx, task)
+    def _complete(self) -> None:
+        """Run the dispatched task's body; its children cost the core
+        ``enqueue_overhead_cycles`` each before :meth:`_retire`."""
+        task = self._task
+        ctx = TaskContext(self.unit_id, self.sim.now, self._tracker.epoch)
+        self._registry.lookup(task.func)(ctx, task)
         children = ctx.spawned()
-        child_cost = self.config.core.enqueue_overhead_cycles * len(children)
-        self.busy_cycles += duration + child_cost
+        child_cost = self._enqueue_overhead * len(children)
+        self.busy_cycles += self._task_cycles + child_cost
         self.tasks_executed += 1
         self.finished_workload += task.workload_estimate
         self._exec_count += 1
@@ -313,31 +330,35 @@ class NDPUnit:
         for child in children:
             if child.data_addr // block_bytes == parent_block:
                 self._same_block_spawns += 1
-
-        def _after_spawn() -> None:
-            self.finish_time = self.sim.now
-            for child in children:
-                self.system.spawn(self.unit_id, child)
-            self.core_busy = False
-            # Completion may end the epoch / the run.
-            self.system.tracker.task_completed(task.ts)
-            if not self.system.tracker.finished:
-                self._try_start()
-
+        self._children = children
         if child_cost:
-            self.sim.schedule(child_cost, _after_spawn)
+            self.sim.schedule(child_cost, self._retire)
         else:
-            _after_spawn()
+            self._retire()
+
+    def _retire(self) -> None:
+        """Hand the task's children to the runtime and free the core."""
+        task = self._task
+        self.finish_time = self.sim.now
+        system = self.system
+        for child in self._children:
+            system.spawn(self.unit_id, child)
+        self.core_busy = False
+        # Completion may end the epoch / the run, and may start the
+        # next task (through an epoch listener) before it returns.
+        tracker = self._tracker
+        tracker.task_completed(task.ts)
+        if not tracker.finished:
+            self._try_start()
 
     # ------------------------------------------------------------------
     # outgoing messages / mailbox stalls
     # ------------------------------------------------------------------
     def _send(self, msg: Message) -> None:
-        self.system.tracker.message_departed(
-            is_data=isinstance(msg, DataMessage)
-        )
+        self._tracker.message_departed(isinstance(msg, DataMessage))
         # RowClone-style fabrics may short-circuit same-chip messages.
-        if self.system.fabric.try_direct(self, msg):
+        fabric = self.system.fabric
+        if fabric.try_direct(self, msg):
             return
         if self._backlog or not self.mailbox.enqueue(msg):
             if not self._backlog:
@@ -345,7 +366,7 @@ class NDPUnit:
             self._backlog.append(msg)
             self.blocked_on_mailbox = True
             return
-        self.system.fabric.notify_enqueue(self)
+        fabric.notify_enqueue(self)
 
     def on_mailbox_drained(self) -> None:
         """Bridge gathered from our mailbox; retry backlogged messages."""
@@ -363,11 +384,11 @@ class NDPUnit:
     # message handler (bridge SCATTER delivery)
     # ------------------------------------------------------------------
     def deliver_task_message(self, msg: TaskMessage) -> None:
-        self.system.tracker.message_delivered(is_data=False)
-        self.accept_task(msg.task, bounces=msg.bounces)
+        self._tracker.message_delivered(False)
+        self.accept_task(msg.task, msg.bounces)
 
     def deliver_data_message(self, msg: DataMessage) -> None:
-        self.system.tracker.message_delivered(is_data=True)
+        self._tracker.message_delivered(True)
         block = msg.block_id
         if msg.returning:
             # Our own block coming home.

@@ -34,16 +34,13 @@ class NDPSystem:
         self.partition = PartitionMap(self.addr_map)
         self.registry = TaskRegistry()
         self.tracker = RunTracker()
+        # Components derive the streams they draw from by name, straight
+        # from the root, and build none they never draw from.
         self.units: List[NDPUnit] = [
-            NDPUnit(
-                self.sim, config, self.stats, unit_id, self,
-                rng.substream(f"unit{unit_id}"),
-            )
+            NDPUnit(self.sim, config, self.stats, unit_id, self, rng)
             for unit_id in range(config.topology.total_units)
         ]
-        self.fabric = build_fabric(
-            self.sim, config, self.stats, self, rng.substream("fabric")
-        )
+        self.fabric = build_fabric(self.sim, config, self.stats, self, rng)
         # Sanitizer mode implies message-lifecycle auditing: observation-
         # only instance wrappers, so plain runs pay zero overhead and
         # sanitized runs stay bit-identical (tests/test_flow_auditor.py).

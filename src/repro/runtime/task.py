@@ -45,7 +45,7 @@ class Task:
     #: Bytes of the data element the task touches (sizing its DRAM/cache
     #: access and its share of host memory bandwidth).
     data_bytes: int = 64
-    task_id: int = field(default_factory=lambda: next(_task_ids))
+    task_id: int = field(default_factory=_task_ids.__next__)
     #: The estimate the scheduler sees (Section VI uses this).
     workload_estimate: int = field(init=False, compare=False, repr=False)
     #: The true cycles the core spends executing this task.
@@ -56,14 +56,20 @@ class Task:
     def __post_init__(self) -> None:
         # Nothing changes ``workload`` or ``actual_cycles`` after
         # construction, so both costs are fixed here, once per task.
-        if self.workload is None:
-            self.workload_estimate = self.DEFAULT_WORKLOAD
-        else:
-            self.workload_estimate = max(1, int(self.workload))
-        if self.actual_cycles is None:
-            self.execution_cycles = self.workload_estimate
-        else:
-            self.execution_cycles = max(1, int(self.actual_cycles))
+        # Each is a whole number of at least one cycle; the positive
+        # ints every application passes are taken as they are.
+        w = self.workload
+        if w is None:
+            w = self.DEFAULT_WORKLOAD
+        elif w.__class__ is not int or w < 1:
+            w = max(1, int(w))
+        self.workload_estimate = w
+        c = self.actual_cycles
+        if c is None:
+            c = w
+        elif c.__class__ is not int or c < 1:
+            c = max(1, int(c))
+        self.execution_cycles = c
 
     @property
     def size_bytes(self) -> int:

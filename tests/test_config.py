@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import make_app, run_app
 from repro.config import (
     ConfigError,
     Design,
@@ -179,6 +180,26 @@ def test_every_config_field_is_read():
         if not re.search(rf"\.{f.name}\b", source)
     ]
     assert unread == []
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("local_dma_bytes_per_cycle", 0.0, "DMA bandwidth must be positive"),
+    ("local_dma_bytes_per_cycle", -2.0, "DMA bandwidth must be positive"),
+    ("dispatch_overhead_cycles", -1, "overheads must be non-negative"),
+    ("enqueue_overhead_cycles", -1, "overheads must be non-negative"),
+])
+def test_validation_rejects_bad_core_constants(field, value, match):
+    """Each of these used to crash mid-run or silently skew the result."""
+    cfg = tiny_config(Design.B)
+    bad = cfg.replace(core=replace(cfg.core, **{field: value}))
+    with pytest.raises(ConfigError, match=match):
+        validate_config(bad)
+    with pytest.raises(ConfigError, match=match):
+        run_app(make_app("tree", scale=0.05, seed=7), bad)
+    # The boundary stays valid: free dispatch and enqueue.
+    validate_config(cfg.replace(core=replace(
+        cfg.core, dispatch_overhead_cycles=0, enqueue_overhead_cycles=0,
+    )))
 
 
 def test_validation_rejects_lb_on_design_c():

@@ -8,8 +8,8 @@ and review the diff like any other golden update:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints freshly computed ``CLOSED``/``OPENLOOP``/``STATS`` dicts to paste
-over the ones in this file.
+prints freshly computed ``CLOSED``/``OPENLOOP``/``STATS``/``L2_STATS``
+dicts to paste over the ones in this file.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro import make_app, run_app
-from repro.config import Design, tiny_config
+from repro.config import Design, scaled_config, tiny_config
 from repro.runtime.requests import run_openloop
 from repro.workloads.openloop import OpenLoopSpec, TenantSpec
 
@@ -88,6 +88,15 @@ STATS = {
     ("pr", "O"): (2589, "ca9b9c45835087da"),
 }
 
+#: Every cell above fits one rank, so none reaches the level-2 bridge.
+#: These run two ranks (``scaled_config(L2_UNITS, design)``) and are
+#: pinned the same way as ``STATS``.
+L2_UNITS = 128
+L2_STATS = {
+    ("tree", "O"): (2066, "8071785899da3bc3"),
+    ("bfs", "W"): (2566, "694170c4292a6274"),
+}
+
 
 def golden_spec() -> OpenLoopSpec:
     return OpenLoopSpec(
@@ -108,12 +117,23 @@ def closed_result(app: str, design: Design):
     return (m.makespan, m.tasks_executed, m.task_messages)
 
 
-def stats_result(app: str, design: Design):
-    system = run_app(make_app(app, scale=SCALE, seed=SEED),
-                     tiny_config(design)).system
+def _stats_of(system):
     blob = json.dumps(system.stats.as_dict(), sort_keys=True)
     return (system.sim.events_processed,
             hashlib.sha256(blob.encode()).hexdigest()[:16])
+
+
+def stats_result(app: str, design: Design):
+    return _stats_of(run_app(make_app(app, scale=SCALE, seed=SEED),
+                             tiny_config(design)).system)
+
+
+def l2_stats_result(app: str, design: Design):
+    """``(events, digest)`` of a two-rank cell, and its level-2 rounds."""
+    system = run_app(make_app(app, scale=SCALE, seed=SEED),
+                     scaled_config(L2_UNITS, design)).system
+    rounds = system.stats.as_dict()["bridge_l2.message_rounds"]
+    return _stats_of(system), rounds
 
 
 def openloop_result(app: str, design: Design):
@@ -159,6 +179,19 @@ def test_stats_golden(app, design):
     )
 
 
+@pytest.mark.parametrize(
+    "app,design", sorted(L2_STATS), ids=[f"{d}-{a}" for a, d in sorted(L2_STATS)],
+)
+def test_level2_stats_golden(app, design):
+    got, rounds = l2_stats_result(app, Design(design))
+    assert rounds >= 1, f"{app}/{design}: no level-2 round ran"
+    want = L2_STATS[(app, design)]
+    assert got == want, (
+        f"{app}/{design} at {L2_UNITS} units: (events, stats digest) {got} "
+        f"!= golden {want} -- the model changed; {REGEN}"
+    )
+
+
 def test_golden_matrix_is_complete():
     keys = {(a, d.value) for a in APPS for d in DESIGNS}
     assert set(CLOSED) == keys
@@ -183,6 +216,11 @@ def _regenerate() -> None:  # pragma: no cover - manual tool
     for app, design in STATS_CELLS:
         events, digest = stats_result(app, design)
         print(f'    ("{app}", "{design.value}"): ({events}, "{digest}"),')
+    print("}")
+    print("L2_STATS = {")
+    for app, design in sorted(L2_STATS):
+        (events, digest), _ = l2_stats_result(app, Design(design))
+        print(f'    ("{app}", "{design}"): ({events}, "{digest}"),')
     print("}")
 
 

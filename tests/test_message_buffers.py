@@ -1,8 +1,10 @@
 """Tests for the bridge SRAM message buffers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.messages import MessageBuffer, TaskMessage
+from repro.messages import DataMessage, MessageBuffer, TaskMessage
 from repro.runtime.task import Task
 
 
@@ -41,8 +43,6 @@ def test_pop_up_to_respects_budget():
 
 
 def test_pop_up_to_moves_oversized_head_alone():
-    from repro.messages import DataMessage
-
     buf = MessageBuffer("b", 4096)
     big = DataMessage(src_unit=0, dst_unit=1, block_id=0, block_bytes=1024)
     buf.push(big)
@@ -57,8 +57,6 @@ def test_invalid_capacity():
 
 
 def _oversize_msg(block_bytes=2048):
-    from repro.messages import DataMessage
-
     return DataMessage(
         src_unit=0, dst_unit=1, block_id=0, block_bytes=block_bytes
     )
@@ -120,3 +118,71 @@ def test_pending_messages_snapshot():
     buf.pop()
     assert snap == tuple(msgs)  # a copy, not a live view
     assert buf.pending_messages() == tuple(msgs[1:])
+
+
+#: One buffer operation: its name (pushes weighted so the buffer fills),
+#: the message a push or force_push offers -- a task message with 0-20
+#: arguments (64, 128 or 192 wire bytes) or a data message (128, 320 or
+#: 576 wire bytes, the last two larger than the buffer) -- and the byte
+#: budget of a pop_up_to, often a whole number of frames so that a
+#: message can fill it exactly.
+_operation = st.tuples(
+    st.sampled_from((
+        "push", "push", "push", "force_push", "pop", "pop_up_to", "pop_up_to",
+    )),
+    st.one_of(
+        st.tuples(st.just("task"), st.integers(min_value=0, max_value=20)),
+        st.tuples(st.just("data"), st.sampled_from((64, 304, 560))),
+    ),
+    st.one_of(
+        st.integers(min_value=1, max_value=640),
+        st.integers(min_value=1, max_value=10).map(lambda k: 64 * k),
+    ),
+)
+
+
+def _make(i, kind, size):
+    if kind == "task":
+        return TaskMessage(src_unit=0, dst_unit=1, task=Task(
+            func="f", ts=0, data_addr=i * 64, args=tuple(range(size)),
+        ))
+    return DataMessage(src_unit=0, dst_unit=1, block_id=i, block_bytes=size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_operation, max_size=60))
+def test_byte_accounting_property(ops):
+    """Random traffic on a small buffer matches a plain reference FIFO:
+    bytes, order, pop_up_to's budget rule and the drop counters."""
+    buf = MessageBuffer("b", 256)
+    ref = []       # the messages the buffer should hold, oldest first
+    dropped = []   # every message a push rejected
+    for i, (op, offered, budget) in enumerate(ops):
+        if op == "force_push":
+            msg = _make(i, *offered)
+            buf.force_push(msg)
+            ref.append(msg)
+        elif op == "push":
+            msg = _make(i, *offered)
+            size = msg.wire_bytes
+            free = buf.capacity_bytes - sum(m.wire_bytes for m in ref)
+            admit = size <= free or (size > buf.capacity_bytes and not ref)
+            assert buf.push(msg) is admit
+            (ref if admit else dropped).append(msg)
+        elif op == "pop":
+            assert buf.pop() is (ref.pop(0) if ref else None)
+        else:
+            got = buf.pop_up_to(budget)
+            assert got == ref[:len(got)]
+            assert bool(got) == bool(ref)
+            taken = sum(m.wire_bytes for m in got)
+            rest = ref[len(got):]
+            if taken > budget:
+                assert len(got) == 1  # an over-budget head moves alone
+            elif rest:
+                assert taken + rest[0].wire_bytes > budget  # nothing fits
+            del ref[:len(got)]
+        assert list(buf.pending_messages()) == ref
+        assert buf.used_bytes == sum(m.wire_bytes for m in ref)
+        assert buf.dropped_messages == len(dropped)
+        assert buf.dropped_bytes == sum(m.wire_bytes for m in dropped)

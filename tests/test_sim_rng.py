@@ -1,5 +1,9 @@
 """Determinism tests for the named RNG streams."""
 
+import pytest
+
+from repro.config import Design, scaled_config
+from repro.runtime.system import NDPSystem
 from repro.sim import DeterministicRNG
 
 
@@ -49,3 +53,40 @@ def test_helpers_work():
     assert sorted(lst) == list(range(6))
     assert 1.0 <= r.uniform(1.0, 2.0) <= 2.0
     assert r.paretovariate(2.0) >= 1.0
+
+
+@pytest.mark.parametrize("design,streams", [
+    (Design.O, 131), (Design.W, 3), (Design.B, 1), (Design.C, 1),
+])
+def test_system_builds_only_streams_it_draws_from(monkeypatch, design,
+                                                  streams):
+    """A 128-unit machine (two ranks) builds its root stream plus the
+    streams something draws from: a sketch stream per unit on O and a
+    policy stream per rank bridge on W and O."""
+    built = []
+    init = DeterministicRNG.__init__
+
+    def counting(self, seed, name="root"):
+        built.append(name)
+        init(self, seed, name)
+
+    monkeypatch.setattr(DeterministicRNG, "__init__", counting)
+    NDPSystem(scaled_config(128, design))
+    assert len(built) == streams
+
+
+def test_streams_derived_from_root_match_nested_derivation():
+    """Deriving ``unit5/sketch`` straight from the root draws the same
+    sequence as deriving ``unit5`` and then ``sketch``."""
+    system = NDPSystem(scaled_config(128, Design.O))
+    root = DeterministicRNG(system.config.seed)
+    pairs = [
+        (system.units[5].sketch.rng,
+         root.substream("unit5").substream("sketch")),
+        (system.fabric.rank_bridges[1].policy.rng,
+         root.substream("fabric").substream("bridge1").substream("policy")),
+    ]
+    for got, nested in pairs:
+        assert [got.random() for _ in range(8)] == [
+            nested.random() for _ in range(8)
+        ]
