@@ -1,29 +1,28 @@
 """``python -m repro.analyze`` -- every static analyzer, one core.
 
-The repo carries four rule families with one finding model
+The repo carries three rule families with one finding model
 (:class:`Diagnostic`):
 
-* **simlint** (SL, :mod:`repro.lint.rules`) -- determinism hazards,
+* **simlint** (SL, :mod:`repro.lint.rules`) -- determinism hazards and
+  where simulation state lives,
 * **simflow** (FL, :mod:`repro.flow.rules`) -- message-protocol
   invariants,
-* **simstate** (ST, :mod:`repro.state.rules`) -- where simulation
-  state lives,
 * **simrace** (RC, :mod:`repro.race.rules`) -- process-boundary safety
   for the exec pool.
 
-Every file is read and parsed once.  simlint and simrace check one
-module at a time on a shared :class:`~repro.lint.rules.ModuleContext`;
-simflow and simstate first build one model of the whole tree (the
-protocol graph, the state inventory) and check that.  A family sees only
-the modules in its scope, and a module that fails to parse yields that
-family's ``<prefix>000`` finding.
+Every file is read and parsed once, and every family checks one module
+at a time on a shared :class:`~repro.lint.rules.ModuleContext`, so each
+file is checked on its own even when two share a module path.  A family
+sees only the modules in its scope, and a module that fails to parse
+yields that family's ``<prefix>000`` finding.
 
 A finding is silenced by ``# <family>: ignore[CODE]`` on its line (bare
 ``ignore`` silences every code of that family; one family's comment
 never silences another's) or module-wide by :data:`ALLOWLIST`.
 
 The CLI exits 0 only when every family is clean, 1 on findings and 2 on
-usage errors, including paths that hold no ``.py`` file:
+usage errors, including a path that does not exist or paths that hold no
+``.py`` file:
 
 * text output prefixes each finding with its family,
 * ``--format sarif`` emits one SARIF 2.1.0 log whose ``runs`` array has
@@ -35,8 +34,7 @@ usage errors, including paths that hold no ``.py`` file:
   message) -- line numbers are deliberately ignored so unrelated edits
   that shift a known finding do not break the gate,
 * ``--list-rules`` prints the rule tables, the allowlist and the
-  suppression syntax; ``--inventory`` dumps simstate's per-class
-  declared-state inventory as JSON instead of checking.
+  suppression syntax.
 
 The rule modules never import this one.
 """
@@ -51,7 +49,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -63,16 +60,9 @@ from typing import (
     Union,
 )
 
-from ..flow.graph import build_protocol_graph
 from ..flow.rules import FLOW_RULES, FLOW_SCOPE_PREFIXES
 from ..lint.rules import RULES as LINT_RULES, ModuleContext
 from ..race.rules import RACE_RULES
-from ..state.inventory import (
-    StateInventory,
-    build_inventory,
-    inventory_as_dict,
-)
-from ..state.rules import STATE_RULES, STATE_SCOPE_PREFIXES
 
 __all__ = [
     "ALLOWLIST",
@@ -81,7 +71,6 @@ __all__ = [
     "TOOLS",
     "Tool",
     "baseline_fingerprints",
-    "build_tree_inventory",
     "check_paths",
     "check_sources",
     "filter_baseline",
@@ -117,24 +106,15 @@ class Tool(NamedTuple):
     rules: Tuple[Any, ...]
     #: Module-path prefixes the family sees; ``None`` means every module.
     scope: Optional[Tuple[str, ...]] = None
-    #: Builds the whole-tree model the rules check from ``(module_path,
-    #: tree)`` pairs sorted by module path; ``None`` checks each module
-    #: on its own :class:`ModuleContext`.
-    build: Optional[Callable[[List[Tuple[str, ast.Module]]], Any]] = None
 
     def sees(self, module_path: str) -> bool:
         return self.scope is None or module_path.startswith(self.scope)
 
 
-#: The four families, in the order their results are reported.
+#: The three families, in the order their results are reported.
 TOOLS: Tuple[Tool, ...] = (
     Tool("simlint", "SL", LINT_RULES),
-    Tool(
-        "simflow", "FL", FLOW_RULES, FLOW_SCOPE_PREFIXES, build_protocol_graph
-    ),
-    Tool(
-        "simstate", "ST", STATE_RULES, STATE_SCOPE_PREFIXES, build_inventory
-    ),
+    Tool("simflow", "FL", FLOW_RULES, FLOW_SCOPE_PREFIXES),
     Tool("simrace", "RC", RACE_RULES),
 )
 
@@ -167,7 +147,7 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
         ),
     ),
     AllowlistEntry(
-        rule="ST004",
+        rule="SL010",
         module="repro/sim/rng.py",
         justification=(
             "the named-stream facade itself: DeterministicRNG wraps "
@@ -178,7 +158,7 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
         ),
     ),
     AllowlistEntry(
-        rule="ST004",
+        rule="SL010",
         module="repro/runtime/system.py",
         justification=(
             "the system root constructs the one root DeterministicRNG "
@@ -187,7 +167,7 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
         ),
     ),
     AllowlistEntry(
-        rule="ST003",
+        rule="SL009",
         module="repro/runtime/task.py",
         justification=(
             "_task_ids is a process-global monotonic itertools.count "
@@ -199,7 +179,7 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
         ),
     ),
     AllowlistEntry(
-        rule="ST003",
+        rule="SL009",
         module="repro/messages/types.py",
         justification=(
             "_message_ids is a process-global monotonic itertools.count "
@@ -332,18 +312,13 @@ def _order(diag: Diagnostic) -> Tuple[str, int, int, str]:
 def check_sources(
     modules: Iterable[Tuple[Union[str, Path], str, str]]
 ) -> Results:
-    """Check ``(path, module_path, source)`` triples as one tree.
+    """Check ``(path, module_path, source)`` triples, one at a time.
 
-    Returns ``(family, findings)`` pairs in :data:`TOOLS` order.  A
-    per-module family's findings are sorted within each module and
-    kept in input order; a whole-tree family's are sorted once.
+    Returns ``(family, findings)`` pairs in :data:`TOOLS` order; each
+    family's findings are sorted within each module and kept in input
+    order.
     """
     found: Dict[str, List[Diagnostic]] = {tool.name: [] for tool in TOOLS}
-    trees: Dict[str, List[Tuple[str, ast.Module]]] = {
-        tool.name: [] for tool in TOOLS
-    }
-    # module path -> (file path, suppressions); the last file wins.
-    where: Dict[str, Tuple[str, Suppressions]] = {}
     for raw_path, module_path, source in modules:
         path = str(Path(raw_path))
         tools = [tool for tool in TOOLS if tool.sees(module_path)]
@@ -362,14 +337,10 @@ def check_sources(
                 )
             continue
         suppressed = suppressions(source)
-        where[module_path] = (path, suppressed)
         ctx = ModuleContext(
             tree=tree, module_path=module_path, fs_parts=Path(path).parts
         )
         for tool in tools:
-            if tool.build is not None:
-                trees[tool.name].append((module_path, tree))
-                continue
             here = [
                 Diagnostic(path, line, col, rule.code, message)
                 for rule in tool.rules
@@ -379,21 +350,6 @@ def check_sources(
                 )
             ]
             found[tool.name].extend(sorted(here, key=_order))
-
-    for tool in TOOLS:
-        if tool.build is None:
-            continue
-        model = tool.build(sorted(trees[tool.name], key=lambda mt: mt[0]))
-        for rule in tool.rules:
-            for module_path, line, col, message in rule.check(model):
-                path, suppressed = where[module_path]
-                if not _silenced(
-                    suppressed, tool.name, rule.code, module_path, line
-                ):
-                    found[tool.name].append(
-                        Diagnostic(path, line, col, rule.code, message)
-                    )
-        found[tool.name].sort(key=_order)
     return [(tool.name, found[tool.name]) for tool in TOOLS]
 
 
@@ -403,25 +359,6 @@ def check_paths(paths: Sequence[Union[str, Path]]) -> Results:
         (path, module_path_of(path), path.read_text(encoding="utf-8"))
         for path in iter_python_files(paths)
     )
-
-
-def build_tree_inventory(
-    paths: Sequence[Union[str, Path]],
-) -> StateInventory:
-    """simstate's raw inventory for ``paths`` (``--inventory``, and the
-    live-system check in the tests); modules that fail to parse are left
-    out."""
-    parsed: List[Tuple[str, ast.Module]] = []
-    for path in iter_python_files(paths):
-        module_path = module_path_of(path)
-        if not module_path.startswith(STATE_SCOPE_PREFIXES):
-            continue
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except SyntaxError:
-            continue
-        parsed.append((module_path, tree))
-    return build_inventory(sorted(parsed, key=lambda mt: mt[0]))
 
 
 # ----------------------------------------------------------------------
@@ -596,8 +533,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
         description=(
-            "run simlint + simflow + simstate + simrace with one exit "
-            "code and one merged SARIF report"
+            "run simlint + simflow + simrace with one exit code and one "
+            "merged SARIF report"
         ),
     )
     parser.add_argument(
@@ -610,11 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--list-rules",
         action="store_true",
         help="print the rule tables and the allowlist, then exit",
-    )
-    parser.add_argument(
-        "--inventory",
-        action="store_true",
-        help="dump simstate's per-class declared-state inventory as JSON",
     )
     parser.add_argument(
         "--format",
@@ -651,13 +583,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     # A mistyped path must not pass the gate by checking nothing.
+    for raw in args.paths:
+        if not Path(raw).exists():
+            parser.error(
+                f"no python files at {raw!r}: no such file or directory"
+            )
     if not iter_python_files(args.paths):
         parser.error(f"no python files found under {args.paths!r}")
-
-    if args.inventory:
-        inventory = build_tree_inventory(args.paths)
-        _emit(json.dumps(inventory_as_dict(inventory), indent=2), args.output)
-        return 0
 
     results = check_paths(args.paths)
 

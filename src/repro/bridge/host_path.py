@@ -86,6 +86,7 @@ class HostForwardingFabric:
     def _poll(self) -> None:
         if self.system.tracker.finished:
             return
+        self.system.check_stalled()
         self._stat_polls.add()
         topo = self.config.topology
         t0 = self.sim.now

@@ -178,6 +178,7 @@ class Level1Bridge:
     def _state_round(self) -> None:
         if self._finished():
             return
+        self.system.check_stalled()
         cfg = self.config
         per_msg = math.ceil(64 / cfg.chip_link_bytes_per_cycle)
         duration = cfg.topology.banks_per_chip * per_msg

@@ -1,18 +1,18 @@
 """simflow -- message-protocol static analysis + lifecycle auditing.
 
 simlint (:mod:`repro.lint`) checks per-file determinism invariants;
-simflow checks the *protocol*: the cross-module send->handle graph of
-TASK and DATA messages through the bridge hierarchy, plus a runtime
-conservation audit of every message a sanitized run creates.
+simflow checks the *protocol* the bridge hierarchy relies on: what a
+call site does when a bounded container refuses a message, and who may
+touch the balance metadata.  Like simlint, every rule checks one module
+at a time, plus a runtime conservation audit of every message a
+sanitized run creates.
 
-Static rules (:mod:`repro.flow.rules` over :mod:`repro.flow.graph`, run
-by ``python -m repro.analyze src``):
+Static rules (:mod:`repro.flow.rules`, run by ``python -m repro.analyze
+src``):
 
 =======  ==============================================================
 rule     invariant
 =======  ==============================================================
-FL001    every produced message type has a reachable handler under
-         every fabric design (C/B/W/O/H/R) it can be created on
 FL002    every bounded ``Mailbox.enqueue()`` / ``MessageBuffer.push()``
          call site handles the False backpressure return
 FL003    rejection branches provably escape (raise / return False /

@@ -1,26 +1,17 @@
-"""The simflow protocol rules (FL001-FL004).
+"""The simflow protocol rules (FL002-FL004).
 
-Unlike simlint rules, which each see one module at a time, flow rules
-see the :class:`~repro.flow.graph.ProtocolGraph` for the whole tree --
-the properties they check (orphaned message types, unhandled
-backpressure, blocking-wait deadlock bounds, metadata discipline) are
-cross-module by nature.
-
-Each rule yields ``(module_path, line, col, message)`` findings;
-:mod:`repro.analyze` maps them back onto files and applies per-line
+Like simlint's rules, each flow rule is a pass over one module: it
+receives a :class:`~repro.lint.rules.ModuleContext` and yields
+``(line, col, message)`` findings; :mod:`repro.analyze` applies per-line
 ``# simflow: ignore[FLxxx]`` suppressions.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
-from ..lint.rules import terminal_name
-from .graph import DESIGNS, ModuleGraph, ProtocolGraph
-
-#: (module_path, line, col, message)
-Finding = Tuple[str, int, int, str]
+from ..lint.rules import Finding, ModuleContext, Rule, terminal_name
 
 #: simflow only analyses the protocol layers; the rest of the tree
 #: (engine, runtime, benchmarks, ...) neither creates nor handles
@@ -32,67 +23,13 @@ FLOW_SCOPE_PREFIXES: Tuple[str, ...] = (
 )
 
 
-class FlowRule:
-    """Base class: whole-graph check yielding findings."""
-
-    code: str = "FL000"
-    name: str = "base"
-    description: str = ""
-
-    def check(self, graph: ProtocolGraph) -> Iterator[Finding]:
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# FL001 -- every produced message type is consumed on every design
-
-
-class OrphanMessageType(FlowRule):
-    code = "FL001"
-    name = "orphan-message-type"
-    description = (
-        "a message type constructed in a module reachable under some "
-        "fabric design (C/B/W/O/H/R) has no reachable handler for that "
-        "design -- the message would be created and then silently "
-        "undeliverable"
-    )
-
-    def check(self, graph: ProtocolGraph) -> Iterator[Finding]:
-        # Accumulate the missing designs per producer site, then emit one
-        # finding per site listing every design it is orphaned under.
-        missing: Dict[Tuple[str, int, int], List[str]] = {}
-        sites: Dict[Tuple[str, int, int], str] = {}
-        for design in DESIGNS:
-            handled = graph.handled_types(design)
-            for mtype, producers in graph.producers_by_type(design).items():
-                if mtype in handled:
-                    continue
-                for site in producers:
-                    key = (site.module_path, site.line, site.col)
-                    missing.setdefault(key, []).append(design)
-                    sites[key] = site.cls_name
-        for key in sorted(missing):
-            module_path, line, col = key
-            designs = ",".join(missing[key])
-            yield (
-                module_path,
-                line,
-                col,
-                f"{sites[key]} is produced here but has no reachable "
-                f"handler under design(s) {designs} -- every message "
-                f"type must be consumed on every design it can be "
-                f"created on",
-            )
-
-
 # ---------------------------------------------------------------------------
 # FL002 -- every bounded enqueue/push handles the False (backpressure) path
 
 _BOUNDED_CALLS = frozenset({"enqueue", "push"})
 
 
-class UnhandledBackpressure(FlowRule):
+class UnhandledBackpressure(Rule):
     code = "FL002"
     name = "unhandled-backpressure"
     description = (
@@ -101,28 +38,26 @@ class UnhandledBackpressure(FlowRule):
         "silently drops the message on backpressure"
     )
 
-    def check(self, graph: ProtocolGraph) -> Iterator[Finding]:
-        for module in graph.modules():
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Expr):
-                    continue
-                call = node.value
-                if not (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr in _BOUNDED_CALLS
-                ):
-                    continue
-                yield (
-                    module.module_path,
-                    node.lineno,
-                    node.col_offset,
-                    f".{call.func.attr}() returns False on backpressure "
-                    f"but the result is discarded -- the message is "
-                    f"silently dropped when the container is full "
-                    f"(check the return value, or use force_push to make "
-                    f"the policy explicit)",
-                )
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Expr):
+                continue
+            call = node.value
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in _BOUNDED_CALLS
+            ):
+                continue
+            yield (
+                node.lineno,
+                node.col_offset,
+                f".{call.func.attr}() returns False on backpressure "
+                f"but the result is discarded -- the message is "
+                f"silently dropped when the container is full "
+                f"(check the return value, or use force_push to make "
+                f"the policy explicit)",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +152,7 @@ def _branch_escapes(
     return False
 
 
-class BlockingWaitCycle(FlowRule):
+class BlockingWaitCycle(Rule):
     code = "FL003"
     name = "blocking-wait-cycle"
     description = (
@@ -228,37 +163,35 @@ class BlockingWaitCycle(FlowRule):
         "paths can deadlock the bridge buffer cycle"
     )
 
-    def check(self, graph: ProtocolGraph) -> Iterator[Finding]:
-        for module in graph.modules():
-            sinks = _local_sinks(module.tree)
-            # While-loop drains (`while q and buf.push(q[0])`) retry with
-            # bounded work per event and are the sanctioned pattern.
-            while_lines: Set[int] = set()
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.While):
-                    for inner in ast.walk(node.test):
-                        while_lines.add(getattr(inner, "lineno", -1))
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.If):
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        sinks = _local_sinks(ctx.tree)
+        # While-loop drains (`while q and buf.push(q[0])`) retry with
+        # bounded work per event and are the sanctioned pattern.
+        while_lines: Set[int] = set()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.While):
+                for inner in ast.walk(node.test):
+                    while_lines.add(getattr(inner, "lineno", -1))
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.If):
+                continue
+            negated, positive = _rejection_calls(node.test)
+            for call in negated:
+                if call.lineno in while_lines:
                     continue
-                negated, positive = _rejection_calls(node.test)
-                for call in negated:
-                    if call.lineno in while_lines:
-                        continue
-                    if not _branch_escapes(node.body, sinks):
-                        yield self._finding(module, call)
-                for call in positive:
-                    if call.lineno in while_lines:
-                        continue
-                    if not node.orelse or not _branch_escapes(
-                        node.orelse, sinks
-                    ):
-                        yield self._finding(module, call)
+                if not _branch_escapes(node.body, sinks):
+                    yield self._finding(call)
+            for call in positive:
+                if call.lineno in while_lines:
+                    continue
+                if not node.orelse or not _branch_escapes(
+                    node.orelse, sinks
+                ):
+                    yield self._finding(call)
 
-    def _finding(self, module: ModuleGraph, call: ast.Call) -> Finding:
+    def _finding(self, call: ast.Call) -> Finding:
         attr = call.func.attr  # type: ignore[attr-defined]
         return (
-            module.module_path,
             call.lineno,
             call.col_offset,
             f"rejection path of .{attr}() does not provably escape "
@@ -276,7 +209,7 @@ _BALANCE_OWNERS = frozenset({"islent", "borrowed", "is_lent", "data_borrowed"})
 _BALANCE_MODULE = "repro/balance/metadata.py"
 
 
-class BalanceMetadataBypass(FlowRule):
+class BalanceMetadataBypass(Rule):
     code = "FL004"
     name = "balance-metadata-bypass"
     description = (
@@ -286,32 +219,29 @@ class BalanceMetadataBypass(FlowRule):
         "lend/return conservation the tracker audits"
     )
 
-    def check(self, graph: ProtocolGraph) -> Iterator[Finding]:
-        for module in graph.modules():
-            if module.module_path == _BALANCE_MODULE:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.module_path == _BALANCE_MODULE:
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Attribute):
                 continue
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Attribute):
-                    continue
-                if not node.attr.startswith("_"):
-                    continue
-                owner = terminal_name(node.value)
-                if owner is None or owner.lower() not in _BALANCE_OWNERS:
-                    continue
-                yield (
-                    module.module_path,
-                    node.lineno,
-                    node.col_offset,
-                    f"private balance-metadata member "
-                    f"{owner}.{node.attr} accessed outside "
-                    f"balance/metadata.py -- use the public "
-                    f"set_lent/clear_lent/borrow/return API so the "
-                    f"lend/return balance stays auditable",
-                )
+            if not node.attr.startswith("_"):
+                continue
+            owner = terminal_name(node.value)
+            if owner is None or owner.lower() not in _BALANCE_OWNERS:
+                continue
+            yield (
+                node.lineno,
+                node.col_offset,
+                f"private balance-metadata member "
+                f"{owner}.{node.attr} accessed outside "
+                f"balance/metadata.py -- use the public "
+                f"set_lent/clear_lent/borrow/return API so the "
+                f"lend/return balance stays auditable",
+            )
 
 
-FLOW_RULES: Tuple[FlowRule, ...] = (
-    OrphanMessageType(),
+FLOW_RULES: Tuple[Rule, ...] = (
     UnhandledBackpressure(),
     BlockingWaitCycle(),
     BalanceMetadataBypass(),

@@ -27,6 +27,11 @@ SL007    no builtin ``hash()`` -- salted per process
 SL008    no builtin ``id()`` in sort keys or comparisons inside
          ``sim/``/``bridge/`` -- allocation addresses differ across
          processes and runs
+SL009    no module- or class-level mutable state in the simulation
+         packages -- a pool worker keeps it from one cell to the next
+SL010    no RNG constructed outside the ``sim/rng.py`` named-stream
+         facade in the simulation packages -- a run is reproducible
+         from its seed only if every stream derives from the root
 =======  ==============================================================
 
 The rules live in :mod:`repro.lint.rules`.  Findings can be suppressed
@@ -35,6 +40,6 @@ rules; bare ``# simlint: ignore`` silences the line entirely) or
 sanctioned centrally in :data:`repro.analyze.ALLOWLIST`, where every
 entry must carry a written justification.
 
-Run it with the other three analyzers as ``python -m repro.analyze
+Run it with the other two analyzers as ``python -m repro.analyze
 [paths...]`` (defaults to ``src/``).
 """

@@ -632,6 +632,204 @@ class NoIdOrdering(Rule):
                         )
 
 
+# ----------------------------------------------------------------------
+# SL009 / SL010 -- where simulation state lives
+# ----------------------------------------------------------------------
+#: The packages whose objects live inside a running simulation.  The
+#: analysis/plotting/CLI layers hold no simulated state and are out of
+#: scope by construction.
+STATE_SCOPE_PREFIXES: Tuple[str, ...] = (
+    "repro/sim/",
+    "repro/bridge/",
+    "repro/ndp/",
+    "repro/runtime/",
+    "repro/balance/",
+    "repro/links/",
+    "repro/dram/",
+    "repro/messages/",
+)
+
+#: Call targets that produce mutable state (SL009).
+_MUTABLE_FACTORY_CALLS = frozenset(
+    {
+        "list", "dict", "set", "bytearray",
+        "collections.deque", "collections.defaultdict",
+        "collections.Counter", "collections.OrderedDict",
+        "deque", "defaultdict", "Counter", "OrderedDict",
+        "itertools.count", "count",
+    }
+)
+
+#: RNG constructors that must only appear in sanctioned modules (SL010).
+_RNG_CONSTRUCTORS = frozenset({"random.Random", "random.SystemRandom"})
+
+
+def _is_constant(node: ast.AST) -> bool:
+    """Literal-constant check: immutable scalars and containers of them."""
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return all(_is_constant(e) for e in node.elts)
+    if isinstance(node, ast.Dict):
+        return all(
+            k is not None and _is_constant(k) and _is_constant(v)
+            for k, v in zip(node.keys, node.values)
+        )
+    if isinstance(node, ast.UnaryOp):
+        return _is_constant(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _is_constant(node.left) and _is_constant(node.right)
+    return False
+
+
+def _mutable_kind(value: ast.AST, ctx: ModuleContext) -> Optional[str]:
+    """The mutable-state kind of a bound value, or None if harmless."""
+    if isinstance(value, ast.List):
+        return "list literal"
+    if isinstance(value, ast.Dict):
+        return "dict literal"
+    if isinstance(value, ast.Set):
+        return "set literal"
+    if isinstance(value, (ast.ListComp, ast.DictComp, ast.SetComp)):
+        return "comprehension"
+    if isinstance(value, ast.Call):
+        dotted = resolve_dotted(value.func, ctx)
+        if dotted in _MUTABLE_FACTORY_CALLS:
+            return f"{dotted}() instance"
+    return None
+
+
+def _is_constant_table(name: str, value: ast.AST) -> bool:
+    """ALL_CAPS non-empty literal tables are read-only by convention.
+
+    A module-level ``TIMINGS = {...}`` of constants is a lookup table,
+    not state: nothing writes it, so no cell can leave it changed.  Only
+    literal contents qualify -- a ``count()`` or comprehension is
+    stateful/derived and stays flagged regardless of naming -- and only
+    a non-empty table: an empty container is useful only if something
+    fills it.  Dunder metadata (``__all__`` and friends) is
+    interpreter-facing, not simulation state, and is exempt on the same
+    read-only grounds.
+    """
+    if name.startswith("__") and name.endswith("__"):
+        return True
+    if name != name.upper():
+        return False
+    if isinstance(value, (ast.List, ast.Set)):
+        return bool(value.elts) and _is_constant(value)
+    if isinstance(value, ast.Dict):
+        return bool(value.keys) and _is_constant(value)
+    return False
+
+
+def _is_dataclass(node: ast.ClassDef, ctx: ModuleContext) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        dotted = resolve_dotted(target, ctx)
+        if dotted is not None and dotted.rsplit(".", 1)[-1] == "dataclass":
+            return True
+    return False
+
+
+def _bindings(
+    body: List[ast.stmt], in_dataclass: bool
+) -> Iterator[Tuple[ast.stmt, str, ast.expr]]:
+    """``(statement, name, value)`` for each plain-name binding in a
+    module or class body; a dataclass's annotated fields are per
+    instance, and ``__slots__`` declares rather than binds."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name) and target.id != "__slots__":
+                    yield stmt, target.id, stmt.value
+        elif (
+            isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and stmt.value is not None
+            and not in_dataclass
+        ):
+            yield stmt, stmt.target.id, stmt.value
+
+
+class ModuleLevelState(Rule):
+    code = "SL009"
+    name = "module-level-state"
+    description = (
+        "module- or class-level mutable state in a simulation package "
+        "-- a pool worker keeps it from one cell to the next, so a "
+        "cell's result would depend on the cells run before it "
+        "(ALL_CAPS non-empty literal constant tables are exempt; "
+        "stateful factories like itertools.count() never are)"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if not ctx.module_path.startswith(STATE_SCOPE_PREFIXES):
+            return
+        scopes: List[Tuple[str, List[ast.stmt], bool]] = [
+            ("module", ctx.tree.body, False)
+        ]
+        rebinds: List[ast.Global] = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef):
+                scopes.append(
+                    (f"class {node.name}", node.body, _is_dataclass(node, ctx))
+                )
+            elif isinstance(node, ast.Global):
+                rebinds.append(node)
+        for where, body, in_dataclass in scopes:
+            for stmt, name, value in _bindings(body, in_dataclass):
+                kind = _mutable_kind(value, ctx)
+                if kind and not _is_constant_table(name, value):
+                    yield (
+                        stmt.lineno,
+                        stmt.col_offset,
+                        f"{where}-level mutable state '{name}' ({kind}) "
+                        f"-- move it onto a component or allowlist it "
+                        f"with a written justification",
+                    )
+        for node in rebinds:
+            for name in node.names:
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    f"'global {name}' rebinds module state from inside "
+                    f"a simulation package -- a pool worker carries it "
+                    f"into the next cell",
+                )
+
+
+class UnmanagedRNG(Rule):
+    code = "SL010"
+    name = "unmanaged-rng"
+    description = (
+        "an RNG is constructed outside the sim/rng.py named-stream "
+        "facade -- a run is reproducible from its seed only if every "
+        "stream derives from the system root; derive a substream "
+        "instead"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if not ctx.module_path.startswith(STATE_SCOPE_PREFIXES):
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = resolve_dotted(node.func, ctx)
+            if dotted is not None and (
+                dotted in _RNG_CONSTRUCTORS
+                or dotted.rsplit(".", 1)[-1] == "DeterministicRNG"
+                or dotted.startswith("numpy.random.")
+            ):
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    f"RNG constructed via {dotted}() outside the "
+                    f"named-stream facade -- use "
+                    f"DeterministicRNG.substream() from the system "
+                    f"root so the run is reproducible from its seed",
+                )
+
+
 RULES: Tuple[Rule, ...] = (
     NoWallClock(),
     NoGlobalRandom(),
@@ -640,6 +838,8 @@ RULES: Tuple[Rule, ...] = (
     NoLateBindingCallback(),
     NoBuiltinHash(),
     NoIdOrdering(),
+    ModuleLevelState(),
+    UnmanagedRNG(),
 )
 
 RULE_CODES: frozenset = frozenset(rule.code for rule in RULES)

@@ -25,13 +25,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..exec.knobs import is_registered
 from ..lint.rules import (
+    STATE_SCOPE_PREFIXES,
     Finding,
     ModuleContext,
     Rule,
     resolve_dotted,
     terminal_name,
 )
-from ..state.rules import STATE_SCOPE_PREFIXES
 
 __all__ = [
     "RACE_RULES",
@@ -333,7 +333,7 @@ class WorkerContextIndependence(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         # Worker-executed packages: everything a pool worker runs to
-        # simulate a cell, which is the scope simstate audits.
+        # simulate a cell, the scope of simlint's SL009/SL010.
         if not ctx.module_path.startswith(STATE_SCOPE_PREFIXES):
             return
         for node in ast.walk(ctx.tree):

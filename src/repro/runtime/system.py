@@ -8,7 +8,7 @@ tasks, then :meth:`run` to completion.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List, Optional, Tuple
 
 from ..bridge.fabric import build_fabric
 from ..config import SystemConfig, validate_config
@@ -19,6 +19,13 @@ from .partition import PartitionMap
 from .program import TaskRegistry
 from .task import Task
 from .tracker import RunTracker
+
+#: How long a run may hold messages in flight while every core is idle
+#: and neither a task completes nor an in-flight count moves before
+#: :meth:`NDPSystem.check_stalled` calls it stalled.  A message crosses
+#: the fabric in a few gather rounds (thousands of cycles), so this sits
+#: far above any legitimate gap and far below ``max_cycles``.
+STALL_WINDOW_CYCLES = 1_000_000
 
 
 class NDPSystem:
@@ -54,6 +61,10 @@ class NDPSystem:
         # The run ends when the tracker says so, never by polling it.
         self.tracker.on_finish(self.sim.stop)
         self._ran = False
+        #: The tracker's (completed, task msgs, data msgs) counts at the
+        #: last sign of progress, and the cycle it was seen.
+        self._progress: Optional[Tuple[int, int, int]] = None
+        self._progress_at = 0
 
     # ------------------------------------------------------------------
     @property
@@ -81,8 +92,9 @@ class NDPSystem:
         """Run the simulation until all tasks drain.
 
         Raises :class:`SimulationError` when the event queue empties while
-        work is still outstanding (a lost task/message -- a model bug) or
-        when ``max_cycles`` is exceeded.
+        work is still outstanding (a lost task/message -- a model bug),
+        when the run stalls (:meth:`check_stalled`) or when
+        ``max_cycles`` is exceeded.
 
         Equivalent to :meth:`start` followed by :meth:`finish`; callers
         that need to pause at a cycle (the open-loop driver, perfbench)
@@ -136,6 +148,69 @@ class NDPSystem:
         return self
 
     # ------------------------------------------------------------------
+    def check_stalled(self) -> None:
+        """Raise :class:`SimulationError` if the run has stalled.
+
+        Called from the fabric's periodic callbacks (the level-1 state
+        gather, the host poll), which keep the event queue alive even
+        when a lost message leaves nothing else to do.  A run is stalled
+        once, for :data:`STALL_WINDOW_CYCLES`, messages have been in
+        flight, no core has been busy, and no task has completed and no
+        in-flight count has moved.
+        """
+        tracker = self.tracker
+        progress = (
+            tracker.total_completed,
+            tracker.task_messages_in_flight,
+            tracker.data_messages_in_flight,
+        )
+        if (
+            progress != self._progress
+            or not (progress[1] or progress[2])
+            or any(unit.core_busy for unit in self.units)
+        ):
+            self._progress = progress
+            self._progress_at = self.sim.now
+        elif self.sim.now - self._progress_at >= STALL_WINDOW_CYCLES:
+            raise SimulationError(self._stall_report())
+
+    def _stall_report(self) -> str:
+        tracker = self.tracker
+        outstanding = {
+            ts: tracker.outstanding(ts)
+            for ts in sorted(tracker.created)
+            if tracker.outstanding(ts)
+        }
+        resident = [
+            f"{where}={len(msgs)}" for where, msgs in self._resident() if msgs
+        ]
+        return (
+            f"run stalled: no progress since cycle {self._progress_at} "
+            f"(now {self.sim.now}) with messages in flight and every core "
+            f"idle: task_msgs={tracker.task_messages_in_flight}, "
+            f"data_msgs={tracker.data_messages_in_flight}, outstanding "
+            f"tasks by epoch {outstanding}; resident messages: "
+            f"{', '.join(resident) or 'none in any mailbox or bridge buffer'}"
+        )
+
+    def _resident(self) -> Iterator[Tuple[str, tuple]]:
+        """``(container, messages)`` for every mailbox and bridge buffer."""
+        for unit in self.units:
+            yield f"unit{unit.unit_id}.mailbox", unit.mailbox.pending_messages()
+        for bridge in getattr(self.fabric, "rank_bridges", ()):
+            rank = bridge.global_rank
+            yield f"bridge{rank}.up", bridge.up_mailbox.pending_messages()
+            for uid in sorted(bridge.scatter_buffers):
+                yield (
+                    f"bridge{rank}.scatter{uid}",
+                    bridge.scatter_buffers[uid].pending_messages(),
+                )
+            yield f"bridge{rank}.backup", bridge.backup_messages()
+        level2 = getattr(self.fabric, "level2", None)
+        if level2 is not None:
+            for rank, buf in enumerate(level2.down_buffers):
+                yield f"level2.down{rank}", buf.pending_messages()
+
     def _on_epoch_advance(self, epoch: int) -> None:
         for unit in self.units:
             unit.on_epoch(epoch)

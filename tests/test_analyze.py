@@ -2,10 +2,11 @@
 
 Each family's rule fixtures and its path through the real gate live in
 ``tests/test_{lint,flow,state,race}.py``.  This module pins what the
-core decides for all four at once: which files the gate is given, and
-which module path -- and so which rule scope -- each file gets.  It also
-pins that a simulation run never loads the analyzers, and that the rule
-reference in ``docs/analysis.md`` names exactly the rules the gate runs.
+core decides for all three at once: which files the gate is given and
+checks, and which module path -- and so which rule scope -- each file
+gets.  It also pins that a simulation run never loads the analyzers,
+and that the rule reference in ``docs/analysis.md`` names exactly the
+rules the gate runs.
 """
 
 import re
@@ -23,14 +24,53 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # ----------------------------------------------------------------------
 # the files the gate is given
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("where", ["no_such_dir", "empty"])
+@pytest.mark.parametrize(
+    "where",
+    [["no_such_dir"], ["empty"], ["missing.py"], ["src", "missing.py"]],
+    ids=["no_such_dir", "empty", "missing.py", "src-missing.py"],
+)
 def test_no_python_files_is_a_usage_error(where, analyze_cli, tmp_path):
-    # A mistyped CI path must fail the gate, not pass it unchecked.
+    # A mistyped CI path must fail the gate, not pass it unchecked, even
+    # next to a real one.
     (tmp_path / "empty").mkdir()
     (tmp_path / "empty" / "notes.txt").write_text("x = 1\n")
-    proc = analyze_cli(str(tmp_path / where))
+    proc = analyze_cli(
+        *(str(REPO_ROOT / w if w == "src" else tmp_path / w) for w in where)
+    )
     assert proc.returncode == 2
     assert "no python files" in proc.stderr
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["a-b", "b-a"])
+def test_every_file_is_checked_when_two_share_a_module_path(
+    reverse, analyze_cli, tmp_path
+):
+    hazards = {
+        "repro/bridge/x.py": "def f(buf, msg):\n    buf.push(msg)\n",
+        "repro/sim/y.py": "seen = {}\n",
+    }
+    for where in ("a", "b"):
+        for module_path, source in hazards.items():
+            path = tmp_path / where / module_path
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+    dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
+    proc = analyze_cli(*(dirs[::-1] if reverse else dirs))
+    assert proc.returncode == 1
+    found = sorted(
+        (row.split(":", 1)[0], row.split(" ")[2])
+        for row in proc.stdout.splitlines()
+        if " FL002 " in row or " SL009 " in row
+    )
+    assert found == [
+        ("simflow", "FL002"),
+        ("simflow", "FL002"),
+        ("simlint", "SL009"),
+        ("simlint", "SL009"),
+    ]
+    for where in ("a", "b"):
+        for module_path in hazards:
+            assert str(tmp_path / where / module_path) in proc.stdout
 
 
 # ----------------------------------------------------------------------

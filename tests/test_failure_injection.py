@@ -8,13 +8,16 @@ catches each one loudly.
 
 import pytest
 
+from repro.apps import make_app
 from repro.config import Design, tiny_config
 from repro.messages import Mailbox, TaskMessage
-from repro.runtime.system import NDPSystem
+from repro.runtime.requests import run_openloop
+from repro.runtime.runner import build_system
+from repro.runtime.system import STALL_WINDOW_CYCLES, NDPSystem
 from repro.runtime.task import Task
 from repro.sim import SimulationError
-
-from .conftest import noop_task
+from repro.workloads.openloop import OpenLoopSpec, TenantSpec, \
+    generate_requests
 
 
 def test_dropped_message_stalls_run_detectably():
@@ -45,6 +48,74 @@ def test_dropped_message_stalls_run_detectably():
     with pytest.raises(SimulationError):
         system.run()
     assert dropped, "the fault was never injected"
+
+
+def test_lost_data_messages_stall_run_promptly():
+    """A design-O run that loses every lend stops within the watchdog's
+    window, far below max_cycles, and says where its messages are."""
+    app = make_app("ht", scale=0.1, seed=7)
+    system = build_system(tiny_config(Design.O))
+    app.attach(system)
+    app.seed_tasks(system)
+    lost = []
+    for unit in system.units:
+        unit.deliver_data_message = lost.append
+    with pytest.raises(SimulationError, match="run stalled") as err:
+        system.run()
+    assert lost, "the fault was never injected"
+    assert system.sim.now < 2 * STALL_WINDOW_CYCLES
+    report = str(err.value)
+    assert f"data_msgs={len(lost)}" in report
+    assert "outstanding tasks by epoch {0: " in report
+    assert "bridge0.backup=" in report
+
+
+@pytest.mark.parametrize(
+    "design,makespan,mean,worst",
+    [
+        (Design.O, 15_960_834, 7042.75, 7470.0),
+        (Design.C, 15_960_428, 6636.75, 7064.0),
+    ],
+    ids=["O", "C"],
+)
+def test_sparse_open_loop_stream_is_not_a_stall(design, makespan, mean, worst):
+    """Idle gaps longer than the window, between requests that send
+    messages, are not a stall: the run completes with its usual numbers."""
+    spec = OpenLoopSpec(tenants=(
+        TenantSpec(name="sparse", n_requests=4, mean_gap=4_000_000.0),
+    ))
+    arrivals = [r.arrival for r in generate_requests(spec.tenants, 16, 1)]
+    gaps = [b - a for a, b in zip([0] + arrivals, arrivals)]
+    assert min(gaps) > STALL_WINDOW_CYCLES
+    metrics = run_openloop("tree", tiny_config(design), spec,
+                           scale=0.05, seed=1).metrics
+    assert metrics.task_messages > 0
+    assert metrics.makespan == makespan
+    assert metrics.extra["lat/sparse/mean"] == mean
+    assert metrics.extra["lat/sparse/max"] == worst
+
+
+@pytest.mark.parametrize(
+    "design,makespan",
+    [(Design.B, 2_501_269), (Design.C, 2_502_740)],
+    ids=["B", "C"],
+)
+def test_task_longer_than_the_stall_window_completes(design, makespan):
+    system = NDPSystem(tiny_config(design))
+    system.registry.register("noop", lambda ctx, task: None)
+    bank = system.addr_map.bank_bytes
+
+    def spawn(ctx, task):
+        for u in range(1, 6):
+            ctx.enqueue_task("noop", task.ts, u * bank, workload=5)
+
+    system.registry.register("spawn", spawn)
+    cycles = 2 * STALL_WINDOW_CYCLES + 500_000
+    system.seed_task(Task(func="spawn", ts=0, data_addr=0,
+                          workload=cycles, actual_cycles=cycles))
+    system.run()
+    assert system.total_tasks_executed == 6
+    assert system.makespan == makespan
 
 
 def test_double_completion_detected():

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.analyze import TOOLS, check_sources
-from repro.flow.graph import design_active
 from repro.flow.rules import FLOW_RULE_CODES, FLOW_RULES
 
 
@@ -32,14 +31,6 @@ def codes(source, module_path="repro/bridge/fixture.py", path="fixture.py"):
 # per-rule fixtures: (source, module_path, line_to_suppress)
 # ----------------------------------------------------------------------
 FIXTURES = {
-    # A DataMessage produced with no handler anywhere in the tree.
-    "FL001": (
-        "from repro.messages.types import DataMessage\n"
-        "def report(self):\n"
-        "    self._send(DataMessage(src_unit=0, dst_unit=1))\n",
-        "repro/ndp/fixture.py",
-        3,
-    ),
     # Bare-expression enqueue: the False return is discarded.
     "FL002": (
         "def f(mailbox, msg):\n"
@@ -66,15 +57,6 @@ FIXTURES = {
 
 #: Clean variants of each fixture: same shape, hazard removed.
 CLEAN = {
-    # The message type gains a handler, so production is consumed.
-    "FL001": (
-        "from repro.messages.types import DataMessage\n"
-        "def report(self):\n"
-        "    self._send(DataMessage(src_unit=0, dst_unit=1))\n"
-        "def deliver_data_message(self, msg: DataMessage):\n"
-        "    pass\n",
-        "repro/ndp/fixture.py",
-    ),
     # The return value is checked.
     "FL002": (
         "def f(mailbox, msg):\n"
@@ -101,7 +83,7 @@ CLEAN = {
 def test_every_rule_has_fixtures():
     assert set(FIXTURES) == set(FLOW_RULE_CODES)
     assert set(CLEAN) == set(FLOW_RULE_CODES)
-    assert len(FLOW_RULES) == 4
+    assert len(FLOW_RULES) == 3
 
 
 @pytest.mark.parametrize("code", sorted(FIXTURES))
@@ -144,65 +126,12 @@ def test_simlint_ignore_does_not_silence_simflow():
 
 
 # ----------------------------------------------------------------------
-# scope and graph mechanics
+# scope and rule mechanics
 # ----------------------------------------------------------------------
 def test_out_of_scope_modules_are_ignored():
     source, _, _ = FIXTURES["FL002"]
     assert codes(source, "repro/analysis/fixture.py") == []
     assert codes(source, "repro/sim/fixture.py") == []
-
-
-def test_design_scoping():
-    # host_path is design C's fabric; the bridge hierarchy is B/W/O's.
-    assert design_active("C", "repro/bridge/host_path.py")
-    assert not design_active("C", "repro/bridge/level1.py")
-    assert design_active("O", "repro/bridge/level1.py")
-    assert not design_active("O", "repro/bridge/host_path.py")
-    assert design_active("R", "repro/bridge/rowclone.py")
-    assert not design_active("B", "repro/bridge/rowclone.py")
-    # H is host-only execution: it loads no message code at all.
-    assert not design_active("H", "repro/ndp/unit.py")
-    # Units and message formats are shared by every NDP design.
-    for design in ("C", "B", "W", "O", "R"):
-        assert design_active(design, "repro/ndp/unit.py")
-        assert design_active(design, "repro/messages/types.py")
-
-
-def test_fl001_reports_only_designs_missing_the_handler():
-    # TaskMessage produced in shared code, handled only in the bridge
-    # hierarchy: orphaned under C and R, fine under B/W/O.
-    producer = (
-        "from repro.messages.types import TaskMessage\n"
-        "def go(self):\n"
-        "    self._send(TaskMessage(src_unit=0, dst_unit=1))\n"
-    )
-    handler = (
-        "from repro.messages.types import TaskMessage\n"
-        "def deliver_task_message(self, msg: TaskMessage):\n"
-        "    pass\n"
-    )
-    diags = analyze_sources(
-        [
-            ("p.py", "repro/ndp/fixture.py", producer),
-            ("h.py", "repro/bridge/level1_fixture.py", handler),
-        ]
-    )
-    fl001 = [d for d in diags if d.rule == "FL001"]
-    assert len(fl001) == 1
-    assert "C,R" in fl001[0].message
-    assert "B" not in fl001[0].message.split("design(s) ")[1].split(" ")[0]
-
-
-def test_isinstance_dispatch_counts_as_handler():
-    source = (
-        "from repro.messages.types import DataMessage\n"
-        "def send(self):\n"
-        "    self._send(DataMessage(src_unit=0, dst_unit=1))\n"
-        "def handle_message(self, msg):\n"
-        "    if isinstance(msg, DataMessage):\n"
-        "        pass\n"
-    )
-    assert "FL001" not in codes(source, "repro/ndp/fixture.py")
 
 
 def test_fl003_while_drain_is_sanctioned():

@@ -85,6 +85,22 @@ FIXTURES = {
         "repro/bridge/fixture.py",
         2,
     ),
+    # Module-level mutable cache: a pool worker keeps it across cells.
+    "SL009": (
+        "seen = {}\n"
+        "def mark(k):\n"
+        "    seen[k] = True\n",
+        "repro/bridge/fixture.py",
+        1,
+    ),
+    # RNG built outside the named-stream facade.
+    "SL010": (
+        "import random\n"
+        "def jitter():\n"
+        "    return random.Random(7).random()\n",
+        "repro/links/fixture.py",
+        3,
+    ),
 }
 
 

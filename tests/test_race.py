@@ -1,6 +1,6 @@
 """simrace static-analysis test suite (rules RC002, RC003, RC005).
 
-Mirrors the simlint/simflow/simstate contract: every RC rule must
+Mirrors the simlint/simflow contract: every RC rule must
 (a) catch its hazard in a positive fixture, (b) stay quiet under a
 ``# simrace: ignore[RULE]`` comment, and (c) stay quiet on a clean
 variant of the same code.  The environment-knob registry is exercised
@@ -260,7 +260,7 @@ def test_cli_sarif_output(analyze_cli, tmp_path):
     proc = analyze_cli("--format", "sarif", "-o", str(out), str(bad))
     assert proc.returncode == 1
     report = json.loads(out.read_text())
-    run = report["runs"][3]
+    run = report["runs"][2]
     assert run["tool"]["driver"]["name"] == "simrace"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     assert rule_ids == [rule.code for rule in RACE_RULES]
@@ -275,7 +275,8 @@ def test_cli_sarif_output(analyze_cli, tmp_path):
 def _bad_tree(tmp_path):
     bad = tmp_path / "repro" / "ndp" / "bad.py"
     bad.parent.mkdir(parents=True)
-    # Trips simstate (mutable module global) and simrace (RC003) at once.
+    # Trips simlint (SL009, a mutable module global) and simrace (RC003)
+    # at once.
     bad.write_text("seen = {}\n" + RC003_UNDECLARED)
     return bad
 

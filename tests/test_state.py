@@ -1,35 +1,29 @@
-"""simstate static-analysis test suite.
+"""Tests of simlint's two module-state rules and of the gate as a whole.
 
-Mirrors the simlint/simflow contract: every ST rule must (a) catch its
-hazard in a positive fixture, (b) stay quiet under a
-``# simstate: ignore[RULE]`` comment, and (c) stay quiet on a clean
-variant of the same code.  Allowlisted module paths are exercised with
-a real allowlist entry.  Meta-tests assert the repository's own
-simulation tree is clean through the real gate, ``python -m
-repro.analyze``, and pin the gate's cross-family text and SARIF output.
-A live system, paused mid-run, holds no attribute the inventory does
-not declare.
+SL009 (no module- or class-level mutable state) and SL010 (no RNG built
+outside the ``sim/rng.py`` named-stream facade) guard what a pool worker
+carries from one simulated cell to the next.  Their hazard fixtures sit
+with every other simlint rule's in ``tests/test_lint.py``; this module
+holds their clean variants, scope, exemptions and allowlist entries.
+Meta-tests run them through the real gate, ``python -m repro.analyze``,
+and pin the gate's cross-family text and SARIF output.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.analyze import ALLOWLIST, TOOLS, build_tree_inventory, check_sources
-from repro.apps import make_app
-from repro.config import Design, tiny_config
-from repro.runtime.runner import build_system
-from repro.state.rules import STATE_RULE_CODES, STATE_RULES
+from repro.analyze import ALLOWLIST, TOOLS, check_sources
+from repro.lint.rules import RULES
 
-from .conftest import attr_names, component_registry
+from .test_lint import FIXTURES
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+STATE_CODES = ("SL009", "SL010")
 
 
 def analyze_sources(modules):
-    """simstate's findings for ``(path, module_path, source)`` triples."""
-    return dict(check_sources(modules))["simstate"]
+    """simlint's findings for ``(path, module_path, source)`` triples."""
+    return dict(check_sources(modules))["simlint"]
 
 
 def codes(source, module_path="repro/ndp/fixture.py", path="fixture.py"):
@@ -38,96 +32,37 @@ def codes(source, module_path="repro/ndp/fixture.py", path="fixture.py"):
     ]
 
 
-# ----------------------------------------------------------------------
-# per-rule fixtures: (source, module_path, line_to_suppress)
-# ----------------------------------------------------------------------
-FIXTURES = {
-    # Attribute materialized mid-run, invisible to the inventory.
-    "ST001": (
-        "class Unit:\n"
-        "    def __init__(self):\n"
-        "        self.busy = False\n"
-        "    def step(self):\n"
-        "        self.backlog = []\n",
-        "repro/ndp/fixture.py",
-        5,
-    ),
-    # Module-level mutable cache: a pool worker keeps it across cells.
-    "ST003": (
-        "seen = {}\n"
-        "def mark(k):\n"
-        "    seen[k] = True\n",
-        "repro/bridge/fixture.py",
-        1,
-    ),
-    # RNG built outside the named-stream facade.
-    "ST004": (
-        "import random\n"
-        "def jitter():\n"
-        "    return random.Random(7).random()\n",
-        "repro/links/fixture.py",
-        3,
-    ),
-}
-
-#: Clean variants of each fixture: same shape, hazard removed.
+#: Clean variants of each hazard fixture: same shape, hazard removed.
 CLEAN = {
-    # The attribute is declared at construction time.
-    "ST001": (
-        "class Unit:\n"
-        "    def __init__(self):\n"
-        "        self.busy = False\n"
-        "        self.backlog = []\n"
-        "    def step(self):\n"
-        "        self.backlog = []\n",
-        "repro/ndp/fixture.py",
-    ),
     # ALL_CAPS literal table: a read-only constant, exempt.
-    "ST003": (
+    "SL009": (
         "LIMITS = {'depth': 4, 'fanout': 8}\n"
         "def limit(k):\n"
         "    return LIMITS[k]\n",
         "repro/bridge/fixture.py",
     ),
     # Substreams derived from the system root are the sanctioned path.
-    "ST004": (
+    "SL010": (
         "def jitter(rng):\n"
         "    return rng.substream('link').random()\n",
         "repro/links/fixture.py",
     ),
 }
 
+#: An empty container is useful only if something fills it, so an
+#: ALL_CAPS name does not make it a constant table.
+EMPTY_CONTAINERS = {
+    "module-dict": "_CACHE = {}\n",
+    "module-list": "SEEN = []\n",
+    "annotated-dict": "MEMO: dict = {}\n",
+    "class-list": "class Thing:\n    POOL = []\n",
+}
+
 
 def test_every_rule_has_fixtures():
-    assert set(FIXTURES) == set(STATE_RULE_CODES)
-    assert set(CLEAN) == set(STATE_RULE_CODES)
-    assert len(STATE_RULES) == 3
-
-
-@pytest.mark.parametrize("code", sorted(FIXTURES))
-def test_rule_fires_on_hazard(code):
-    source, module_path, _ = FIXTURES[code]
-    assert code in codes(source, module_path), (
-        f"{code} failed to detect its hazard fixture"
-    )
-
-
-@pytest.mark.parametrize("code", sorted(FIXTURES))
-def test_rule_suppressed_by_ignore_comment(code):
-    source, module_path, line = FIXTURES[code]
-    lines = source.splitlines()
-    lines[line - 1] += f"  # simstate: ignore[{code}] fixture justification"
-    suppressed = "\n".join(lines) + "\n"
-    assert code not in codes(suppressed, module_path)
-
-
-@pytest.mark.parametrize("code", sorted(FIXTURES))
-def test_rule_suppressed_by_bare_ignore(code):
-    source, module_path, line = FIXTURES[code]
-    lines = source.splitlines()
-    lines[line - 1] += "  # simstate: ignore"
-    suppressed = "\n".join(lines) + "\n"
-    assert code not in codes(suppressed, module_path)
+    assert set(STATE_CODES) <= {rule.code for rule in RULES}
+    assert set(STATE_CODES) <= set(FIXTURES)
+    assert set(CLEAN) == set(STATE_CODES)
 
 
 @pytest.mark.parametrize("code", sorted(CLEAN))
@@ -136,20 +71,25 @@ def test_clean_variant_passes(code):
     assert code not in codes(source, module_path)
 
 
-def test_simlint_ignore_does_not_silence_simstate():
-    source, module_path, line = FIXTURES["ST003"]
+@pytest.mark.parametrize("name", sorted(EMPTY_CONTAINERS))
+def test_empty_all_caps_container_is_state(name):
+    assert "SL009" in codes(EMPTY_CONTAINERS[name], "repro/sim/thing.py")
+
+
+def test_other_family_ignore_does_not_silence_state_rules():
+    source, module_path, line = FIXTURES["SL009"]
     lines = source.splitlines()
-    lines[line - 1] += "  # simlint: ignore"
-    assert "ST003" in codes("\n".join(lines) + "\n", module_path)
+    lines[line - 1] += "  # simflow: ignore  # simrace: ignore"
+    assert "SL009" in codes("\n".join(lines) + "\n", module_path)
 
 
 def test_allowlisted_module_is_exempt():
-    # repro/runtime/task.py carries a real ST003 allowlist entry (the
+    # repro/runtime/task.py carries a real SL009 allowlist entry (the
     # monotonic task-id counter); the same hazard at that path is quiet,
     # and loud one directory over.
     source = "ids = {}\n"
-    assert "ST003" not in codes(source, "repro/runtime/task.py")
-    assert "ST003" in codes(source, "repro/runtime/other.py")
+    assert "SL009" not in codes(source, "repro/runtime/task.py")
+    assert "SL009" in codes(source, "repro/runtime/other.py")
 
 
 def test_allowlist_entries_are_validated():
@@ -160,103 +100,36 @@ def test_allowlist_entries_are_validated():
 
 
 # ----------------------------------------------------------------------
-# scope, inheritance, and inventory mechanics
+# scope and exemptions
 # ----------------------------------------------------------------------
 def test_out_of_scope_modules_are_ignored():
-    source, _, _ = FIXTURES["ST003"]
+    source, _, _ = FIXTURES["SL009"]
     assert codes(source, "repro/analysis/fixture.py") == []
     assert codes(source, "repro/exec/fixture.py") == []
 
 
-def test_st001_sees_cross_module_inheritance():
-    base = (
-        "class Base:\n"
-        "    def __init__(self):\n"
-        "        self.cursor = 0\n"
-    )
-    child = (
-        "class Child(Base):\n"
-        "    def step(self):\n"
-        "        self.cursor += 1\n"
-    )
-    diags = analyze_sources([
-        ("base.py", "repro/sim/base_fixture.py", base),
-        ("child.py", "repro/ndp/child_fixture.py", child),
-    ])
-    assert [d.rule for d in diags] == []
-
-
-def test_st001_flags_dynamic_setattr():
-    source = (
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        pass\n"
-        "    def poke(self, name):\n"
-        "        setattr(self, name, 1)\n"
-    )
-    assert "ST001" in codes(source)
-
-
 def test_dunder_module_metadata_is_exempt():
     source = "__all__ = ['a', 'b']\n"
-    assert "ST003" not in codes(source, "repro/sim/fixture.py")
+    assert "SL009" not in codes(source, "repro/sim/fixture.py")
 
 
 def test_syntax_error_reported_not_crashed():
-    diags = analyze_sources(
+    # One <prefix>000 finding from each family whose scope holds it.
+    results = check_sources(
         [("broken.py", "repro/bridge/broken.py", "def f(:\n")]
     )
-    assert [d.rule for d in diags] == ["ST000"]
-
-
-def test_tree_inventory_covers_component_classes():
-    inv = build_tree_inventory([REPO_ROOT / "src"])
-    units = inv.classes_named("NDPUnit")
-    assert units, "NDPUnit missing from the tree inventory"
-    declared = inv.declared_attrs(units[0])
-    assert "sim" in declared  # assigned in NDPUnit.__init__
-
-
-def test_verify_inventory_clean_on_live_system():
-    """Every attribute a paused live system holds is statically declared
-    (ST001's promise), for every class the inventory knows."""
-    inventory = build_tree_inventory([REPO_ROOT / "src"])
-    app = make_app("tree", scale=0.1, seed=7)
-    system = build_system(tiny_config(Design.O))
-    app.attach(system)
-    app.seed_tasks(system)
-    system.start().advance(until=5000)
-
-    problems = []
-    for path, obj in component_registry(system).items():
-        classes = inventory.classes_named(type(obj).__name__)
-        if not classes:
-            continue
-        declared = inventory.declared_attrs(classes[0])
-        for attr in attr_names(obj):
-            if attr in declared:
-                continue
-            # An instance attribute shadowing a method or property is an
-            # instrumentation wrapper (the sanitizer's scheduling hooks,
-            # the flow auditor's observers), not model state of its own.
-            shadowed = getattr(type(obj), attr, None)
-            if callable(shadowed) or isinstance(shadowed, property):
-                continue
-            problems.append(
-                f"{path} ({type(obj).__name__}) holds undeclared "
-                f"attribute '{attr}'"
-            )
-    assert problems == [], "\n".join(problems)
-    system.finish()
+    assert [d.rule for _, diags in results for d in diags] == [
+        "SL000", "FL000", "RC000",
+    ]
 
 
 # ----------------------------------------------------------------------
-# meta: simstate through the real gate, python -m repro.analyze
+# meta: the state rules through the real gate, python -m repro.analyze
 # ----------------------------------------------------------------------
 def test_cli_clean_on_repo_src(analyze_cli):
-    proc = analyze_cli("src")
+    proc = analyze_cli("src", "benchmarks", "scripts")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "simstate: clean" in proc.stdout
+    assert "simlint: clean" in proc.stdout
 
 
 def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
@@ -266,7 +139,7 @@ def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
     proc = analyze_cli(str(bad))
     assert proc.returncode == 1
     assert any(
-        row.startswith("simstate: ") and " ST003 " in row
+        row.startswith("simlint: ") and " SL009 " in row
         for row in proc.stdout.splitlines()
     ), proc.stdout
 
@@ -274,9 +147,11 @@ def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
 def test_cli_list_rules(analyze_cli):
     proc = analyze_cli("--list-rules")
     assert proc.returncode == 0
-    for code in STATE_RULE_CODES:
+    for code in STATE_CODES:
         assert code in proc.stdout
-    assert "simstate: ignore" in proc.stdout
+    for entry in ALLOWLIST:
+        if entry.rule in STATE_CODES:
+            assert f"{entry.rule}  {entry.module}" in proc.stdout
 
 
 def test_cli_sarif_output(analyze_cli, tmp_path):
@@ -288,32 +163,24 @@ def test_cli_sarif_output(analyze_cli, tmp_path):
     assert proc.returncode == 1
     report = json.loads(out.read_text())
     assert report["version"] == "2.1.0"
-    run = report["runs"][2]
-    assert run["tool"]["driver"]["name"] == "simstate"
+    run = report["runs"][0]
+    assert run["tool"]["driver"]["name"] == "simlint"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == [rule.code for rule in STATE_RULES]
+    assert rule_ids == [rule.code for rule in RULES]
     result = run["results"][0]
-    assert result["ruleId"] == "ST003"
-    assert rule_ids[result["ruleIndex"]] == "ST003"
-
-
-def test_cli_inventory_dump(analyze_cli, tmp_path):
-    out = tmp_path / "inventory.json"
-    proc = analyze_cli("--inventory", "-o", str(out), "src/repro/ndp")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    data = json.loads(out.read_text())
-    assert any("ndp" in key for key in data)
+    assert result["ruleId"] == "SL009"
+    assert rule_ids[result["ruleIndex"]] == "SL009"
 
 
 # ----------------------------------------------------------------------
-# the gate across all four families
+# the gate across all three families
 # ----------------------------------------------------------------------
 def test_analyze_clean_on_repo_src(analyze_cli):
     proc = analyze_cli("src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    for tool in ("simlint", "simflow", "simstate", "simrace"):
+    for tool in ("simlint", "simflow", "simrace"):
         assert f"{tool}: clean" in proc.stdout
-    assert "analyze: clean -- 4 tools" in proc.stdout
+    assert "analyze: clean -- 3 tools" in proc.stdout
 
 
 def test_analyze_exit_1_and_tool_prefix(analyze_cli, tmp_path):
@@ -323,7 +190,7 @@ def test_analyze_exit_1_and_tool_prefix(analyze_cli, tmp_path):
     bad.write_text("seen = {}\ndef f(mb, m):\n    mb.enqueue(m)\n")
     proc = analyze_cli(str(bad))
     assert proc.returncode == 1
-    assert "simstate: " in proc.stdout and "ST003" in proc.stdout
+    assert "simlint: " in proc.stdout and "SL009" in proc.stdout
     assert "simflow: " in proc.stdout and "FL002" in proc.stdout
 
 
@@ -337,6 +204,6 @@ def test_analyze_merged_sarif(analyze_cli, tmp_path):
     report = json.loads(out.read_text())
     names = [r["tool"]["driver"]["name"] for r in report["runs"]]
     assert names == [tool.name for tool in TOOLS]
-    assert names == ["simlint", "simflow", "simstate", "simrace"]
-    state_run = report["runs"][2]
-    assert [r["ruleId"] for r in state_run["results"]] == ["ST003"]
+    assert names == ["simlint", "simflow", "simrace"]
+    lint_run = report["runs"][0]
+    assert [r["ruleId"] for r in lint_run["results"]] == ["SL009"]
