@@ -1,7 +1,7 @@
-"""The declared environment-knob registry (simrace RC003's source of truth).
+"""The declared environment-knob registry (simlint SL013's source of truth).
 
 Every ``os.environ`` / ``os.getenv`` read in the ``repro`` package must
-name a knob declared here; simrace rule RC003 fails the build otherwise.
+name a knob declared here; simlint rule SL013 fails the build otherwise.
 
 An environment knob never changes results: it may only change *how* the
 same results are computed (worker counts, cache location, audit modes),

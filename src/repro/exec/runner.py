@@ -26,7 +26,7 @@ Every knob read here is declared in the knob registry
 cached value.  No environment knob may change results: a value that does
 is a field of :class:`CellRequest` or its
 :class:`~repro.config.SystemConfig`, and :func:`~repro.exec.cache.cell_key`
-hashes both.  The simrace rule RC003 flags any ``os.environ`` read missing
+hashes both.  The simlint rule SL013 flags any ``os.environ`` read missing
 from the registry.
 """
 

@@ -1,6 +1,6 @@
 """Runtime message-lifecycle conservation auditing.
 
-The static half of simflow proves properties of the *code*; this module
+simlint's SL011/SL012 prove properties of the *code*; this module
 proves the matching property of a *run*: every message the system ever
 creates is accounted for at exit,
 
@@ -25,7 +25,7 @@ bit-identical to plain runs (asserted by tests/test_flow_auditor.py).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..messages.types import Message
 
@@ -201,37 +201,9 @@ class MessageAuditor:
     # ------------------------------------------------------------------
     # end-of-run verification
     # ------------------------------------------------------------------
-    def _iter_resident(
-        self, system: Any
-    ) -> Iterator[Tuple[str, Tuple[Message, ...]]]:
-        """Every message physically resident in a container right now."""
-        for unit in system.units:
-            yield (
-                f"unit{unit.unit_id}.mailbox",
-                unit.mailbox.pending_messages(),
-            )
-            yield (f"unit{unit.unit_id}.backlog", tuple(unit._backlog))
-        fabric = system.fabric
-        for bridge in getattr(fabric, "rank_bridges", None) or ():
-            rank = bridge.global_rank
-            yield (
-                f"bridge{rank}.up_mailbox",
-                bridge.up_mailbox.pending_messages(),
-            )
-            for uid in sorted(bridge.scatter_buffers):
-                yield (
-                    f"bridge{rank}.scatter{uid}",
-                    bridge.scatter_buffers[uid].pending_messages(),
-                )
-            yield (f"bridge{rank}.backup", bridge.backup_messages())
-        level2 = getattr(fabric, "level2", None)
-        if level2 is not None:
-            for rank, buf in enumerate(level2.down_buffers):
-                yield (f"level2.down{rank}", buf.pending_messages())
-
     def finish(self, system: Any) -> Dict[str, Any]:
         """Verify conservation at run() exit; raises FlowAuditError."""
-        resident = list(self._iter_resident(system))
+        resident = list(system._resident())
         container_dropped = sum(
             container.dropped_messages
             for _, container in self._wrapped_containers

@@ -14,9 +14,10 @@ path (tests pass it directly to place fixture snippets).
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+from ..exec.knobs import is_registered
 
 Finding = Tuple[int, int, str]
 
@@ -328,113 +329,33 @@ class NoHashOrderIteration(Rule):
 
 
 # ----------------------------------------------------------------------
-# SL004 -- float arithmetic on time-named variables
-# ----------------------------------------------------------------------
-_TIME_NAME = re.compile(
-    r"(?:^|_)(?:now|time|cycles?|delay|latency|deadline|until)$"
-)
-#: Names that *mention* time units but hold ratios/bandwidths, not times.
-_TIME_NAME_EXCLUDE = re.compile(
-    r"(?:^|_)per(?:_|$)|frac|ratio|rate|util|avg|mean|weight"
-)
-
-#: Calls that launder their arguments back to int.
-_INT_LAUNDER = frozenset(
-    {"int", "floor", "ceil", "round", "trunc", "len", "index"}
-)
-
-_SL004_DIRS = ("repro/sim/", "repro/bridge/", "repro/links/")
-
-
-def _is_time_name(name: str) -> bool:
-    return bool(_TIME_NAME.search(name)) and not _TIME_NAME_EXCLUDE.search(
-        name
-    )
-
-
-def _has_float_arith(node: ast.expr) -> bool:
-    if isinstance(node, ast.Call):
-        if terminal_name(node.func) in _INT_LAUNDER:
-            return False
-        return any(_has_float_arith(a) for a in node.args)
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, float)
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Div):
-            return True
-        return _has_float_arith(node.left) or _has_float_arith(node.right)
-    if isinstance(node, ast.UnaryOp):
-        return _has_float_arith(node.operand)
-    if isinstance(node, ast.IfExp):
-        return _has_float_arith(node.body) or _has_float_arith(node.orelse)
-    return False
-
-
-class NoFloatTime(Rule):
-    code = "SL004"
-    name = "no-float-time"
-    description = (
-        "simulated time is integer cycles; float arithmetic on "
-        "cycle/time-named variables accumulates rounding drift that "
-        "breaks bit-identical replays"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.module_path.startswith(_SL004_DIRS):
-            return
-        for node in ast.walk(ctx.tree):
-            targets: List[ast.expr]
-            value: Optional[ast.expr]
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign):
-                targets, value = [node.target], node.value
-            elif isinstance(node, ast.AugAssign):
-                if isinstance(node.op, ast.Div):
-                    targets, value = [node.target], None
-                    for target in targets:
-                        name = self._target_name(target)
-                        if name and _is_time_name(name):
-                            yield (
-                                node.lineno,
-                                node.col_offset,
-                                f"true division into time-named "
-                                f"`{name}` -- simulated time must stay "
-                                f"integral (use //)",
-                            )
-                    continue
-                targets, value = [node.target], node.value
-            else:
-                continue
-            if value is None or not _has_float_arith(value):
-                continue
-            for target in targets:
-                name = self._target_name(target)
-                if name and _is_time_name(name):
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f"float arithmetic assigned to time-named "
-                        f"`{name}` -- simulated time must stay integral "
-                        f"(wrap in int()/math.ceil())",
-                    )
-
-    @staticmethod
-    def _target_name(target: ast.expr) -> Optional[str]:
-        if isinstance(target, ast.Name):
-            return target.id
-        if isinstance(target, ast.Attribute):
-            return target.attr
-        return None
-
-
-# ----------------------------------------------------------------------
 # SL006 -- schedule lambdas closing over loop variables
 # ----------------------------------------------------------------------
 def _loop_target_names(target: ast.expr) -> Set[str]:
     return {
         n.id for n in ast.walk(target) if isinstance(n, ast.Name)
     }
+
+
+#: Nodes whose bindings are their own, not the enclosing loop body's.
+_NEW_SCOPES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+
+
+def _loop_body_names(body: List[ast.stmt]) -> Set[str]:
+    """Names a loop body rebinds on every iteration (``unit = ...``,
+    ``total += ...``, ``with ... as f``)."""
+    names: Set[str] = set()
+    pending: List[ast.AST] = list(body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _NEW_SCOPES):
+            pending.extend(ast.iter_child_nodes(node))
+    return names
 
 
 def _lambda_free_names(node: ast.Lambda) -> Set[str]:
@@ -458,13 +379,20 @@ class _LoopLambdaVisitor(ast.NodeVisitor):
         self.loop_stack: List[Set[str]] = []
         self.findings: List[Finding] = []
 
-    def visit_For(self, node: ast.For) -> None:
-        self.loop_stack.append(_loop_target_names(node.target))
+    def _visit_loop(self, bound: Set[str], node: "ast.For | ast.While") -> None:
+        self.loop_stack.append(bound | _loop_body_names(node.body))
         for child in node.body:
             self.visit(child)
         self.loop_stack.pop()
         for child in node.orelse:
             self.visit(child)
+
+    def visit_For(self, node: ast.For) -> None:
+        self._visit_loop(_loop_target_names(node.target), node)
+
+    def visit_While(self, node: ast.While) -> None:
+        self.visit(node.test)
+        self._visit_loop(set(), node)
 
     def _visit_comp(self, node: ast.expr, elts: List[ast.expr]) -> None:
         names: Set[str] = set()
@@ -598,7 +526,10 @@ class NoIdOrdering(Rule):
                 for kw in node.keywords:
                     if kw.arg != "key":
                         continue
-                    for call in _id_calls(kw.value):
+                    sites: List[ast.expr] = list(_id_calls(kw.value))
+                    if isinstance(kw.value, ast.Name) and kw.value.id == "id":
+                        sites.append(kw.value)  # key=id
+                    for call in sites:
                         where = (call.lineno, call.col_offset)
                         if where in seen:
                             continue
@@ -830,16 +761,314 @@ class UnmanagedRNG(Rule):
                 )
 
 
+# ----------------------------------------------------------------------
+# SL011 / SL012 -- the bounded bridge buffers (Section V-A)
+# ----------------------------------------------------------------------
+#: The protocol layers, the only modules that create or hold messages.
+_PROTOCOL_DIRS = ("repro/messages/", "repro/bridge/", "repro/ndp/")
+
+_BOUNDED_CALLS = frozenset({"enqueue", "push"})
+
+
+class UnhandledBackpressure(Rule):
+    code = "SL011"
+    name = "unhandled-backpressure"
+    description = (
+        "Mailbox.enqueue() / MessageBuffer.push() return False when the "
+        "container is full; a call site that discards the return value "
+        "silently drops the message on backpressure"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if not ctx.module_path.startswith(_PROTOCOL_DIRS):
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Expr):
+                continue
+            call = node.value
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in _BOUNDED_CALLS
+            ):
+                continue
+            yield (
+                node.lineno,
+                node.col_offset,
+                f".{call.func.attr}() returns False on backpressure "
+                f"but the result is discarded -- the message is "
+                f"silently dropped when the container is full "
+                f"(check the return value, or use force_push to make "
+                f"the policy explicit)",
+            )
+
+
+# The static deadlock bound: with the default geometry one gather round
+# can burst 64 banks x 8 chunks x 256 B = 128 KiB of DATA through a
+# level-1 bridge whose backup store holds 64 KiB.  If any rejection
+# branch *waits* for space instead of escaping (raise / spill to an
+# unbounded store / return False to the caller), the waiters can form a
+# cycle among bridge buffers that exceeds backup_capacity and the
+# simulation deadlocks.  So every ``if not x.push(...)`` /
+# ``if x.enqueue(...) ... else`` failure branch must provably escape.
+_ESCAPE_CALL_ATTRS = frozenset(
+    {"append", "appendleft", "extend", "force_push"}
+)
+
+
+def _local_sinks(tree: ast.Module) -> Set[str]:
+    """Functions in this module that escape (raise or spill unbounded)."""
+    sinks: Set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Raise):
+                sinks.add(node.name)
+                break
+            if (
+                isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr in _ESCAPE_CALL_ATTRS
+            ):
+                sinks.add(node.name)
+                break
+    return sinks
+
+
+def _rejection_calls(
+    test: ast.AST,
+) -> Tuple[List[ast.Call], List[ast.Call]]:
+    """Bounded enqueue/push calls in an ``if`` test.
+
+    Returns ``(negated, positive)``: negated calls (``not x.push(m)``)
+    mean the *body* is the failure branch; positive calls mean the
+    *orelse* is.
+    """
+    negated: List[ast.Call] = []
+    positive: List[ast.Call] = []
+
+    def visit(node: ast.AST, under_not: bool) -> None:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            visit(node.operand, not under_not)
+        elif isinstance(node, ast.BoolOp):
+            for value in node.values:
+                visit(value, under_not)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _BOUNDED_CALLS
+        ):
+            (negated if under_not else positive).append(node)
+
+    visit(test, False)
+    return negated, positive
+
+
+def _branch_escapes(
+    stmts: List[ast.stmt], local_sinks: Set[str]
+) -> bool:
+    """Does this failure branch provably escape the full container?"""
+    for stmt in stmts:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Raise):
+                return True
+            if (
+                isinstance(node, ast.Return)
+                and isinstance(node.value, ast.Constant)
+                and node.value.value is False
+            ):
+                return True
+            if isinstance(node, ast.Call):
+                if (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _ESCAPE_CALL_ATTRS
+                ):
+                    return True
+                callee = terminal_name(node.func)
+                if callee is not None and callee in local_sinks:
+                    return True
+    return False
+
+
+class BlockingWaitCycle(Rule):
+    code = "SL012"
+    name = "blocking-wait-cycle"
+    description = (
+        "a rejection branch of a bounded enqueue/push neither raises "
+        "nor spills to an unbounded store -- under the default geometry "
+        "one gather round bursts 64 banks x 8 chunks x 256 B = 128 KiB "
+        "through a 64 KiB backup store, so blocking-wait rejection "
+        "paths can deadlock the bridge buffer cycle"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if not ctx.module_path.startswith(_PROTOCOL_DIRS):
+            return
+        sinks = _local_sinks(ctx.tree)
+        # While-loop drains (`while q and buf.push(q[0])`) retry with
+        # bounded work per event and are the sanctioned pattern.
+        while_lines: Set[int] = set()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.While):
+                for inner in ast.walk(node.test):
+                    while_lines.add(getattr(inner, "lineno", -1))
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.If):
+                continue
+            negated, positive = _rejection_calls(node.test)
+            for call in negated:
+                if call.lineno in while_lines:
+                    continue
+                if not _branch_escapes(node.body, sinks):
+                    yield self._finding(call)
+            for call in positive:
+                if call.lineno in while_lines:
+                    continue
+                if not node.orelse or not _branch_escapes(
+                    node.orelse, sinks
+                ):
+                    yield self._finding(call)
+
+    def _finding(self, call: ast.Call) -> Finding:
+        attr = call.func.attr  # type: ignore[attr-defined]
+        return (
+            call.lineno,
+            call.col_offset,
+            f"rejection path of .{attr}() does not provably escape "
+            f"(raise, return False, or spill to an unbounded store); "
+            f"one gather burst (64 banks x 8 chunks x 256 B = 128 KiB) "
+            f"exceeds the 64 KiB backup bound, so a blocking wait here "
+            f"can deadlock the bridge-buffer cycle",
+        )
+
+
+# ----------------------------------------------------------------------
+# SL013 / SL014 -- what a pool worker may observe
+# ----------------------------------------------------------------------
+class DeclaredEnvKnob(Rule):
+    code = "SL013"
+    name = "declared-env-knob"
+    description = (
+        "every os.environ/os.getenv read must name a knob declared in "
+        "repro.exec.knobs, whose entries each justify why the knob "
+        "cannot change results; the result cache hashes no environment "
+        "variable, so an undeclared knob that changed results would "
+        "poison it"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if not ctx.module_path.startswith("repro/"):
+            return
+        for node in ast.walk(ctx.tree):
+            name_expr = self._env_read(node, ctx)
+            if name_expr is None:
+                continue
+            if not (
+                isinstance(name_expr, ast.Constant)
+                and isinstance(name_expr.value, str)
+            ):
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    "environment variable name must be a string literal "
+                    "so the knob registry can be checked statically",
+                )
+                continue
+            if not is_registered(name_expr.value):
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    f"read of undeclared environment knob "
+                    f"{name_expr.value!r} -- declare it in "
+                    f"repro/exec/knobs.py with a justification of why it "
+                    f"cannot change results, or make the value a "
+                    f"SystemConfig/CellRequest field",
+                )
+
+    @staticmethod
+    def _env_read(node: ast.AST, ctx: ModuleContext) -> Optional[ast.AST]:
+        """The env-name expression of an environment read, if any."""
+        if isinstance(node, ast.Call):
+            dotted = resolve_dotted(node.func, ctx)
+            if dotted in ("os.getenv", "os.environ.get") and node.args:
+                return node.args[0]
+        elif isinstance(node, ast.Subscript):
+            if resolve_dotted(node.value, ctx) == "os.environ":
+                return node.slice
+        return None
+
+
+_CONTEXT_READS = frozenset(
+    {
+        "os.getpid",
+        "os.getppid",
+        "os.getcwd",
+        "os.getcwdb",
+        "os.uname",
+        "os.urandom",
+        "os.getlogin",
+        "pathlib.Path.cwd",
+        "multiprocessing.current_process",
+        "multiprocessing.get_start_method",
+        "multiprocessing.parent_process",
+        "threading.get_ident",
+        "threading.get_native_id",
+        "threading.current_thread",
+        "threading.main_thread",
+        "socket.gethostname",
+        "socket.getfqdn",
+        "platform.node",
+        "platform.uname",
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "id",
+    }
+)
+
+
+class WorkerContextIndependence(Rule):
+    code = "SL014"
+    name = "worker-context-independence"
+    description = (
+        "worker-executed modules must not observe process identity "
+        "(pid, cwd, start method, thread ids, hostname, object "
+        "addresses) -- any such read makes in-process and pooled cells "
+        "diverge, breaking the bit-identity contract"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        # Worker-executed packages: everything a pool worker runs to
+        # simulate a cell, the scope of SL009/SL010.
+        if not ctx.module_path.startswith(STATE_SCOPE_PREFIXES):
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = resolve_dotted(node.func, ctx)
+            if dotted in _CONTEXT_READS:
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    f"process-context read `{dotted}()` in worker-executed "
+                    f"module {ctx.module_path} -- in-process and pooled "
+                    f"cells would observe different values and diverge",
+                )
+
+
 RULES: Tuple[Rule, ...] = (
     NoWallClock(),
     NoGlobalRandom(),
     NoHashOrderIteration(),
-    NoFloatTime(),
     NoLateBindingCallback(),
     NoBuiltinHash(),
     NoIdOrdering(),
     ModuleLevelState(),
     UnmanagedRNG(),
+    UnhandledBackpressure(),
+    BlockingWaitCycle(),
+    DeclaredEnvKnob(),
+    WorkerContextIndependence(),
 )
 
 RULE_CODES: frozenset = frozenset(rule.code for rule in RULES)

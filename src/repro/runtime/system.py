@@ -194,12 +194,18 @@ class NDPSystem:
         )
 
     def _resident(self) -> Iterator[Tuple[str, tuple]]:
-        """``(container, messages)`` for every mailbox and bridge buffer."""
+        """``(container, messages)`` for every unit mailbox and backlog
+        and every bridge buffer: the messages that sit somewhere now.
+        The stall report and the message auditor both walk this."""
         for unit in self.units:
             yield f"unit{unit.unit_id}.mailbox", unit.mailbox.pending_messages()
+            yield f"unit{unit.unit_id}.backlog", tuple(unit._backlog)
         for bridge in getattr(self.fabric, "rank_bridges", ()):
             rank = bridge.global_rank
-            yield f"bridge{rank}.up", bridge.up_mailbox.pending_messages()
+            yield (
+                f"bridge{rank}.up_mailbox",
+                bridge.up_mailbox.pending_messages(),
+            )
             for uid in sorted(bridge.scatter_buffers):
                 yield (
                     f"bridge{rank}.scatter{uid}",

@@ -1,8 +1,8 @@
-"""The static-analysis core, :mod:`repro.analyze`, beyond any one family.
+"""The static-analysis core, :mod:`repro.analyze`, beyond any one rule.
 
-Each family's rule fixtures and its path through the real gate live in
+The rule fixtures and their path through the real gate live in
 ``tests/test_{lint,flow,state,race}.py``.  This module pins what the
-core decides for all three at once: which files the gate is given and
+core decides for every rule at once: which files the gate is given and
 checks, and which module path -- and so which rule scope -- each file
 gets.  It also pins that a simulation run never loads the analyzers,
 and that the rule reference in ``docs/analysis.md`` names exactly the
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze import TOOLS, check_sources, module_path_of
+from repro.analyze import check_sources, module_path_of
+from repro.lint.rules import RULES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,16 +59,11 @@ def test_every_file_is_checked_when_two_share_a_module_path(
     proc = analyze_cli(*(dirs[::-1] if reverse else dirs))
     assert proc.returncode == 1
     found = sorted(
-        (row.split(":", 1)[0], row.split(" ")[2])
+        row.split(" ")[1]
         for row in proc.stdout.splitlines()
-        if " FL002 " in row or " SL009 " in row
+        if " SL011 " in row or " SL009 " in row
     )
-    assert found == [
-        ("simflow", "FL002"),
-        ("simflow", "FL002"),
-        ("simlint", "SL009"),
-        ("simlint", "SL009"),
-    ]
+    assert found == ["SL009", "SL009", "SL011", "SL011"]
     for where in ("a", "b"):
         for module_path in hazards:
             assert str(tmp_path / where / module_path) in proc.stdout
@@ -95,9 +91,8 @@ def test_exemptions_ignore_directories_above_the_package():
         "t = time.time()\n"
         "v = os.environ['NDPBRIDGE_SECRET']\n"
     )
-    results = dict(check_sources([(path, module_path_of(Path(path)), source)]))
-    assert "SL001" in [d.rule for d in results["simlint"]]
-    assert "RC003" in [d.rule for d in results["simrace"]]
+    found = check_sources([(path, module_path_of(Path(path)), source)])
+    assert {"SL001", "SL013"} <= {d.rule for d in found}
 
 
 # ----------------------------------------------------------------------
@@ -129,8 +124,7 @@ def test_run_and_exec_import_no_analyzer():
     """Zero fast-path cost: a plain run loads no analyzer, no checking
     code and no sharded-engine module."""
     _run_probe(
-        "banned = ('repro.state', 'repro.analyze', 'repro.lint', "
-        "'repro.race', 'repro.flow')\n"
+        "banned = ('repro.analyze', 'repro.lint', 'repro.flow')\n"
         "loaded = sorted(m for m in sys.modules"
         " if m.startswith(banned) or 'shard' in m)\n"
         "assert not loaded, f'plain run imported {loaded}'\n"
@@ -138,12 +132,11 @@ def test_run_and_exec_import_no_analyzer():
 
 
 def test_sanitized_run_imports_only_the_auditor():
-    """The only checking code a sanitized run loads is simflow's message
-    auditor, the runtime half of simflow; it loads no rule."""
+    """The only checking code a sanitized run loads is the message
+    auditor; it loads no rule."""
     _run_probe(
         "assert 'repro.flow.auditor' in sys.modules\n"
-        "banned = ('repro.state', 'repro.analyze', 'repro.lint', "
-        "'repro.race', 'repro.flow.rules', 'repro.flow.graph')\n"
+        "banned = ('repro.analyze', 'repro.lint')\n"
         "loaded = sorted(m for m in sys.modules if m.startswith(banned))\n"
         "assert not loaded, f'sanitized run imported {loaded}'\n",
         NDPBRIDGE_SANITIZE="1",
@@ -157,5 +150,5 @@ def test_analysis_doc_rule_tables_match_tools():
     doc = (REPO_ROOT / "docs" / "analysis.md").read_text()
     tables = doc.split("\n## Rule table\n", 1)[1].split("\n## ", 1)[0]
     documented = re.findall(r"^\| ([A-Z]{2}\d{3}) \|", tables, re.M)
-    codes = [rule.code for tool in TOOLS for rule in tool.rules]
+    codes = [rule.code for rule in RULES]
     assert sorted(documented) == sorted(codes)

@@ -2,11 +2,20 @@
 
 import pytest
 
-from repro.config import Design, SystemConfig, TopologyConfig
+from repro import make_app, run_app
+from repro.analysis.audit import audit_system
+from repro.config import (
+    BridgeConfig,
+    Design,
+    SystemConfig,
+    TopologyConfig,
+    scaled_config,
+)
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
 
 from .conftest import noop_task
+from .test_cross_rank_lb import skewed_run
 
 
 def two_rank_config(design=Design.B, seed=7):
@@ -100,3 +109,50 @@ class TestCrossRankBalancing:
             return sys_.makespan
 
         assert run(Design.O) < run(Design.B)
+
+
+def up_mailbox_refusals(system):
+    return sum(
+        bridge.up_mailbox.dropped_messages
+        for bridge in system.fabric.rank_bridges
+    )
+
+
+def down_buffer_refusals(system):
+    return sum(buf.dropped_messages for buf in system.fabric.level2.down_buffers)
+
+
+def assert_drained(system):
+    tracker = system.tracker
+    assert tracker.total_completed == tracker.total_created
+    report = audit_system(system)
+    assert report.ok, report
+
+
+class TestBoundedBufferOverflow:
+    """A full level-1 up mailbox or level-2 down buffer refuses a push,
+    and the bridge must keep the refused message (Section V-A: the
+    level-1 backup buffer, the level-2 soft overflow).  At the default
+    sizes no other tier-1 run fills either, so these runs shrink the
+    bridge mailboxes until they do.  ``max_cycles`` bounds each run, so a
+    bridge that drops a refused message (a stall) or bounces it forever
+    (a livelock) fails within seconds."""
+
+    def test_plain_route_and_level2_down_buffer(self):
+        # Design B never lends: every up-bound message is a task for
+        # another rank, taking _route_to's plain cross-rank route.
+        config = scaled_config(256, Design.B, seed=17).replace(
+            bridge=BridgeConfig(mailbox_bytes=4096), max_cycles=500_000
+        )
+        system = run_app(make_app("wcc", scale=0.05, seed=17), config).system
+        assert up_mailbox_refusals(system) > 0
+        assert down_buffer_refusals(system) > 0
+        assert_drained(system)
+
+    def test_lend_route_up_mailbox(self):
+        system = skewed_run(
+            bridge=BridgeConfig(mailbox_bytes=512), max_cycles=500_000
+        )
+        assert system.fabric.level2._stat_schedules.value >= 1
+        assert up_mailbox_refusals(system) > 0
+        assert_drained(system)

@@ -8,20 +8,23 @@ from repro.runtime.system import NDPSystem
 from .conftest import noop_task
 
 
-def two_rank_o(seed=9):
+def two_rank_o(seed=9, **config):
+    """A two-rank design-O system; ``config`` overrides SystemConfig
+    fields."""
     topo = TopologyConfig(
         channels=1, ranks_per_channel=2, chips_per_rank=4, banks_per_chip=4,
         channel_bits=32,
     )
     system = NDPSystem(
-        SystemConfig(topology=topo, seed=seed).with_design(Design.O)
+        SystemConfig(topology=topo, seed=seed, **config).with_design(Design.O)
     )
     system.registry.register("noop", lambda ctx, task: None)
     return system
 
 
-def skewed_run(seed=9, tasks=500, workload=400):
-    system = two_rank_o(seed)
+def skewed_run(seed=9, tasks=500, workload=400, **config):
+    """All work seeded on rank 0's first four units, so rank 1 borrows."""
+    system = two_rank_o(seed, **config)
     bank = system.addr_map.bank_bytes
     for i in range(tasks):
         system.seed_task(noop_task(

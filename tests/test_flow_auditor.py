@@ -1,4 +1,4 @@
-"""Message-lifecycle auditor tests (the runtime half of simflow).
+"""Message-lifecycle auditor tests (the runtime counterpart of SL011/SL012).
 
 Three groups, mirroring tests/test_sanitizer.py's contract:
 

@@ -6,30 +6,23 @@ carries from one simulated cell to the next.  Their hazard fixtures sit
 with every other simlint rule's in ``tests/test_lint.py``; this module
 holds their clean variants, scope, exemptions and allowlist entries.
 Meta-tests run them through the real gate, ``python -m repro.analyze``,
-and pin the gate's cross-family text and SARIF output.
+and pin the gate's text and SARIF output when one file trips two rules.
 """
 
 import json
 
 import pytest
 
-from repro.analyze import ALLOWLIST, TOOLS, check_sources
-from repro.lint.rules import RULES
+from repro.analyze import ALLOWLIST, check_sources
+from repro.lint.rules import RULE_CODES, RULES
 
 from .test_lint import FIXTURES
 
 STATE_CODES = ("SL009", "SL010")
 
 
-def analyze_sources(modules):
-    """simlint's findings for ``(path, module_path, source)`` triples."""
-    return dict(check_sources(modules))["simlint"]
-
-
 def codes(source, module_path="repro/ndp/fixture.py", path="fixture.py"):
-    return [
-        d.rule for d in analyze_sources([(path, module_path, source)])
-    ]
+    return [d.rule for d in check_sources([(path, module_path, source)])]
 
 
 #: Clean variants of each hazard fixture: same shape, hazard removed.
@@ -77,6 +70,7 @@ def test_empty_all_caps_container_is_state(name):
 
 
 def test_other_family_ignore_does_not_silence_state_rules():
+    # The retired families' comments are no suppression syntax.
     source, module_path, line = FIXTURES["SL009"]
     lines = source.splitlines()
     lines[line - 1] += "  # simflow: ignore  # simrace: ignore"
@@ -93,9 +87,8 @@ def test_allowlisted_module_is_exempt():
 
 
 def test_allowlist_entries_are_validated():
-    all_codes = {rule.code for tool in TOOLS for rule in tool.rules}
     for entry in ALLOWLIST:
-        assert entry.rule in all_codes
+        assert entry.rule in RULE_CODES
         assert entry.justification.strip()
 
 
@@ -114,13 +107,8 @@ def test_dunder_module_metadata_is_exempt():
 
 
 def test_syntax_error_reported_not_crashed():
-    # One <prefix>000 finding from each family whose scope holds it.
-    results = check_sources(
-        [("broken.py", "repro/bridge/broken.py", "def f(:\n")]
-    )
-    assert [d.rule for _, diags in results for d in diags] == [
-        "SL000", "FL000", "RC000",
-    ]
+    # One SL000 finding, wherever the module sits.
+    assert codes("def f(:\n", "repro/bridge/broken.py") == ["SL000"]
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +127,7 @@ def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
     proc = analyze_cli(str(bad))
     assert proc.returncode == 1
     assert any(
-        row.startswith("simlint: ") and " SL009 " in row
+        row.startswith(f"{bad}:1:") and " SL009 " in row
         for row in proc.stdout.splitlines()
     ), proc.stdout
 
@@ -163,7 +151,7 @@ def test_cli_sarif_output(analyze_cli, tmp_path):
     assert proc.returncode == 1
     report = json.loads(out.read_text())
     assert report["version"] == "2.1.0"
-    run = report["runs"][0]
+    [run] = report["runs"]
     assert run["tool"]["driver"]["name"] == "simlint"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     assert rule_ids == [rule.code for rule in RULES]
@@ -173,37 +161,37 @@ def test_cli_sarif_output(analyze_cli, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the gate across all three families
+# the gate as a whole
 # ----------------------------------------------------------------------
 def test_analyze_clean_on_repo_src(analyze_cli):
     proc = analyze_cli("src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    for tool in ("simlint", "simflow", "simrace"):
-        assert f"{tool}: clean" in proc.stdout
-    assert "analyze: clean -- 3 tools" in proc.stdout
+    assert proc.stdout == "simlint: clean\n"
 
 
 def test_analyze_exit_1_and_tool_prefix(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "bridge" / "bad.py"
     bad.parent.mkdir(parents=True)
-    # One file tripping two different tools at once.
+    # One file tripping a state rule and a protocol rule at once: one
+    # row per finding, in line order, then one verdict.
     bad.write_text("seen = {}\ndef f(mb, m):\n    mb.enqueue(m)\n")
     proc = analyze_cli(str(bad))
     assert proc.returncode == 1
-    assert "simlint: " in proc.stdout and "SL009" in proc.stdout
-    assert "simflow: " in proc.stdout and "FL002" in proc.stdout
+    rows = proc.stdout.splitlines()
+    assert [row.split(" ")[1] for row in rows[:-1]] == ["SL009", "SL011"]
+    assert rows[0].startswith(f"{bad}:1:0: SL009 ")
+    assert rows[1].startswith(f"{bad}:3:4: SL011 ")
+    assert rows[-1] == "simlint: 2 finding(s)"
 
 
 def test_analyze_merged_sarif(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "bridge" / "bad.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text("seen = {}\n")
+    bad.write_text("seen = {}\ndef f(mb, m):\n    mb.enqueue(m)\n")
     out = tmp_path / "merged.sarif"
     proc = analyze_cli("--format", "sarif", "-o", str(out), str(bad))
     assert proc.returncode == 1
     report = json.loads(out.read_text())
-    names = [r["tool"]["driver"]["name"] for r in report["runs"]]
-    assert names == [tool.name for tool in TOOLS]
-    assert names == ["simlint", "simflow", "simrace"]
-    lint_run = report["runs"][0]
-    assert [r["ruleId"] for r in lint_run["results"]] == ["SL009"]
+    [run] = report["runs"]
+    assert run["tool"]["driver"]["name"] == "simlint"
+    assert [r["ruleId"] for r in run["results"]] == ["SL009", "SL011"]
