@@ -82,6 +82,13 @@ class Level1Bridge:
             )
             for c in range(topo.chips_per_rank)
         ]
+        #: Unit id -> the DQ-slice link of the chip holding its bank.
+        self._link_of_unit: Dict[int, Link] = {
+            uid: self.chip_links[
+                (uid - self._unit_base) // topo.banks_per_chip
+            ]
+            for uid in unit_ids
+        }
         self.scatter_buffers: Dict[int, MessageBuffer] = {
             uid: MessageBuffer(
                 f"{scope}.scatter{uid}",
@@ -166,12 +173,6 @@ class Level1Bridge:
     def _finished(self) -> bool:
         return self.system.tracker.finished
 
-    def _link_of(self, unit_id: int) -> Link:
-        """The DQ-slice link of the chip holding ``unit_id``'s bank."""
-        topo = self.config.topology
-        local = unit_id - self._unit_base
-        return self.chip_links[local // topo.banks_per_chip]
-
     # ------------------------------------------------------------------
     # state gathering (STATE-GATHER every I_state cycles)
     # ------------------------------------------------------------------
@@ -195,7 +196,8 @@ class Level1Bridge:
         if self._finished():
             return
         for u in self.units:
-            u.retry_parked()
+            if u.parked:
+                u.retry_parked()
         self.last_snapshot = {
             u.unit_id: u.collect_state() for u in self.units
         }
@@ -216,10 +218,10 @@ class Level1Bridge:
         wall-clock-amortized speed instead would shrink W_th on idle
         systems and starve receivers.
         """
-        total_finished = sum(
-            s.finished_workload for s in self.last_snapshot.values()
-        )
-        total_busy = sum(s.busy_cycles for s in self.last_snapshot.values())
+        total_finished = total_busy = 0
+        for s in self.last_snapshot.values():
+            total_finished += s.finished_workload
+            total_busy += s.busy_cycles
         if total_busy > 0:
             s_exe = max(1e-6, total_finished / total_busy)
         else:
@@ -227,51 +229,58 @@ class Level1Bridge:
         s_xfer = self.config.chip_link_bytes_per_cycle
         return s_exe, s_xfer
 
-    def to_arrive(self, unit_id: int) -> int:
-        pending = sum(
-            a.remaining
-            for q in self.pending_assign.values()
-            for a in q
-            if a.receiver == unit_id
+    def _to_arrive(self) -> Dict[int, int]:
+        """Each child's toArrive: workload assigned to it but not yet
+        landed (pending SCHEDULE budgets plus in-flight bundles), from one
+        pass over the assignment queues."""
+        pending: Dict[int, int] = {}
+        for queue in self.pending_assign.values():
+            for a in queue:
+                pending[a.receiver] = pending.get(a.receiver, 0) + a.remaining
+        inflight = self.inflight_to
+        return {
+            uid: pending.get(uid, 0) + inflight.get(uid, 0)
+            for uid in self.last_snapshot
+        }
+
+    def _receiver_target(self, s_exe: float, w_th: int) -> int:
+        k = self.config.balance.budget_w_th_multiple
+        return max(
+            int(k * w_th),
+            int(self.config.comm.i_state_cycles * s_exe),
         )
-        return pending + self.inflight_to.get(unit_id, 0)
-
-    def child_loads(self) -> List[ChildLoad]:
-        return [
-            ChildLoad(
-                child_id=uid,
-                queue_workload=s.queue_workload,
-                to_arrive=self.to_arrive(uid),
-            )
-            for uid, s in self.last_snapshot.items()
-        ]
-
-    def w_th(self) -> int:
-        s_exe, s_xfer = self._speeds()
-        return self.policy.w_th(self.config.comm.g_xfer_bytes, s_exe, s_xfer)
 
     def receiver_target(self) -> int:
         """Workload to top a receiver up to: a multiple of W_th, but at
         least enough to keep it busy until the next scheduling round."""
-        s_exe, _ = self._speeds()
-        k = self.config.balance.budget_w_th_multiple
-        return max(
-            int(k * self.w_th()),
-            int(self.config.comm.i_state_cycles * s_exe),
-        )
+        s_exe, s_xfer = self._speeds()
+        w_th = self.policy.w_th(self._g_xfer, s_exe, s_xfer)
+        return self._receiver_target(s_exe, w_th)
 
     def _run_load_balancing(self) -> None:
-        loads = self.child_loads()
-        w_th = self.w_th()
+        snapshot = self.last_snapshot
+        to_arrive = self._to_arrive()
+        s_exe, s_xfer = self._speeds()
+        w_th = self.policy.w_th(self._g_xfer, s_exe, s_xfer)
         if self.config.balance.fine_grained:
             # Endgame guard (data-transfer awareness, Section VI-C): when
             # the whole rank's remaining work is within a transfer-time of
             # draining anyway, migrating it can only add traffic -- "it
             # may be better to not schedule out tasks".
-            total = sum(l.corrected_workload for l in loads)
-            if total < w_th * max(1, len(loads)):
+            total = sum(
+                s.queue_workload + to_arrive[uid]
+                for uid, s in snapshot.items()
+            )
+            if total < w_th * max(1, len(snapshot)):
                 return
-        plans = self.policy.plan(loads, w_th, self.receiver_target())
+        # Built only past the guard, which skips most rounds.
+        loads = [
+            ChildLoad(uid, s.queue_workload, to_arrive[uid])
+            for uid, s in snapshot.items()
+        ]
+        plans = self.policy.plan(
+            loads, w_th, self._receiver_target(s_exe, w_th)
+        )
         for plan in plans:
             self._issue_schedule(plan)
 
@@ -298,15 +307,16 @@ class Level1Bridge:
         if self.policy is None or budget <= 0:
             return
         loads = sorted(
-            self.child_loads(), key=lambda l: -l.queue_workload
+            self.last_snapshot.items(),
+            key=lambda item: -item[1].queue_workload,
         )
         remaining = budget
-        for load in loads:
-            if remaining <= 0 or load.queue_workload <= 0:
+        for uid, s in loads:
+            if remaining <= 0 or s.queue_workload <= 0:
                 break
-            amount = min(remaining, load.queue_workload)
+            amount = min(remaining, s.queue_workload)
             plan = SchedulePlan(
-                giver=load.child_id, budget=amount,
+                giver=uid, budget=amount,
                 receivers=[(UP, amount)],
             )
             self._issue_schedule(plan)
@@ -314,8 +324,9 @@ class Level1Bridge:
 
     def assign_incoming_bundle(self, msg: DataMessage) -> int:
         """Level-2 handed us a cross-rank bundle: pick the receiver unit."""
+        to_arrive = self._to_arrive()
         candidates = [
-            (s.queue_workload + self.to_arrive(uid), uid)
+            (s.queue_workload + to_arrive[uid], uid)
             for uid, s in self.last_snapshot.items()
         ]
         if not candidates:
@@ -384,7 +395,7 @@ class Level1Bridge:
         )
 
     def _maybe_start_round(self) -> None:
-        if self._finished() or self._round_active:
+        if self._round_active or self._finished():
             return
         if self._gather_paused():
             # Mailbox pressure cannot be served; only internal draining
@@ -432,77 +443,84 @@ class Level1Bridge:
     def _start_round(self) -> None:
         self._round_active = True
         self._stat_rounds.add()
-        self._drain_backup()
-        cfg = self.config
-        topo = cfg.topology
-        g_xfer = cfg.comm.g_xfer_bytes
+        if self._backup:
+            self._drain_backup()
+        g_xfer = self._g_xfer
         t0 = self.sim.now
         max_finish = t0
         gather_blindly = self.trigger.gathers_empty_children()
-        paused = self._gather_paused()
+        max_chunks = self.config.comm.max_chunks_per_round
+        # Fixed for the whole round: look each up once, not per child.
+        units = self.system.units
+        link_of = self._link_of_unit
+        mail_pending = self._mail_pending
+        schedule_at = self.sim.schedule_at
 
         # -- gather phase ------------------------------------------------
-        max_chunks = cfg.comm.max_chunks_per_round
-        if not paused:
+        if not self._gather_paused():
             if gather_blindly:
                 gather_ids = [u.unit_id for u in self.units]
             else:
-                gather_ids = sorted(self._mail_pending)
+                gather_ids = sorted(mail_pending)
             for uid in gather_ids:
-                unit = self.system.units[uid]
-                link = self._link_of(uid)
-                used = unit.mailbox.used_bytes
+                unit = units[uid]
+                mailbox = unit.mailbox
+                used = mailbox.used_bytes
                 if used == 0 and not gather_blindly:
-                    self._mail_pending.discard(uid)
+                    mail_pending.discard(uid)
                     continue
-                chunks = min(max_chunks, max(1, -(-used // g_xfer)))
+                # ceil(used / G_xfer) chunks, one for an empty mailbox.
+                chunks = -(-used // g_xfer) or 1
+                if chunks > max_chunks:
+                    chunks = max_chunks
                 nbytes = chunks * g_xfer
-                start = max(t0, link.busy_until)
-                acc = unit.bank.access(
-                    start, MAILBOX_REGION_OFFSET, nbytes,
-                    is_write=False,
-                    bytes_per_cycle=link.bytes_per_cycle,
-                    from_bridge=True,
-                )
-                link.occupy_until(acc.finish, nbytes)
+                link = link_of[uid]
+                busy_until = link.busy_until
+                finish = unit.bank.access(
+                    busy_until if busy_until > t0 else t0,
+                    MAILBOX_REGION_OFFSET, nbytes, False,
+                    link.bytes_per_cycle, True,
+                ).finish
+                link.occupy_until(finish, nbytes)
                 if used == 0:
                     self._stat_wasted_gathers.add()
                     continue
-                msgs, _ = unit.mailbox.fetch(nbytes)
-                if unit.mailbox.is_empty():
-                    self._mail_pending.discard(uid)
-                finish = acc.finish
-                self.sim.schedule_at(
+                msgs, _ = mailbox.fetch(nbytes)
+                if mailbox.is_empty():
+                    mail_pending.discard(uid)
+                schedule_at(
                     finish,
                     lambda u=unit, m=msgs: self._gathered(u, m),
                 )
-                max_finish = max(max_finish, finish)
+                if finish > max_finish:
+                    max_finish = finish
 
         # -- scatter phase -------------------------------------------------
-        for uid in sorted(self._scatter_pending):
-            unit = self.system.units[uid]
-            link = self._link_of(uid)
+        scatter_pending = self._scatter_pending
+        budget = max_chunks * g_xfer
+        for uid in sorted(scatter_pending):
             buf = self.scatter_buffers[uid]
             if buf.is_empty():
-                self._scatter_pending.discard(uid)
+                scatter_pending.discard(uid)
                 continue
-            msgs = buf.pop_up_to(max_chunks * g_xfer)
+            msgs, nbytes = buf.pop_up_to(budget)
             if buf.is_empty():
-                self._scatter_pending.discard(uid)
-            nbytes = sum(m.wire_bytes for m in msgs)
-            start = max(t0, link.busy_until)
-            acc = unit.bank.access(
-                start, SCATTER_REGION_OFFSET, nbytes,
-                is_write=True,
-                bytes_per_cycle=link.bytes_per_cycle,
-                from_bridge=True,
-            )
-            link.occupy_until(acc.finish, nbytes)
-            self.sim.schedule_at(
-                acc.finish,
+                scatter_pending.discard(uid)
+            unit = units[uid]
+            link = link_of[uid]
+            busy_until = link.busy_until
+            finish = unit.bank.access(
+                busy_until if busy_until > t0 else t0,
+                SCATTER_REGION_OFFSET, nbytes, True,
+                link.bytes_per_cycle, True,
+            ).finish
+            link.occupy_until(finish, nbytes)
+            schedule_at(
+                finish,
                 lambda u=unit, m=msgs: self._deliver(u, m),
             )
-            max_finish = max(max_finish, acc.finish)
+            if finish > max_finish:
+                max_finish = finish
 
         if max_finish == t0:
             # Nothing could move (e.g. gather paused with empty scatter
@@ -614,8 +632,9 @@ class Level1Bridge:
         return assignment
 
     def _fallback_receiver(self, giver: int) -> int:
+        to_arrive = self._to_arrive()
         candidates = [
-            (s.queue_workload + self.to_arrive(uid), uid)
+            (s.queue_workload + to_arrive[uid], uid)
             for uid, s in self.last_snapshot.items()
             if uid != giver
         ]
@@ -680,10 +699,8 @@ class Level1Bridge:
 
         Strict FIFO per destination: a destination whose head message does
         not fit stays blocked, so ordering (data block before its tasks)
-        is preserved.
+        is preserved.  Only called while the backup buffer holds messages.
         """
-        if not self._backup:
-            return
         emptied: List[int] = []
         for route_key, queue in self._backup.items():
             target = (

@@ -237,28 +237,33 @@ class Level2Bridge:
         t0 = self.sim.now
         max_finish = t0
         overhead = self.config.comm.l2_per_message_overhead_cycles
+        budget = self.round_budget
+        schedule_at = self.sim.schedule_at
 
         # -- gather from each rank's up mailbox ---------------------------
         for rank, bridge in enumerate(self.rank_bridges):
-            if bridge.up_mailbox.is_empty():
+            mailbox = bridge.up_mailbox
+            if mailbox.is_empty():
                 continue
             link = self._uplink(rank)
-            msgs = bridge.up_mailbox.pop_up_to(self.round_budget)
-            nbytes = sum(m.wire_bytes for m in msgs)
-            finish = link.transfer(max(t0, link.busy_until), nbytes)
+            msgs, nbytes = mailbox.pop_up_to(budget)
+            finish = link.transfer(t0, nbytes)
             if self.p2p_ports is None:
                 # Host software routes each message (the paper's level-2
                 # is a host runtime); serialize on the host core.
-                proc_start = max(finish, self.host_busy_until)
+                proc_start = self.host_busy_until
+                if finish > proc_start:
+                    proc_start = finish
                 proc_finish = proc_start + overhead * len(msgs)
                 self.host_busy_until = proc_finish
             else:
                 # Hardware p2p routing: a couple of cycles of port logic.
                 proc_finish = finish + 2
-            self.sim.schedule_at(
+            schedule_at(
                 proc_finish, lambda m=msgs: self._route_messages(m)
             )
-            max_finish = max(max_finish, proc_finish)
+            if proc_finish > max_finish:
+                max_finish = proc_finish
 
         # -- scatter toward each rank --------------------------------------
         for rank, bridge in enumerate(self.rank_bridges):
@@ -266,13 +271,13 @@ class Level2Bridge:
             if buf.is_empty():
                 continue
             link = self._uplink(rank)
-            msgs = buf.pop_up_to(self.round_budget)
-            nbytes = sum(m.wire_bytes for m in msgs)
-            finish = link.transfer(max(t0, link.busy_until), nbytes)
-            self.sim.schedule_at(
+            msgs, nbytes = buf.pop_up_to(budget)
+            finish = link.transfer(t0, nbytes)
+            schedule_at(
                 finish, lambda b=bridge, m=msgs, r=rank: self._deliver(b, r, m)
             )
-            max_finish = max(max_finish, finish)
+            if finish > max_finish:
+                max_finish = finish
 
         self.sim.schedule_at(max(max_finish, t0 + 1), self._round_done)
 

@@ -91,7 +91,8 @@ class DRAMBank:
         """
         if nbytes <= 0:
             raise ValueError("access size must be positive")
-        start = max(now, self.busy_until)
+        busy_until = self.busy_until
+        start = busy_until if busy_until > now else now
         if self._refresh and start >= self._next_refresh:
             # The bank was (or would be) taken by an all-bank refresh;
             # the access waits out tRFC.
@@ -113,12 +114,13 @@ class DRAMBank:
         else:
             self._row_hits.add()
         latency += self._t_cas
-        latency += max(1, math.ceil(nbytes / bytes_per_cycle))
+        cycles = math.ceil(nbytes / bytes_per_cycle)
+        latency += cycles if cycles > 1 else 1
         finish = start + latency
         self.busy_until = finish
         self._busy_cycles.add(latency)
 
-        words = max(1, math.ceil(nbytes / 8))
+        words = math.ceil(nbytes / 8)  # at least 1: nbytes is positive
         if is_write:
             self._writes.add(words)
         else:

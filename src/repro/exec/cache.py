@@ -9,8 +9,8 @@ files keyed by a fingerprint of everything that can influence the result:
 * the application name, workload ``scale`` and ``seed``,
 * the full :class:`~repro.config.SystemConfig` (canonical JSON of every
   field, enums by value),
-* a *code version* -- a hash over the ``repro`` package sources -- so any
-  model change invalidates the whole cache.
+* a *code version* -- a hash over the ``repro`` package sources a run
+  can import -- so any model change invalidates the whole cache.
 
 JSON round-trips Python ints and floats exactly, so a cache hit is
 bit-identical to the fresh run that produced it; tests assert this.
@@ -37,6 +37,10 @@ from ..energy import EnergyBreakdown
 #: Bump to invalidate caches when the serialization format changes.
 FORMAT_VERSION = 1
 
+#: Sub-packages of ``repro`` that no run imports (the static analyzer),
+#: left out of the code version so editing them keeps cached cells.
+_UNHASHED_PACKAGES = ("analyze", "lint")
+
 _code_version: Optional[str] = None
 
 
@@ -44,7 +48,8 @@ def code_version() -> str:
     """Hash of the ``repro`` package sources (computed once per process).
 
     Any edit to the model invalidates previously cached results -- the
-    cache must never survive a behaviour change.
+    cache must never survive a behaviour change.  Only the analyzer
+    packages are left out.
     """
     global _code_version
     if _code_version is None:
@@ -53,7 +58,10 @@ def code_version() -> str:
         root = Path(repro.__file__).resolve().parent
         h = hashlib.sha256()
         for path in sorted(root.rglob("*.py")):
-            h.update(str(path.relative_to(root)).encode())
+            rel = path.relative_to(root)
+            if rel.parts[0] in _UNHASHED_PACKAGES:
+                continue
+            h.update(str(rel).encode())
             h.update(b"\0")
             h.update(path.read_bytes())
         _code_version = h.hexdigest()[:16]

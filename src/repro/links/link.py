@@ -71,8 +71,14 @@ class Link:
             raise ValueError("occupied bytes must be non-negative")
         if finish > self.busy_until:
             newly_busy = finish - self.busy_until
+            # ``transfer_cycles(max(1, nbytes))``, inlined: this runs once
+            # per gathered or scattered child.
+            cycles = math.ceil(
+                (nbytes if nbytes > 0 else 1) / self.bytes_per_cycle
+            )
+            cycles = self.fixed_latency + (cycles if cycles > 1 else 1)
             self._busy_cycles.add(
-                min(newly_busy, self.transfer_cycles(max(1, nbytes)))
+                newly_busy if newly_busy < cycles else cycles
             )
             self.busy_until = finish
         self._bytes.add(nbytes)

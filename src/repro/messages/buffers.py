@@ -72,8 +72,11 @@ class MessageBuffer:
         self._used -= msg.wire_bytes
         return msg
 
-    def pop_up_to(self, budget_bytes: int) -> List[Message]:
-        """Pop whole messages from the head totalling <= ``budget_bytes``."""
+    def pop_up_to(self, budget_bytes: int) -> Tuple[List[Message], int]:
+        """Pop whole messages from the head totalling <= ``budget_bytes``.
+
+        Returns ``(messages, bytes_taken)``, as :meth:`Mailbox.fetch` does.
+        """
         out: List[Message] = []
         taken = 0
         queue = self._queue
@@ -87,7 +90,7 @@ class MessageBuffer:
             out.append(queue.popleft())
             self._used -= size
             taken += size
-        return out
+        return out, taken
 
     def pending_messages(self) -> Tuple[Message, ...]:
         """Snapshot of buffered messages, oldest first (audits and tests)."""

@@ -7,10 +7,14 @@ from the on-disk cache.
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.metrics import RunMetrics
 from repro.config import ConfigError, Design, tiny_config
 from repro.energy import EnergyBreakdown
@@ -26,6 +30,9 @@ from repro.exec import (
     metrics_to_payload,
     run_matrix,
 )
+from repro.exec import cache as cache_module
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 APP = "ht"
 SCALE = 0.03
@@ -85,6 +92,48 @@ def test_cell_key_sensitivity():
 def test_code_version_is_stable_within_process():
     assert code_version() == code_version()
     assert len(code_version()) == 16
+
+
+def test_code_version_hashes_what_a_run_imports(monkeypatch):
+    """The cache key covers every ``repro`` module a run loads, and no
+    analyzer file: editing the analyzer alone must keep cached cells."""
+    probe = (
+        "import sys\n"
+        "import repro.exec\n"
+        "from repro import Design, make_app, run_app\n"
+        "from repro.config import scaled_config\n"
+        "run_app(make_app('tree', scale=0.05, seed=1), "
+        "scaled_config(128, Design.O))\n"
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    if name.split('.')[0] == 'repro':\n"
+        "        print(module.__file__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=REPO_ROOT, capture_output=True,
+        text=True, env={"PYTHONPATH": str(REPO_ROOT / "src"),
+                        "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    loaded = {Path(line).resolve() for line in proc.stdout.split()}
+
+    hashed = []
+    read_bytes = Path.read_bytes
+
+    def spy(path):
+        hashed.append(path.resolve())
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    monkeypatch.setattr(cache_module, "_code_version", None)
+    code_version()
+    package = Path(repro.__file__).resolve().parent
+    assert package / "exec" / "cache.py" in loaded
+    assert sorted(loaded - set(hashed)) == []
+    analyzer = [
+        p for p in hashed
+        if p.relative_to(package).parts[0] in ("analyze", "lint")
+    ]
+    assert analyzer == []
 
 
 # ----------------------------------------------------------------------

@@ -96,12 +96,6 @@ def test_syntax_error_reported_not_crashed():
 SL011_SOURCE = "def f(mb, m):\n    mb.enqueue(m)\n"
 
 
-def test_cli_clean_on_repo_src(analyze_cli):
-    proc = analyze_cli("src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "simlint: clean" in proc.stdout
-
-
 def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "bridge" / "bad.py"
     bad.parent.mkdir(parents=True)

@@ -8,17 +8,19 @@ and review the diff like any other golden update:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints freshly computed ``CLOSED``/``OPENLOOP``/``STATS``/``L2_STATS``
-dicts to paste over the ones in this file.
+prints freshly computed ``CLOSED``/``OPENLOOP``/``STATS``/``L2_STATS``/
+``ROUND_STATS`` dicts to paste over the ones in this file.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import make_app, run_app
-from repro.config import Design, scaled_config, tiny_config
+from repro.bridge.level1 import Level1Bridge
+from repro.config import Design, TriggerMode, scaled_config, tiny_config
 from repro.runtime.requests import run_openloop
 from repro.workloads.openloop import OpenLoopSpec, TenantSpec
 
@@ -98,6 +100,16 @@ L2_STATS = {
 }
 
 
+#: No cell above reaches a blind gather, a paused gather or a soft backup
+#: overflow: the level-1 round's rarer branches.  These tiny-config B
+#: cells do, each through one config change (``round_config``), and are
+#: pinned the same way as ``STATS``.
+ROUND_STATS = {
+    ("tree", "fixed_trigger"): (1476, "6a68b50a7d0bc5b3"),
+    ("pr", "backup_4k"): (2612, "5eead9186f204ba0"),
+}
+
+
 def golden_spec() -> OpenLoopSpec:
     return OpenLoopSpec(
         tenants=(
@@ -134,6 +146,25 @@ def l2_stats_result(app: str, design: Design):
                      scaled_config(L2_UNITS, design)).system
     rounds = system.stats.as_dict()["bridge_l2.message_rounds"]
     return _stats_of(system), rounds
+
+
+def round_config(variant: str):
+    """``tiny_config(Design.B)`` with one change that drives a branch:
+    fixed triggering gathers every child, wasting gathers on empty
+    mailboxes; a 4 kB backup buffer pauses gathering and soft-overflows."""
+    cfg = tiny_config(Design.B)
+    if variant == "fixed_trigger":
+        return replace(cfg, comm=replace(cfg.comm,
+                                         trigger_mode=TriggerMode.FIXED))
+    assert variant == "backup_4k", variant
+    return replace(cfg, bridge=replace(cfg.bridge, backup_buffer_bytes=4096))
+
+
+def round_stats_result(app: str, variant: str):
+    """``(events, digest)`` of a ``ROUND_STATS`` cell, and its stats."""
+    system = run_app(make_app(app, scale=SCALE, seed=SEED),
+                     round_config(variant)).system
+    return _stats_of(system), system.stats.as_dict()
 
 
 def openloop_result(app: str, design: Design):
@@ -192,6 +223,36 @@ def test_level2_stats_golden(app, design):
     )
 
 
+def test_round_branch_stats_golden_fixed_trigger():
+    got, stats = round_stats_result("tree", "fixed_trigger")
+    assert stats["bridge0.wasted_gathers"] >= 1, "no blind gather ran"
+    want = ROUND_STATS[("tree", "fixed_trigger")]
+    assert got == want, (
+        f"tree/fixed_trigger: (events, stats digest) {got} != golden "
+        f"{want} -- the model changed; {REGEN}"
+    )
+
+
+def test_round_branch_stats_golden_backup_4k(monkeypatch):
+    pauses = []
+    gather_paused = Level1Bridge._gather_paused
+
+    def counting(self):
+        paused = gather_paused(self)
+        pauses.append(paused)
+        return paused
+
+    monkeypatch.setattr(Level1Bridge, "_gather_paused", counting)
+    got, stats = round_stats_result("pr", "backup_4k")
+    assert any(pauses), "gathering never paused"
+    assert stats["bridge0.backup_overflows"] >= 1, "no soft backup overflow"
+    want = ROUND_STATS[("pr", "backup_4k")]
+    assert got == want, (
+        f"pr/backup_4k: (events, stats digest) {got} != golden {want} "
+        f"-- the model changed; {REGEN}"
+    )
+
+
 def test_golden_matrix_is_complete():
     keys = {(a, d.value) for a in APPS for d in DESIGNS}
     assert set(CLOSED) == keys
@@ -221,6 +282,11 @@ def _regenerate() -> None:  # pragma: no cover - manual tool
     for app, design in sorted(L2_STATS):
         (events, digest), _ = l2_stats_result(app, Design(design))
         print(f'    ("{app}", "{design}"): ({events}, "{digest}"),')
+    print("}")
+    print("ROUND_STATS = {")
+    for app, variant in ROUND_STATS:
+        (events, digest), _ = round_stats_result(app, variant)
+        print(f'    ("{app}", "{variant}"): ({events}, "{digest}"),')
     print("}")
 
 

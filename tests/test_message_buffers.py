@@ -37,8 +37,9 @@ def test_pop_up_to_respects_budget():
     buf = MessageBuffer("b", 4096)
     for i in range(10):
         buf.push(task_msg(i))
-    got = buf.pop_up_to(256)
+    got, nbytes = buf.pop_up_to(256)
     assert len(got) == 4
+    assert nbytes == sum(m.wire_bytes for m in got) == 256
     assert buf.used_bytes == 6 * 64
 
 
@@ -47,8 +48,9 @@ def test_pop_up_to_moves_oversized_head_alone():
     big = DataMessage(src_unit=0, dst_unit=1, block_id=0, block_bytes=1024)
     buf.push(big)
     buf.push(task_msg(1))
-    got = buf.pop_up_to(256)
+    got, nbytes = buf.pop_up_to(256)
     assert got == [big]
+    assert nbytes == big.wire_bytes
 
 
 def test_invalid_capacity():
@@ -153,7 +155,8 @@ def _make(i, kind, size):
 @given(st.lists(_operation, max_size=60))
 def test_byte_accounting_property(ops):
     """Random traffic on a small buffer matches a plain reference FIFO:
-    bytes, order, pop_up_to's budget rule and the drop counters."""
+    bytes, order, pop_up_to's budget rule and byte count, and the drop
+    counters."""
     buf = MessageBuffer("b", 256)
     ref = []       # the messages the buffer should hold, oldest first
     dropped = []   # every message a push rejected
@@ -172,10 +175,11 @@ def test_byte_accounting_property(ops):
         elif op == "pop":
             assert buf.pop() is (ref.pop(0) if ref else None)
         else:
-            got = buf.pop_up_to(budget)
+            got, nbytes = buf.pop_up_to(budget)
             assert got == ref[:len(got)]
             assert bool(got) == bool(ref)
-            taken = sum(m.wire_bytes for m in got)
+            taken = sum(m.wire_bytes for m in ref[:len(got)])
+            assert nbytes == taken
             rest = ref[len(got):]
             if taken > budget:
                 assert len(got) == 1  # an over-budget head moves alone

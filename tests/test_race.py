@@ -121,12 +121,6 @@ def test_registry_entries_are_justified():
 # ----------------------------------------------------------------------
 # meta: the exec-pool rules through the real gate, python -m repro.analyze
 # ----------------------------------------------------------------------
-def test_cli_clean_on_repo_src(analyze_cli):
-    proc = analyze_cli("src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "simlint: clean" in proc.stdout
-
-
 def test_cli_exit_1_on_finding(analyze_cli, tmp_path):
     bad = tmp_path / "repro" / "ndp" / "bad.py"
     bad.parent.mkdir(parents=True)
