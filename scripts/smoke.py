@@ -19,6 +19,9 @@ CONFIGS = {
 DESIGNS = [Design.C, Design.B, Design.W, Design.O, Design.R, Design.H]
 APPS = ["ll", "ht", "tree", "spmv", "bfs", "sssp", "pr", "wcc"]
 
+#: Simulated cycles between two looks at the wall-clock watchdog.
+SLICE_CYCLES = 100_000
+
 
 def run_one(design, name, scale=0.05, budget_s=30):
     cfg = CONFIGS[os.environ.get("SMOKE_CONFIG", "tiny")](design)
@@ -30,12 +33,10 @@ def run_one(design, name, scale=0.05, budget_s=30):
         system.fabric.start()
     system.tracker.check_progress()
     t0 = time.time()
-    checked = 0
-    while not system.tracker.finished:
-        if not system.sim.step():
-            break
-        checked += 1
-        if checked % 20000 == 0 and time.time() - t0 > budget_s:
+    sim = system.sim
+    while not system.tracker.finished and sim.pending_events:
+        sim.run(until=sim.now + SLICE_CYCLES)
+        if time.time() - t0 > budget_s:
             tr = system.tracker
             return (
                 f"STUCK now={system.sim.now} done={tr.total_completed}/"

@@ -3,8 +3,8 @@
 The open-loop driver (:mod:`repro.runtime.requests`) records one integer
 birth->completion latency per request per tenant.  Tail percentiles must
 be *exact and bit-reproducible* -- they feed golden tests and the
-bit-identity oracles (plain vs sanitized, paused-and-resumed vs
-run-through) -- so this recorder keeps every sample and computes
+bit-identity oracle (paused-and-resumed vs run-through) -- so this
+recorder keeps every sample and computes
 nearest-rank percentiles with pure integer arithmetic.  Paper-scale runs
 are a few 10^5 requests, so exactness is cheap; no P^2 or t-digest
 approximation sneaks non-determinism into the tail.

@@ -139,10 +139,10 @@ ALLOWLIST: Tuple[AllowlistEntry, ...] = (
         module="repro/messages/types.py",
         justification=(
             "_message_ids is a process-global monotonic itertools.count "
-            "used only for identity (auditor ledger keys, wire-cache "
-            "tags); ids never feed control flow or arithmetic, so the "
-            "higher base a pool worker carries into its next cell "
-            "cannot change that cell's result"
+            "used only to name a message in error reports; ids never "
+            "feed control flow or arithmetic, so the higher base a pool "
+            "worker carries into its next cell cannot change that cell's "
+            "result"
         ),
     ),
 )

@@ -27,7 +27,13 @@ from ..balance.policy import ChildLoad, SchedulePlan, SchedulingPolicy
 from ..config import SystemConfig
 from ..dram.commands import BridgeOp, CommandCodec
 from ..links import Link
-from ..messages import DataMessage, Message, MessageBuffer, TaskMessage
+from ..messages import (
+    MESSAGE_BYTES,
+    DataMessage,
+    Message,
+    MessageBuffer,
+    TaskMessage,
+)
 from ..ndp.unit import NDPUnit, UnitState
 from ..sim import DeterministicRNG, Simulator, StatsRegistry
 
@@ -181,12 +187,12 @@ class Level1Bridge:
             return
         self.system.check_stalled()
         cfg = self.config
-        per_msg = math.ceil(64 / cfg.chip_link_bytes_per_cycle)
+        per_msg = math.ceil(MESSAGE_BYTES / cfg.chip_link_bytes_per_cycle)
         duration = cfg.topology.banks_per_chip * per_msg
         for link in self.chip_links:
             link.occupy_until(
                 max(self.sim.now, link.busy_until) + duration,
-                cfg.topology.banks_per_chip * 64,
+                cfg.topology.banks_per_chip * MESSAGE_BYTES,
             )
         self._stat_state_rounds.add()
         self.sim.schedule(duration, self._state_round_done)

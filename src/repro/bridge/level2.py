@@ -19,9 +19,15 @@ from typing import Deque, Dict, List, Optional, Sequence
 from ..balance.metadata import DataBorrowedTable
 from ..config import SystemConfig
 from ..links import Link
-from ..messages import DataMessage, Message, MessageBuffer, TaskMessage
+from ..messages import (
+    MESSAGE_BYTES,
+    DataMessage,
+    Message,
+    MessageBuffer,
+    TaskMessage,
+)
 from ..sim import Simulator, StatsRegistry
-from .level1 import Level1Bridge, UP
+from .level1 import Level1Bridge
 
 
 @dataclass
@@ -45,6 +51,7 @@ class Level2Bridge:
         self.sim = sim
         self.config = config
         self.system = system
+        self.addr_map = system.addr_map
         self.rank_bridges = rank_bridges
         topo = config.topology
         scope = "bridge_l2"
@@ -104,18 +111,12 @@ class Level2Bridge:
     def _finished(self) -> bool:
         return self.system.tracker.finished
 
-    def _rank_of_unit(self, unit_id: int) -> int:
-        return self.system.addr_map.rank_of_unit(unit_id)
-
-    def _channel_of_rank(self, rank: int) -> int:
-        return self.system.addr_map.channel_of_rank(rank)
-
     def _uplink(self, rank: int) -> Link:
         """The link carrying this rank's cross-rank traffic: its DIMM-Link
         p2p port when present, otherwise the shared memory channel."""
         if self.p2p_ports is not None:
             return self.p2p_ports[rank]
-        return self.channel_links[self._channel_of_rank(rank)]
+        return self.channel_links[self.addr_map.channel_of_rank(rank)]
 
     def start(self) -> None:
         self.sim.schedule(self.config.comm.i_state_cycles, self._state_round)
@@ -126,9 +127,9 @@ class Level2Bridge:
     def _state_round(self) -> None:
         if self._finished():
             return
-        # One 64 B state message per rank crosses each channel.
+        # One state message per rank crosses each channel.
         for link in self.channel_links:
-            nbytes = 64 * self.config.topology.ranks_per_channel
+            nbytes = MESSAGE_BYTES * self.config.topology.ranks_per_channel
             link.occupy_until(
                 max(self.sim.now, link.busy_until)
                 + link.transfer_cycles(nbytes),
@@ -310,13 +311,15 @@ class Level2Bridge:
         if isinstance(msg, DataMessage):
             if msg.returning:
                 self.borrowed.remove(msg.block_id)
-                self._push_down(msg, self._rank_of_unit(msg.dst_unit))
+                self._push_down(
+                    msg, self.addr_map.rank_of_unit(msg.dst_unit)
+                )
                 return
             if msg.lb_pending:
                 rank = self._assign_rank(msg)
                 self._push_down(msg, rank)
                 return
-            self._push_down(msg, self._rank_of_unit(msg.dst_unit))
+            self._push_down(msg, self.addr_map.rank_of_unit(msg.dst_unit))
             return
         if isinstance(msg, TaskMessage):
             block = msg.task.data_addr // self.config.comm.g_xfer_bytes
@@ -324,11 +327,10 @@ class Level2Bridge:
             if entry is not None:
                 self._push_down(msg, entry.value)
                 return
-            home = self.system.addr_map.unit_of_block(block)
-            self._push_down(msg, self._rank_of_unit(home))
+            self._push_down(msg, self.addr_map.rank_of_block(block))
 
     def _assign_rank(self, msg: DataMessage) -> int:
-        giver_rank = self._rank_of_unit(msg.src_unit)
+        giver_rank = self.addr_map.rank_of_unit(msg.src_unit)
         queue = self.pending_assign.get(giver_rank)
         if queue:
             assignment = queue[0]
@@ -352,7 +354,8 @@ class Level2Bridge:
         self.inflight_to[rank] = (
             self.inflight_to.get(rank, 0) + msg.bundle_workload
         )
-        if self._channel_of_rank(rank) != self._channel_of_rank(giver_rank):
+        channel_of_rank = self.addr_map.channel_of_rank
+        if channel_of_rank(rank) != channel_of_rank(giver_rank):
             self._stat_cross_channel.add()
         return rank
 

@@ -101,12 +101,6 @@ class DRAMTimingConfig:
     row_bytes: int = 1024               # one DRAM row per bank per chip
     # Write-to-read turnaround bubble on the bank data bus (tWTR-ish).
     t_wtr_ns: float = 7.5
-    # All-bank refresh: every tREFI the bank stalls for tRFC.  Disabled by
-    # default (the paper's zsim setup follows [15] and [25], which omit
-    # refresh); enable for sensitivity studies.
-    refresh_enabled: bool = False
-    t_refi_ns: float = 7800.0
-    t_rfc_ns: float = 350.0
 
     def cycles(self, ns: float, cycle_ns: float) -> int:
         return max(1, math.ceil(ns / cycle_ns))
@@ -161,7 +155,6 @@ class CommConfig:
     """Communication parameters (Sections V-B / V-C)."""
 
     g_xfer_bytes: int = 256
-    message_bytes: int = 64
     #: Max G_xfer chunks moved per unit per round: a backlogged mailbox
     #: gets several consecutive GATHERs before the round moves on, so the
     #: granularity governs transfer efficiency, not peak rate.

@@ -8,6 +8,7 @@ them, Section V-B) plus basic sanity bounds.
 
 from __future__ import annotations
 
+from ..messages.types import MESSAGE_BYTES
 from .system import Design, SystemConfig
 
 
@@ -32,12 +33,12 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         )
 
     comm = cfg.comm
-    if comm.message_bytes <= 0:
-        raise ConfigError("message size must be positive")
-    if comm.g_xfer_bytes % comm.message_bytes != 0:
+    if comm.g_xfer_bytes <= 0:
+        raise ConfigError("G_xfer must be positive")
+    if comm.g_xfer_bytes % MESSAGE_BYTES != 0:
         raise ConfigError(
             f"G_xfer ({comm.g_xfer_bytes}) must be a multiple of the "
-            f"message size ({comm.message_bytes})"
+            f"message size ({MESSAGE_BYTES})"
         )
     if comm.i_state_cycles <= 0:
         raise ConfigError("I_state must be positive")
@@ -65,7 +66,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
 
     if cfg.unit_mem.mailbox_bytes < comm.g_xfer_bytes:
         raise ConfigError("unit mailbox must hold at least one G_xfer block")
-    if cfg.bridge.scatter_buffer_bytes_per_bank < comm.message_bytes:
+    if cfg.bridge.scatter_buffer_bytes_per_bank < MESSAGE_BYTES:
         raise ConfigError("scatter buffer must hold at least one message")
 
     core = cfg.core

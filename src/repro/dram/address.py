@@ -39,6 +39,7 @@ class AddressMap:
         self.block_bytes = config.comm.g_xfer_bytes
         self.total_units = self.topology.total_units
         self.total_bytes = self.total_units * self.bank_bytes
+        self.rank_bytes = self.topology.banks_per_rank * self.bank_bytes
 
     # -- unit id <-> coordinates ------------------------------------------
     def coord_of_unit(self, unit_id: int) -> UnitCoord:
@@ -90,6 +91,13 @@ class AddressMap:
 
     def unit_of_block(self, block_id: int) -> int:
         return self.unit_of_addr(block_id * self.block_bytes)
+
+    def rank_of_block(self, block_id: int) -> int:
+        """Global rank of the unit holding the block's first byte."""
+        addr = block_id * self.block_bytes
+        if not 0 <= addr < self.total_bytes:
+            raise ValueError(f"address {addr:#x} out of range")
+        return addr // self.rank_bytes
 
     def same_chip(self, unit_a: int, unit_b: int) -> bool:
         """Do two units live in the same physical DRAM chip?  (RowClone.)"""

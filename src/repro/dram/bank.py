@@ -55,15 +55,6 @@ class DRAMBank:
         self._t_rcd = config.t_rcd_cycles
         self._t_cas = config.t_cas_cycles
         self._row_bytes = config.dram.row_bytes
-        self._refresh = config.dram.refresh_enabled
-        if self._refresh:
-            self._t_refi = config.dram.cycles(
-                config.dram.t_refi_ns, config.cycle_ns
-            )
-            self._t_rfc = config.dram.cycles(
-                config.dram.t_rfc_ns, config.cycle_ns
-            )
-            self._next_refresh = self._t_refi
         scope = f"bank{unit_id}"
         self._reads = stats.counter(scope, "reads_64bit")
         self._writes = stats.counter(scope, "writes_64bit")
@@ -93,13 +84,6 @@ class DRAMBank:
             raise ValueError("access size must be positive")
         busy_until = self.busy_until
         start = busy_until if busy_until > now else now
-        if self._refresh and start >= self._next_refresh:
-            # The bank was (or would be) taken by an all-bank refresh;
-            # the access waits out tRFC.
-            missed = 1 + (start - self._next_refresh) // self._t_refi
-            self._next_refresh += missed * self._t_refi
-            start += self._t_rfc
-            self.open_row = None
         row = addr // self._row_bytes
         latency = 0
         if self._last_was_write and not is_write:

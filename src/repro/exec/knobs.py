@@ -4,7 +4,7 @@ Every ``os.environ`` / ``os.getenv`` read in the ``repro`` package must
 name a knob declared here; simlint rule SL013 fails the build otherwise.
 
 An environment knob never changes results: it may only change *how* the
-same results are computed (worker counts, cache location, audit modes),
+same results are computed (worker counts, cache location),
 and each entry carries a written justification of why, same contract as
 the analyzer allowlist.  A value that does change results belongs in
 :class:`~repro.config.SystemConfig` or
@@ -58,15 +58,6 @@ ENV_REGISTRY: Tuple[EnvKnob, ...] = (
             "relocates the cache directory; contents are keyed by the "
             "full result fingerprint, so the location carries no "
             "result-affecting information"
-        ),
-    ),
-    EnvKnob(
-        name="NDPBRIDGE_SANITIZE",
-        justification=(
-            "audit-only mode: conservation ledgers and dispatch-order "
-            "checks observe the run and raise on violation; a run that "
-            "completes is bit-identical with the sanitizer on or off "
-            "(CI runs the suite both ways)"
         ),
     ),
 )

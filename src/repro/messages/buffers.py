@@ -93,7 +93,8 @@ class MessageBuffer:
         return out, taken
 
     def pending_messages(self) -> Tuple[Message, ...]:
-        """Snapshot of buffered messages, oldest first (audits and tests)."""
+        """Snapshot of buffered messages, oldest first (end-of-run checks,
+        the stall report and tests)."""
         return tuple(self._queue)
 
     def __len__(self) -> int:

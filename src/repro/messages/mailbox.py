@@ -35,9 +35,8 @@ class Mailbox:
         self._head_fetched = 0  # bytes of head message already gathered
         # Rejection accounting: a False return hands the message back to
         # the caller, and a caller that forgets it has silently dropped
-        # it.  These counters record every rejection so stats and the
-        # message auditor (repro/flow/auditor.py) can account for each
-        # one instead of losing it.
+        # it.  These counters record every rejection, so a test can
+        # account for each one instead of losing it.
         self.dropped_messages = 0
         self.dropped_bytes = 0
 
@@ -99,7 +98,8 @@ class Mailbox:
         return completed, taken
 
     def pending_messages(self) -> Tuple[Message, ...]:
-        """Snapshot of queued messages, oldest first (audits and tests)."""
+        """Snapshot of queued messages, oldest first (end-of-run checks,
+        the stall report and tests)."""
         return tuple(self._queue)
 
     def drain_all(self) -> List[Message]:

@@ -23,9 +23,10 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..runtime.task import Task
+if TYPE_CHECKING:  # annotation only: config validation imports this module
+    from ..runtime.task import Task
 
 MESSAGE_BYTES = 64
 
@@ -107,6 +108,11 @@ class DataMessage(Message):
     lb_pending: bool = False         # awaiting receiver assignment at bridge
     bundle_workload: int = 0         # W of the tasks lent with this block
     home_unit: int = -1              # original home of the block
+    #: Set by ``RunTracker.message_departed``, cleared on delivery.  Not
+    #: an ``__init__`` argument, so a copy starts out not in flight.
+    in_flight: bool = field(
+        default=False, init=False, repr=False, compare=False
+    )
 
     @property
     def mtype(self) -> MessageType:

@@ -73,7 +73,7 @@ class NDPUnit:
         self.unit_id = unit_id
         self.system = system                   # NDPSystem facade
         # The facade's tracker and registry outlive the unit; hold them,
-        # never their bound methods, which tests and the auditor replace.
+        # never their bound methods, which tests replace.
         self._tracker = system.tracker
         self._registry = system.registry
         self.bank = DRAMBank(sim, config, stats, unit_id)
@@ -355,7 +355,7 @@ class NDPUnit:
     # outgoing messages / mailbox stalls
     # ------------------------------------------------------------------
     def _send(self, msg: Message) -> None:
-        self._tracker.message_departed(isinstance(msg, DataMessage))
+        self._tracker.message_departed(msg)
         # RowClone-style fabrics may short-circuit same-chip messages.
         fabric = self.system.fabric
         if fabric.try_direct(self, msg):
@@ -384,11 +384,11 @@ class NDPUnit:
     # message handler (bridge SCATTER delivery)
     # ------------------------------------------------------------------
     def deliver_task_message(self, msg: TaskMessage) -> None:
-        self._tracker.message_delivered(False)
+        self._tracker.message_delivered(msg)
         self.accept_task(msg.task, msg.bounces)
 
     def deliver_data_message(self, msg: DataMessage) -> None:
-        self._tracker.message_delivered(True)
+        self._tracker.message_delivered(msg)
         block = msg.block_id
         if msg.returning:
             # Our own block coming home.

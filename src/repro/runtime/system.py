@@ -13,6 +13,7 @@ from typing import Iterator, List, Optional, Tuple
 from ..bridge.fabric import build_fabric
 from ..config import SystemConfig, validate_config
 from ..dram.address import AddressMap
+from ..messages import DataMessage
 from ..ndp.unit import NDPUnit
 from ..sim import DeterministicRNG, SimulationError, Simulator, StatsRegistry
 from .partition import PartitionMap
@@ -48,15 +49,6 @@ class NDPSystem:
             for unit_id in range(config.topology.total_units)
         ]
         self.fabric = build_fabric(self.sim, config, self.stats, self, rng)
-        # Sanitizer mode implies message-lifecycle auditing: observation-
-        # only instance wrappers, so plain runs pay zero overhead and
-        # sanitized runs stay bit-identical (tests/test_flow_auditor.py).
-        self.auditor = None
-        if self.sim.sanitize:
-            from ..flow.auditor import MessageAuditor
-
-            self.auditor = MessageAuditor()
-            self.auditor.attach(self)
         self.tracker.on_epoch_advance(self._on_epoch_advance)
         # The run ends when the tracker says so, never by polling it.
         self.tracker.on_finish(self.sim.stop)
@@ -93,8 +85,9 @@ class NDPSystem:
 
         Raises :class:`SimulationError` when the event queue empties while
         work is still outstanding (a lost task/message -- a model bug),
-        when the run stalls (:meth:`check_stalled`) or when
-        ``max_cycles`` is exceeded.
+        when the run stalls (:meth:`check_stalled`), when ``max_cycles``
+        is exceeded, or when a message sits where the tracker does not
+        count it in flight.
 
         Equivalent to :meth:`start` followed by :meth:`finish`; callers
         that need to pause at a cycle (the open-loop driver, perfbench)
@@ -143,9 +136,20 @@ class NDPSystem:
                 f"outstanding={self.tracker.outstanding(self.tracker.epoch)}, "
                 f"task_msgs={self.tracker.task_messages_in_flight}"
             )
-        if self.auditor is not None:
-            self.auditor.finish(self)
+        self._check_resident()
         return self
+
+    def _check_resident(self) -> None:
+        """A finished run counts no task message in flight, so none may
+        sit anywhere; a data message may, but only while in flight."""
+        for where, msgs in self._resident():
+            for msg in msgs:
+                if not (isinstance(msg, DataMessage) and msg.in_flight):
+                    raise SimulationError(
+                        f"{where} holds {msg.mtype.value} message "
+                        f"{msg.msg_id} at the end of the run, but the "
+                        f"tracker counts it delivered or never sent"
+                    )
 
     # ------------------------------------------------------------------
     def check_stalled(self) -> None:
@@ -196,7 +200,7 @@ class NDPSystem:
     def _resident(self) -> Iterator[Tuple[str, tuple]]:
         """``(container, messages)`` for every unit mailbox and backlog
         and every bridge buffer: the messages that sit somewhere now.
-        The stall report and the message auditor both walk this."""
+        The stall report and :meth:`finish` both walk this."""
         for unit in self.units:
             yield f"unit{unit.unit_id}.mailbox", unit.mailbox.pending_messages()
             yield f"unit{unit.unit_id}.backlog", tuple(unit._backlog)

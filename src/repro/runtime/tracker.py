@@ -10,12 +10,25 @@ drained and no unit holds future tasks.
 Data messages (block lends/returns) intentionally do *not* hold the epoch
 open: a block in flight without tasks cannot create epoch-``t`` work.
 Tasks travelling alongside it are counted individually.
+
+Every run checks each message's lifecycle here, since every send and
+delivery passes through :meth:`RunTracker.message_departed` and
+:meth:`RunTracker.message_delivered`.  A data message carries an
+``in_flight`` flag: departing twice, or being delivered while not in
+flight (a phantom or a double delivery), raises.  A task message needs no
+flag: a duplicated, phantom or doubly delivered one completes its task
+once too often, which :meth:`RunTracker.task_completed` rejects once the
+surplus shows.  (If the surplus instead ends the last epoch while a real
+task is still queued or running, that task never finishes; only the
+app's own result check sees it.)
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import Callable, Dict, List
+
+from ..messages.types import DataMessage, Message
 
 
 class RunTracker:
@@ -61,17 +74,26 @@ class RunTracker:
             return
         self.check_progress()
 
-    def message_departed(self, is_data: bool) -> None:
-        if is_data:
+    def message_departed(self, msg: Message) -> None:
+        if isinstance(msg, DataMessage):
+            if msg.in_flight:
+                raise RuntimeError(
+                    f"data message {msg.msg_id} departed twice"
+                )
+            msg.in_flight = True
             self.data_messages_in_flight += 1
         else:
             self.task_messages_in_flight += 1
 
-    def message_delivered(self, is_data: bool) -> None:
-        if is_data:
+    def message_delivered(self, msg: Message) -> None:
+        if isinstance(msg, DataMessage):
+            if not msg.in_flight:
+                raise RuntimeError(
+                    f"data message {msg.msg_id} delivered while not in "
+                    f"flight: a phantom or a double delivery"
+                )
+            msg.in_flight = False
             self.data_messages_in_flight -= 1
-            if self.data_messages_in_flight < 0:
-                raise RuntimeError("data message in-flight count underflow")
         else:
             self.task_messages_in_flight -= 1
             if self.task_messages_in_flight < 0:

@@ -1,13 +1,12 @@
 """Discrete-event simulation kernel used by the NDPBridge model."""
 
-from .engine import SimulationError, Simulator, sanitize_from_env
+from .engine import SimulationError, Simulator
 from .rng import DeterministicRNG
 from .stats import Counter, StatsRegistry
 
 __all__ = [
     "SimulationError",
     "Simulator",
-    "sanitize_from_env",
     "DeterministicRNG",
     "Counter",
     "StatsRegistry",

@@ -125,6 +125,9 @@ def test_gxfer_config_validation():
     assert cfg.balance.metadata_scale == 4.0
     with pytest.raises(ConfigError, match="multiple of the message size"):
         validate_config(_comm(base, g_xfer_bytes=100))
+    for g_xfer in (0, -64):  # both multiples of 64, neither a block size
+        with pytest.raises(ConfigError, match="G_xfer must be positive"):
+            validate_config(_comm(base, g_xfer_bytes=g_xfer))
 
 
 def test_istate_and_sketch_configs():

@@ -77,6 +77,30 @@ def test_blocks():
     assert amap.unit_of_block(amap.block_of_addr(amap.bank_bytes)) == 1
 
 
+def test_rank_of_block():
+    cfg = default_config()
+    amap = AddressMap(cfg)
+    g = cfg.comm.g_xfer_bytes
+    rank_bytes = cfg.topology.banks_per_rank * amap.bank_bytes
+    assert amap.rank_of_block(0) == 0
+    assert amap.rank_of_block(rank_bytes // g - 1) == 0
+    assert amap.rank_of_block(rank_bytes // g) == 1
+    last = amap.total_bytes // g - 1
+    assert amap.rank_of_block(last) == cfg.topology.ranks - 1
+    for block in (0, 12345, rank_bytes // g * 5 + 7, last):
+        assert amap.rank_of_block(block) == amap.rank_of_unit(
+            amap.unit_of_block(block)
+        )
+
+
+def test_rank_of_block_out_of_range():
+    amap = AddressMap(tiny_config())
+    with pytest.raises(ValueError, match="out of range"):
+        amap.rank_of_block(amap.total_bytes // amap.block_bytes)
+    with pytest.raises(ValueError, match="out of range"):
+        amap.rank_of_block(-1)
+
+
 def test_same_chip_and_rank():
     amap = AddressMap(default_config())
     # Units 0..7 are the 8 banks of chip 0 in rank 0.

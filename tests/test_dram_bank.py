@@ -76,29 +76,3 @@ def test_write_to_read_turnaround():
     assert r_after_w.latency == cfg.t_cas_cycles + 8 + bank._t_wtr
     r_after_r = bank.access(r_after_w.finish, 128, 64, False, 8.0)
     assert r_after_r.latency == cfg.t_cas_cycles + 8
-
-
-def test_refresh_stalls_accesses():
-    from dataclasses import replace
-
-    from repro.config import default_config
-    from repro.dram import DRAMBank
-    from repro.sim import Simulator, StatsRegistry
-
-    cfg = default_config()
-    cfg = cfg.replace(dram=replace(cfg.dram, refresh_enabled=True))
-    bank = DRAMBank(Simulator(), cfg, StatsRegistry(), unit_id=0)
-    # Before the first tREFI nothing changes.
-    early = bank.access(0, 0, 64, False, 8.0)
-    assert early.start == 0
-    # An access issued past the refresh deadline waits out tRFC and
-    # reopens the row.
-    t = bank._next_refresh + 10
-    late = bank.access(t, 0, 64, False, 8.0)
-    assert late.start >= t + bank._t_rfc
-    assert late.latency >= cfg.t_rcd_cycles  # row was closed by refresh
-
-
-def test_refresh_disabled_by_default():
-    bank, cfg = make_bank()
-    assert not bank._refresh

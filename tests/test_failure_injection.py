@@ -132,8 +132,10 @@ def test_phantom_delivery_detected():
     from repro.runtime.tracker import RunTracker
 
     tracker = RunTracker()
-    with pytest.raises(RuntimeError):
-        tracker.message_delivered(is_data=False)
+    msg = TaskMessage(src_unit=0, dst_unit=1,
+                      task=Task(func="f", ts=0, data_addr=0))
+    with pytest.raises(RuntimeError, match="underflow"):
+        tracker.message_delivered(msg)
 
 
 def test_mailbox_overfill_rejected_on_strict_path():

@@ -1,15 +1,12 @@
-"""Message-lifecycle auditor tests (the runtime counterpart of SL011/SL012).
+"""The message-flow checks that every run makes.
 
-Three groups, mirroring tests/test_sanitizer.py's contract:
-
-1. negative tests -- every conservation check must fire on the
-   corruption it guards against (leak, double delivery, phantom
-   delivery, duplicate send, unrecorded drop);
-2. positive tests -- real runs across fabric designs finish with a
-   clean conservation report;
-3. equivalence -- the auditor observes, it must never perturb: runs
-   with auditing on are bit-identical to plain runs, and plain runs
-   carry zero instance-level hooks (no fast-path overhead).
+``RunTracker.message_departed`` and ``message_delivered`` see every send
+and delivery.  A data message carries an ``in_flight`` flag: a second
+departure, a double delivery and a phantom delivery each raise.  A task
+message carries none; sending one twice fails the run through
+``RunTracker.task_completed``.  At ``NDPSystem.finish()`` no task
+message may sit in any container, and a data message only while it is
+in flight.  None of this overrides a method on a live object.
 """
 
 from dataclasses import replace
@@ -17,16 +14,18 @@ from dataclasses import replace
 import pytest
 
 from repro.apps import make_app
-from repro.config import Design, default_config, tiny_config
-from repro.flow.auditor import FlowAuditError, MessageAuditor
-from repro.messages.mailbox import Mailbox
-from repro.messages.types import DataMessage, TaskMessage
+from repro.config import Design, default_config, small_config, tiny_config
+from repro.messages import DataMessage, Mailbox, TaskMessage
+from repro.ndp.unit import NDPUnit
 from repro.runtime.runner import run_app
+from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
+from repro.runtime.tracker import RunTracker
+from repro.sim import SimulationError
 
 
-def _task_msg(workload=4):
-    task = Task(func="fixture", ts=0, data_addr=0, workload=workload)
+def _task_msg():
+    task = Task(func="fixture", ts=0, data_addr=0, workload=4)
     return TaskMessage(src_unit=0, dst_unit=1, task=task)
 
 
@@ -34,216 +33,164 @@ def _data_msg():
     return DataMessage(src_unit=0, dst_unit=1, block_id=3, home_unit=0)
 
 
+def _finished_system():
+    """A system whose empty run has finished, so ``finish()`` only runs
+    its end-of-run checks."""
+    return NDPSystem(tiny_config(Design.O)).start()
+
+
 # ----------------------------------------------------------------------
-# negative tests: every check must fire
+# send and delivery
 # ----------------------------------------------------------------------
-def test_leak_detected_when_queue_drained():
-    auditor = MessageAuditor()
-    msg = _task_msg()
-    auditor.on_created(msg)
-    with pytest.raises(FlowAuditError, match="leak"):
-        auditor.verify(resident=[], pending_events=0)
-
-
-def test_in_transit_message_tolerated_while_events_pending():
-    auditor = MessageAuditor()
-    msg = _task_msg()
-    auditor.on_created(msg)
-    # Still riding in a scheduled delivery callback: not a leak yet.
-    report = auditor.verify(resident=[], pending_events=1)
-    assert report["in_flight_by_type"] == {"task": 1}
-
-
-def test_resident_message_is_not_a_leak():
-    auditor = MessageAuditor()
-    msg = _task_msg()
-    auditor.on_created(msg)
-    report = auditor.verify(
-        resident=[("unit0.mailbox", (msg,))], pending_events=0
-    )
-    assert report["resident_by_container"] == {"unit0.mailbox": 1}
-    assert report["in_flight_by_type"] == {"task": 1}
+def test_duplicate_send_detected():
+    tracker = RunTracker()
+    msg = _data_msg()
+    tracker.message_departed(msg)
+    with pytest.raises(RuntimeError, match="departed twice"):
+        tracker.message_departed(msg)
 
 
 def test_double_delivery_detected():
-    auditor = MessageAuditor()
+    tracker = RunTracker()
     msg = _data_msg()
-    auditor.on_created(msg)
-    auditor.on_delivered(msg, 1)
-    with pytest.raises(FlowAuditError, match="double delivery"):
-        auditor.on_delivered(msg, 2)
+    tracker.message_departed(msg)
+    tracker.message_delivered(msg)
+    assert tracker.data_messages_in_flight == 0
+    with pytest.raises(RuntimeError, match="phantom or a double delivery"):
+        tracker.message_delivered(msg)
 
 
 def test_phantom_delivery_detected():
-    auditor = MessageAuditor()
-    with pytest.raises(FlowAuditError, match="never sent"):
-        auditor.on_delivered(_task_msg(), 1)
+    tracker = RunTracker()
+    with pytest.raises(RuntimeError, match="phantom or a double delivery"):
+        tracker.message_delivered(_data_msg())
 
 
-def test_duplicate_send_detected():
-    auditor = MessageAuditor()
-    msg = _task_msg()
-    auditor.on_created(msg)
-    with pytest.raises(FlowAuditError, match="duplicate send"):
-        auditor.on_created(msg)
+def test_copy_of_an_in_flight_message_is_not_in_flight():
+    tracker = RunTracker()
+    msg = _data_msg()
+    tracker.message_departed(msg)
+    copy = replace(msg)
+    assert msg.in_flight and not copy.in_flight
+    with pytest.raises(RuntimeError, match="phantom or a double delivery"):
+        tracker.message_delivered(copy)
+
+
+@pytest.mark.parametrize("design", [Design.B, Design.O, Design.C])
+def test_task_message_sent_twice_fails_the_run(design, monkeypatch):
+    send = NDPUnit._send
+    doubled = []
+
+    def send_first_task_twice(self, msg):
+        send(self, msg)
+        if isinstance(msg, TaskMessage) and not doubled:
+            doubled.append(msg)
+            send(self, msg)
+
+    monkeypatch.setattr(NDPUnit, "_send", send_first_task_twice)
+    with pytest.raises(RuntimeError, match="more completions than creations"):
+        run_app(make_app("bfs", scale=0.05, seed=7), small_config(design))
+    assert doubled
+
+
+def test_intentional_leak_caught_through_real_containers(monkeypatch):
+    """A mailbox that admits a task message and then loses it leaves
+    the message counted in flight forever: the run stalls and fails."""
+    enqueue = Mailbox.enqueue
+    lost = []
+
+    def lose_first_task(self, msg):
+        if isinstance(msg, TaskMessage) and not lost:
+            lost.append(msg)
+            return True
+        return enqueue(self, msg)
+
+    monkeypatch.setattr(Mailbox, "enqueue", lose_first_task)
+    with pytest.raises(SimulationError, match="run stalled.*task_msgs=1"):
+        run_app(make_app("bfs", scale=0.05, seed=7), tiny_config(Design.B))
+    assert lost
+
+
+# ----------------------------------------------------------------------
+# resident messages at finish()
+# ----------------------------------------------------------------------
+def test_resident_message_is_not_a_leak():
+    system = _finished_system()
+    msg = _data_msg()
+    system.tracker.message_departed(msg)
+    assert system.units[0].mailbox.enqueue(msg)
+    system.finish()  # a data message may still be on its way
 
 
 def test_resident_but_never_sent_detected():
-    auditor = MessageAuditor()
-    with pytest.raises(FlowAuditError, match="never sent"):
-        auditor.verify(
-            resident=[("unit0.mailbox", (_task_msg(),))],
-            pending_events=0,
-        )
+    system = _finished_system()
+    assert system.units[0].mailbox.enqueue(_data_msg())
+    with pytest.raises(SimulationError, match="unit0.mailbox holds data"):
+        system.finish()
+
+
+def test_resident_task_message_detected():
+    system = _finished_system()
+    system.units[2]._backlog.append(_task_msg())
+    with pytest.raises(SimulationError, match="unit2.backlog holds task"):
+        system.finish()
 
 
 def test_resident_after_delivery_detected():
-    auditor = MessageAuditor()
-    msg = _task_msg()
-    auditor.on_created(msg)
-    auditor.on_delivered(msg, 1)
-    with pytest.raises(FlowAuditError, match="already delivered"):
-        auditor.verify(
-            resident=[("unit0.mailbox", (msg,))], pending_events=0
-        )
-
-
-def test_unrecorded_drop_detected():
-    # A container rejected a message, but the auditor's wrappers never
-    # saw it: the drop bypassed stats.
-    auditor = MessageAuditor()
-    msg = _task_msg()
-    auditor.on_created(msg)
-    auditor.on_delivered(msg, 1)
-    with pytest.raises(FlowAuditError, match="drops not recorded"):
-        auditor.verify(resident=[], pending_events=0, container_dropped=1)
-
-
-def test_creation_bookkeeping_corruption_detected():
-    auditor = MessageAuditor()
-    msg = _task_msg()
-    auditor.on_created(msg)
-    auditor.created_by_type["task"] = 2  # tamper with the counter
-    with pytest.raises(FlowAuditError, match="bookkeeping corrupt"):
-        auditor.verify(resident=[], pending_events=1)
-
-
-def test_intentional_leak_caught_through_real_containers():
-    """End-to-end negative: a message stolen out of a wrapped mailbox
-    (enqueued, then drained without delivery) is reported as a leak."""
-    auditor = MessageAuditor()
-    mailbox = Mailbox(capacity_bytes=1024)
-    auditor._wrap_container(mailbox, "unit0.mailbox", 0, "enqueue")
-    msg = _task_msg()
-    auditor.on_created(msg)
-    assert mailbox.enqueue(msg)
-    mailbox.drain_all()  # messages vanish without a delivery
-    with pytest.raises(FlowAuditError, match="leak"):
-        auditor.verify(
-            resident=[("unit0.mailbox", mailbox.pending_messages())],
-            pending_events=0,
-            container_dropped=mailbox.dropped_messages,
-        )
-
-
-def test_rejections_observed_through_wrapped_container():
-    auditor = MessageAuditor()
-    mailbox = Mailbox(capacity_bytes=64)  # fits exactly one task message
-    auditor._wrap_container(mailbox, "unit0.mailbox", 0, "enqueue")
-    first, second = _task_msg(), _task_msg()
-    for m in (first, second):
-        auditor.on_created(m)
-    assert mailbox.enqueue(first)
-    assert not mailbox.enqueue(second)  # rejected: observed both sides
-    assert auditor.rejected_by_container == {"unit0.mailbox": 1}
-    assert mailbox.dropped_messages == 1
-    report = auditor.verify(
-        resident=[("unit0.mailbox", mailbox.pending_messages()),
-                  ("unit0.backlog", (second,))],
-        pending_events=0,
-        container_dropped=mailbox.dropped_messages,
-    )
-    assert report["rejected_by_container"] == {"unit0.mailbox": 1}
-    assert report["enqueued_by_level"] == {0: 1}
+    system = _finished_system()
+    msg = _data_msg()
+    system.tracker.message_departed(msg)
+    system.tracker.message_delivered(msg)
+    bridge = system.fabric.rank_bridges[0]
+    assert bridge.scatter_buffers[1].push(msg)
+    with pytest.raises(SimulationError, match="bridge0.scatter1 holds data"):
+        system.finish()
 
 
 # ----------------------------------------------------------------------
-# positive tests: real runs across designs audit clean
+# real runs pass every check
 # ----------------------------------------------------------------------
+def _check_clean(system):
+    stats = system.stats.as_dict()
+    sent = sum(v for k, v in stats.items() if k.endswith(".tasks_forwarded"))
+    assert sent > 0, "run sent no task message"
+    assert system.tracker.task_messages_in_flight == 0
+    for _, msgs in system._resident():
+        assert all(isinstance(m, DataMessage) and m.in_flight for m in msgs)
+
+
 @pytest.mark.parametrize(
     "design", [Design.O, Design.B, Design.C, Design.R]
 )
-def test_clean_report_after_real_run(design, monkeypatch):
-    monkeypatch.setenv("NDPBRIDGE_SANITIZE", "1")
-    app = make_app("bfs", scale=0.1, seed=7)
-    result = run_app(app, tiny_config(design))
-    system = result.system
-    assert system.auditor is not None
-    report = system.auditor.last_report
-    assert report is not None
-    assert report["created_by_type"], "run produced no messages"
-    # Conservation: everything created was delivered or is accounted
-    # in-flight (finish() would have raised otherwise).
-    for mtype, created in report["created_by_type"].items():
-        assert created == (
-            report["delivered_by_type"].get(mtype, 0)
-            + report["in_flight_by_type"].get(mtype, 0)
-        )
+def test_clean_report_after_real_run(design):
+    _check_clean(run_app(make_app("bfs", scale=0.1, seed=7),
+                         tiny_config(design)).system)
 
 
-def test_clean_report_on_level2_hierarchy(monkeypatch):
-    monkeypatch.setenv("NDPBRIDGE_SANITIZE", "1")
-    app = make_app("bfs", scale=0.05, seed=7)
+def test_clean_report_on_level2_hierarchy():
     cfg = default_config(Design.O)
-    result = run_app(app, cfg.replace(comm=replace(cfg.comm, split_dimm=True)))
-    system = result.system
+    system = run_app(
+        make_app("bfs", scale=0.05, seed=7),
+        cfg.replace(comm=replace(cfg.comm, split_dimm=True)),
+    ).system
     assert system.has_level2
-    report = system.auditor.last_report
-    # Traffic crossed every level of the hierarchy.
-    assert report["enqueued_by_level"].get(2, 0) > 0
+    assert system.stats.as_dict()["bridge_l2.messages_routed"] > 0
+    _check_clean(system)
 
 
-# ----------------------------------------------------------------------
-# equivalence: auditing must never perturb the simulation
-# ----------------------------------------------------------------------
-def _run_metrics() -> tuple:
-    app = make_app("bfs", scale=0.1, seed=7)
-    result = run_app(app, tiny_config(Design.O))
-    sim = result.system.sim
-    return (result.metrics.makespan, result.metrics.tasks_executed,
-            sim.events_processed)
-
-
-def test_audited_run_bit_identical(monkeypatch):
-    monkeypatch.delenv("NDPBRIDGE_SANITIZE", raising=False)
-    plain = _run_metrics()
-    monkeypatch.setenv("NDPBRIDGE_SANITIZE", "1")
-    audited = _run_metrics()
-    assert plain == audited
-
-
-def test_plain_run_has_no_hooks(monkeypatch):
-    """Zero fast-path overhead when disabled: no instance-level
-    shadowing of the hot-path methods."""
-    monkeypatch.delenv("NDPBRIDGE_SANITIZE", raising=False)
-    app = make_app("ht", scale=0.03, seed=7)
-    result = run_app(app, tiny_config(Design.O))
-    system = result.system
-    assert system.auditor is None
+def test_plain_run_has_no_hooks():
+    """No object of a run has a method overridden on the instance."""
+    system = run_app(make_app("ht", scale=0.03, seed=7),
+                     tiny_config(Design.O)).system
+    objects = [system, system.sim, system.tracker, system.fabric]
     for unit in system.units:
-        assert "_send" not in vars(unit)
-        assert "deliver_task_message" not in vars(unit)
-        assert "deliver_data_message" not in vars(unit)
-        assert "enqueue" not in vars(unit.mailbox)
-
-
-def test_sanitize_implies_auditor(monkeypatch):
-    monkeypatch.setenv("NDPBRIDGE_SANITIZE", "1")
-    app = make_app("ht", scale=0.03, seed=7)
-    result = run_app(app, tiny_config(Design.O))
-    system = result.system
-    assert system.sim.sanitize
-    assert system.auditor is not None
-    for unit in system.units:
-        assert "_send" in vars(unit)
-        assert "enqueue" in vars(unit.mailbox)
+        objects += [unit, unit.mailbox, unit.bank]
+    for bridge in system.fabric.rank_bridges:
+        objects += [bridge, bridge.up_mailbox]
+        objects += list(bridge.scatter_buffers.values())
+    for obj in objects:
+        shadowed = [
+            name for name in vars(obj)
+            if callable(getattr(type(obj), name, None))
+        ]
+        assert not shadowed, f"{type(obj).__name__} overrides {shadowed}"

@@ -9,7 +9,7 @@ and review the diff like any other golden update:
     PYTHONPATH=src python tests/test_golden.py
 
 prints freshly computed ``CLOSED``/``OPENLOOP``/``STATS``/``L2_STATS``/
-``ROUND_STATS`` dicts to paste over the ones in this file.
+``ROUND_STATS``/``RETURN_STATS`` dicts to paste over the ones in this file.
 """
 
 import hashlib
@@ -20,7 +20,13 @@ import pytest
 
 from repro import make_app, run_app
 from repro.bridge.level1 import Level1Bridge
-from repro.config import Design, TriggerMode, scaled_config, tiny_config
+from repro.config import (
+    Design,
+    TriggerMode,
+    scaled_config,
+    small_config,
+    tiny_config,
+)
 from repro.runtime.requests import run_openloop
 from repro.workloads.openloop import OpenLoopSpec, TenantSpec
 
@@ -109,6 +115,14 @@ ROUND_STATS = {
     ("pr", "backup_4k"): (2612, "5eead9186f204ba0"),
 }
 
+#: No cell above sends a lent block home.  This one does (192 lends, 64
+#: returns): wcc at ``RETURN_SCALE`` on ``small_config(design, SEED)``,
+#: pinned the same way as ``STATS``.
+RETURN_SCALE = 0.1
+RETURN_STATS = {
+    ("wcc", "W"): (9595, "53e0ed4057ec9c69"),
+}
+
 
 def golden_spec() -> OpenLoopSpec:
     return OpenLoopSpec(
@@ -164,6 +178,13 @@ def round_stats_result(app: str, variant: str):
     """``(events, digest)`` of a ``ROUND_STATS`` cell, and its stats."""
     system = run_app(make_app(app, scale=SCALE, seed=SEED),
                      round_config(variant)).system
+    return _stats_of(system), system.stats.as_dict()
+
+
+def return_stats_result(app: str, design: Design):
+    """``(events, digest)`` of a ``RETURN_STATS`` cell, and its stats."""
+    system = run_app(make_app(app, scale=RETURN_SCALE, seed=SEED),
+                     small_config(design, seed=SEED)).system
     return _stats_of(system), system.stats.as_dict()
 
 
@@ -253,6 +274,18 @@ def test_round_branch_stats_golden_backup_4k(monkeypatch):
     )
 
 
+def test_block_return_stats_golden():
+    got, stats = return_stats_result("wcc", Design.W)
+    returned = sum(v for k, v in stats.items()
+                   if k.endswith(".blocks_returned"))
+    assert returned > 0, "no lent block came home"
+    want = RETURN_STATS[("wcc", "W")]
+    assert got == want, (
+        f"wcc/W on small_config: (events, stats digest) {got} != golden "
+        f"{want} -- the model changed; {REGEN}"
+    )
+
+
 def test_golden_matrix_is_complete():
     keys = {(a, d.value) for a in APPS for d in DESIGNS}
     assert set(CLOSED) == keys
@@ -287,6 +320,11 @@ def _regenerate() -> None:  # pragma: no cover - manual tool
     for app, variant in ROUND_STATS:
         (events, digest), _ = round_stats_result(app, variant)
         print(f'    ("{app}", "{variant}"): ({events}, "{digest}"),')
+    print("}")
+    print("RETURN_STATS = {")
+    for app, design in RETURN_STATS:
+        (events, digest), _ = return_stats_result(app, Design(design))
+        print(f'    ("{app}", "{design}"): ({events}, "{digest}"),')
     print("}")
 
 

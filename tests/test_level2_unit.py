@@ -2,10 +2,7 @@
 
 from dataclasses import replace
 
-import pytest
-
 from repro.config import Design, SystemConfig, TopologyConfig
-from repro.messages import DataMessage, TaskMessage
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
 
@@ -32,10 +29,10 @@ def test_channels_mapped_to_ranks():
     system = make_system()
     l2 = system.fabric.level2
     assert len(l2.channel_links) == 2
-    assert l2._channel_of_rank(0) == 0
-    assert l2._channel_of_rank(1) == 0
-    assert l2._channel_of_rank(2) == 1
-    assert l2._channel_of_rank(3) == 1
+    assert l2._uplink(0) is l2.channel_links[0]
+    assert l2._uplink(1) is l2.channel_links[0]
+    assert l2._uplink(2) is l2.channel_links[1]
+    assert l2._uplink(3) is l2.channel_links[1]
 
 
 def test_uplink_selection():

@@ -171,11 +171,7 @@ class TestMetadataPaths:
             src_unit=0, dst_unit=3, block_id=block, block_bytes=256,
             home_unit=0,
         )
-        sys_.tracker.message_departed(is_data=True)
-        if sys_.auditor is not None:
-            # White-box injection: tell the lifecycle auditor the message
-            # exists, or it would (correctly) flag a phantom delivery.
-            sys_.auditor.on_created(msg)
+        sys_.tracker.message_departed(msg)
         receiver.deliver_data_message(msg)
         assert receiver.borrowed.contains(block)
         assert receiver.holds_block(block)

@@ -7,8 +7,8 @@ Four layers:
   statistics are reproducible numbers, not flaky draws),
 * determinism and stream-independence of request generation,
 * exact nearest-rank percentile semantics (edge cases pinned bit-for-bit),
-* the request driver end-to-end, including the composition oracles:
-  plain vs sanitized, paused-and-resumed vs run-through.
+* the request driver end-to-end, including the composition oracle:
+  paused-and-resumed vs run-through.
 """
 
 import dataclasses
@@ -386,20 +386,3 @@ class TestRequestDriver:
             .finish()
         assert dataclasses.asdict(split.metrics) == \
             dataclasses.asdict(straight.metrics)
-
-
-# ----------------------------------------------------------------------
-# composition oracles: sanitize
-# ----------------------------------------------------------------------
-class TestOpenLoopComposition:
-    def test_plain_vs_sanitized_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("NDPBRIDGE_SANITIZE", raising=False)
-        plain = run_openloop("ht", tiny_config(Design.O), small_spec(),
-                             scale=0.05, seed=7)
-        assert plain.system.sim.sanitize is False
-        monkeypatch.setenv("NDPBRIDGE_SANITIZE", "1")
-        sanitized = run_openloop("ht", tiny_config(Design.O), small_spec(),
-                                 scale=0.05, seed=7)
-        assert sanitized.system.sim.sanitize is True
-        assert dataclasses.asdict(plain.metrics) == \
-            dataclasses.asdict(sanitized.metrics)

@@ -109,7 +109,8 @@ def test_registry_covers_known_knobs():
     names = [knob.name for knob in ENV_REGISTRY]
     assert "NDPBRIDGE_JOBS" in names
     assert len(set(names)) == len(names)
-    assert is_registered("NDPBRIDGE_SANITIZE")
+    assert is_registered("NDPBRIDGE_CACHE")
+    assert not is_registered("NDPBRIDGE_SANITIZE")  # every run checks now
     assert not is_registered("NDPBRIDGE_TURBO")
 
 

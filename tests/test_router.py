@@ -33,7 +33,7 @@ def task_msg(system, dst_unit, bounces=0, lb=False):
 def test_task_routes_to_home_scatter_buffer(system, bridge):
     msg = task_msg(system, dst_unit=5)
     system.tracker.task_created(0)
-    system.tracker.message_departed(is_data=False)
+    system.tracker.message_departed(msg)
     bridge._route_one(msg)
     assert len(bridge.scatter_buffers[5]) == 1
     assert 5 in bridge._scatter_pending

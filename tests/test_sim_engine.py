@@ -64,9 +64,8 @@ def test_run_until_time_bound():
     assert hits == [10, 100]
 
 
-@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
-def test_stop_from_callback_halts_loop(sanitize):
-    sim = Simulator(sanitize=sanitize)
+def test_stop_from_callback_halts_loop():
+    sim = Simulator()
     hits = []
 
     def hit(t):
@@ -82,9 +81,8 @@ def test_stop_from_callback_halts_loop(sanitize):
     assert sim.pending_events == 2
 
 
-@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
-def test_run_until_in_the_past_rejected(sanitize):
-    sim = Simulator(sanitize=sanitize)
+def test_run_until_in_the_past_rejected():
+    sim = Simulator()
     fired = []
     sim.schedule(10, lambda: fired.append(sim.now))
     sim.schedule(30, lambda: fired.append(sim.now))
@@ -139,14 +137,6 @@ def test_events_processed_counter():
         sim.schedule(t + 1, lambda: None)
     sim.run()
     assert sim.events_processed == 4
-
-
-def test_step_returns_false_when_drained():
-    sim = Simulator()
-    assert sim.step() is False
-    sim.schedule(1, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
 
 
 def test_fast_path_schedule_returns_nothing():

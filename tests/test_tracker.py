@@ -2,7 +2,18 @@
 
 import pytest
 
+from repro.messages import DataMessage, TaskMessage
+from repro.runtime.task import Task
 from repro.runtime.tracker import RunTracker
+
+
+def task_msg():
+    return TaskMessage(src_unit=0, dst_unit=1,
+                       task=Task(func="f", ts=0, data_addr=0))
+
+
+def data_msg():
+    return DataMessage(src_unit=0, dst_unit=1, block_id=0, home_unit=0)
 
 
 def test_simple_lifecycle():
@@ -32,19 +43,23 @@ def test_epoch_advances_through_future_work():
 def test_in_flight_messages_hold_epoch():
     tr = RunTracker()
     tr.task_created(0)
-    tr.message_departed(is_data=False)
+    msg = task_msg()
+    tr.message_departed(msg)
     tr.task_completed(0)
     assert not tr.finished       # a task message is still flying
-    tr.message_delivered(is_data=False)
+    tr.message_delivered(msg)
     assert tr.finished
 
 
 def test_data_messages_do_not_hold_epoch():
     tr = RunTracker()
     tr.task_created(0)
-    tr.message_departed(is_data=True)
+    msg = data_msg()
+    tr.message_departed(msg)
+    assert msg.in_flight
     tr.task_completed(0)
     assert tr.finished           # data-only transfers don't block
+    assert tr.data_messages_in_flight == 1
 
 
 def test_sparse_epochs_skip_forward():
@@ -91,8 +106,8 @@ def test_invalid_transitions_raise():
     tr.task_completed(0)
     with pytest.raises(RuntimeError):
         tr.task_completed(0)
-    with pytest.raises(RuntimeError):
-        tr.message_delivered(is_data=False)
+    with pytest.raises(RuntimeError, match="task message in-flight"):
+        tr.message_delivered(task_msg())
 
 
 def test_creating_for_past_epoch_raises():
