@@ -75,7 +75,7 @@ def audit_system(system) -> AuditReport:
             report.add(f"I4: unit {unit.unit_id} mailbox not empty")
 
         # I1: every lent block has exactly one borrower.
-        for block in list(unit.islent._lent):
+        for block in list(unit.islent.lent):
             holders = borrowers.get(block, [])
             if len(holders) > 1:
                 report.add(

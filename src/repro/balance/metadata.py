@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Set
 
 
 class IsLentBitmap:
@@ -32,14 +32,16 @@ class IsLentBitmap:
             raise ValueError("bitmap SRAM size must be positive")
         self.capacity_blocks = max(1, int(sram_bytes * 8 * scale))
         self.base_block = base_block
-        self._lent: set = set()
+        #: The lent block ids.  A unit's per-task ownership test reads it
+        #: directly; only set_lent/clear_lent change it.
+        self.lent: Set[int] = set()
 
     def tracks(self, block_id: int) -> bool:
         """Is the block within the bitmap's addressable range?"""
         return 0 <= block_id - self.base_block < self.capacity_blocks
 
     def is_lent(self, block_id: int) -> bool:
-        return block_id in self._lent
+        return block_id in self.lent
 
     def set_lent(self, block_id: int) -> None:
         if not self.tracks(block_id):
@@ -47,14 +49,14 @@ class IsLentBitmap:
                 f"block {block_id} outside isLent range "
                 f"[{self.base_block}, {self.base_block + self.capacity_blocks})"
             )
-        self._lent.add(block_id)
+        self.lent.add(block_id)
 
     def clear_lent(self, block_id: int) -> None:
-        self._lent.discard(block_id)
+        self.lent.discard(block_id)
 
     @property
     def lent_count(self) -> int:
-        return len(self._lent)
+        return len(self.lent)
 
 
 @dataclass

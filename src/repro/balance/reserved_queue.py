@@ -11,19 +11,21 @@ bounded-SRAM behaviour the hardware would have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..runtime.task import Task
 
 
-@dataclass
 class _BlockChain:
-    """The chunk chain holding one block's reserved tasks."""
+    """The chunk chain holding one block's reserved tasks; never empty
+    (the queue deletes a chain as its last task leaves)."""
 
-    chunks: int = 1                      # includes the statically owned chunk
-    tasks: List[Task] = field(default_factory=list)
-    workload: int = 0
+    __slots__ = ("chunks", "tasks", "workload")
+
+    def __init__(self) -> None:
+        self.chunks = 1                  # includes the statically owned chunk
+        self.tasks: List[Task] = []
+        self.workload = 0
 
 
 class ReservedQueue:
@@ -85,13 +87,12 @@ class ReservedQueue:
         """
         chain = self._chains.get(block_id)
         if chain is None:
+            # A new chain's static chunk holds at least one task, so the
+            # chain is never left empty.
             chain = _BlockChain()
             self._chains[block_id] = chain
-        capacity = chain.chunks * self.tasks_per_chunk
-        if len(chain.tasks) >= capacity:
+        elif len(chain.tasks) >= chain.chunks * self.tasks_per_chunk:
             if self._free_dynamic <= 0:
-                if not chain.tasks:
-                    del self._chains[block_id]
                 return False
             self._free_dynamic -= 1
             chain.chunks += 1
@@ -112,7 +113,7 @@ class ReservedQueue:
         chain shrinks.
         """
         chain = self._chains.get(block_id)
-        if chain is None or not chain.tasks:
+        if chain is None:
             return None
         task = chain.tasks.pop(0)
         chain.workload -= task.workload_estimate
@@ -133,16 +134,17 @@ class ReservedQueue:
 
         Chains sit in creation order, which is not head task-id order
         (popping advances a head, and tasks arrive out of id order), so
-        this scans every chain head once.
+        this scans every chain head once.  No chain is empty, so every
+        chain has a head.
         """
-        best: Optional[Tuple[int, int]] = None
+        best_block: Optional[int] = None
+        best_id = 0
         for block_id, chain in self._chains.items():
-            tasks = chain.tasks
-            if tasks:
-                head_id = tasks[0].task_id
-                if best is None or head_id < best[0]:
-                    best = (head_id, block_id)
-        return best
+            head_id = chain.tasks[0].task_id
+            if best_block is None or head_id < best_id:
+                best_id = head_id
+                best_block = block_id
+        return None if best_block is None else (best_id, best_block)
 
     def extract(self, block_id: int) -> List[Task]:
         """Remove and return all tasks of a block (being scheduled out)."""

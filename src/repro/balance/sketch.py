@@ -81,7 +81,8 @@ class HotDataSketch:
         entry = bucket.get(block_id)
         cmax = self._cmax
         if entry is not None:
-            entry.workload = min(cmax, entry.workload + workload)
+            total = entry.workload + workload
+            entry.workload = total if total < cmax else cmax
             return _RESIDENT
         if len(bucket) < self._ways:
             bucket[block_id] = SketchEntry(block_id, min(cmax, workload))

@@ -11,11 +11,13 @@ The model is a set-associative LRU tag array; only hit/miss behaviour is
 tracked (contents live in the application's Python objects).  A set is
 created on its first fill: a run touches a fraction of the sets, so the
 array starts as one list of ``None`` rather than ``num_sets`` empty sets.
+A filled set is a plain list of line numbers in LRU order, least recent
+first: at most ``ways`` entries, so a membership test or a move is a
+short scan, and a list costs a fraction of a dict's memory.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Optional
 
 from ..config import SystemConfig
@@ -34,7 +36,7 @@ class L1Cache:
         self.ways = ways
         total_lines = max(ways, capacity_bytes // line_bytes)
         self.num_sets = max(1, total_lines // ways)
-        self._sets: List[Optional[OrderedDict]] = [None] * self.num_sets
+        self._sets: List[Optional[List[int]]] = [None] * self.num_sets
         self.hits = 0
         self.misses = 0
 
@@ -48,23 +50,26 @@ class L1Cache:
         i = line % self.num_sets
         s = self._sets[i]
         if s is None:
-            s = self._sets[i] = OrderedDict()
+            self._sets[i] = [line]
         elif line in s:
-            s.move_to_end(line)
+            if s[-1] != line:
+                s.remove(line)
+                s.append(line)
             self.hits += 1
             return True
+        else:
+            if len(s) >= self.ways:
+                del s[0]
+            s.append(line)
         self.misses += 1
-        if len(s) >= self.ways:
-            s.popitem(last=False)
-        s[line] = True
         return False
 
     def invalidate(self, addr: int) -> None:
         """Drop the line holding ``addr`` (block migrated away)."""
         line = addr // self.line_bytes
         s = self._sets[line % self.num_sets]
-        if s is not None:
-            s.pop(line, None)
+        if s is not None and line in s:
+            s.remove(line)
 
     def invalidate_range(self, base: int, nbytes: int) -> None:
         for addr in range(base, base + nbytes, self.line_bytes):

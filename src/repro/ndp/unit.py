@@ -195,11 +195,12 @@ class NDPUnit:
         A task whose address lies beyond the machine is forwarded too,
         and :meth:`_forward` rejects it with ``ValueError``.
         """
-        # The ownership test of holds_block, made once.
+        # The ownership test of holds_block, made once; the block is
+        # handed on so that no later step divides again.
         block = task.data_addr // self._block_bytes
         if self._home_start <= block < self._home_end:
-            if not self.islent.is_lent(block):
-                self._enqueue_local(task)
+            if block not in self.islent.lent:
+                self._enqueue_local(task, block)
                 return
             # Home unit but block lent out: the bridge metadata will
             # redirect it.  After several bounces the block must be in
@@ -213,7 +214,7 @@ class NDPUnit:
             return
         self._stat_sram.add()
         if self.borrowed.contains(block):
-            self._enqueue_local(task)
+            self._enqueue_local(task, block)
             return
         self._forward(task, bounces)
 
@@ -225,26 +226,29 @@ class NDPUnit:
         self._stat_forwarded.add()
         self._send(msg)
 
-    def _enqueue_local(self, task: Task) -> None:
+    def _enqueue_local(self, task: Task, block: int) -> None:
         if task.ts > self._tracker.epoch:
             self.future.setdefault(task.ts, []).append(task)
             return
-        self._push_runnable(task)
-        self._try_start()
+        self._push_runnable(task, block)
+        # A busy or blocked core picks the task up when it frees.
+        if not (self.core_busy or self.blocked_on_mailbox):
+            self._try_start()
 
-    def _push_runnable(self, task: Task) -> None:
-        block = task.data_addr // self._block_bytes
+    def _push_runnable(self, task: Task, block: int) -> None:
+        workload = task.workload_estimate
         if self._hot:
-            result = self.sketch.observe(block, task.workload_estimate)
+            result = self.sketch.observe(block, workload)
             self._stat_sram.add()
             if result.evicted_block is not None:
-                for evicted_task in self.reserved.evict(result.evicted_block):
-                    self.queue.append(evicted_task)
+                # The evicted block's reserved tasks rejoin the main
+                # queue's tail in their reserved order.
+                self.queue.extend(self.reserved.evict(result.evicted_block))
             if result.resident and self.reserved.reserve(block, task):
-                self._queue_workload += task.workload_estimate
+                self._queue_workload += workload
                 return
         self.queue.append(task)
-        self._queue_workload += task.workload_estimate
+        self._queue_workload += workload
 
     # ------------------------------------------------------------------
     # the core
@@ -258,33 +262,36 @@ class NDPUnit:
         return not self.core_busy and self._queue_workload == 0
 
     def _next_task(self) -> Optional[Task]:
+        queue = self.queue
+        reserved = self.reserved  # None unless the unit selects hot blocks
         while True:
             # Reserved tasks execute with normal priority -- only their
             # grouping (for hot-block scheduling) is special.  Preserve
             # global arrival order: pull whichever of the main queue head
             # and the oldest reserved chain head was created first.
-            oldest = self.reserved.oldest() if self._hot else None
+            oldest = reserved.oldest() if reserved is not None else None
             if oldest is not None and (
-                not self.queue or oldest[0] < self.queue[0].task_id
+                not queue or oldest[0] < queue[0].task_id
             ):
                 block = oldest[1]
-                task = self.reserved.pop_one(block)
-                self._queue_workload -= task.workload_estimate
-                if not self.holds_block(block):
-                    self.accept_task(task)
-                    continue
-                return task
-            if not self.queue:
+                task = reserved.pop_one(block)
+            elif queue:
+                task = queue.popleft()
+                block = task.data_addr // self._block_bytes
+            else:
                 return None
-            task = self.queue.popleft()
             self._queue_workload -= task.workload_estimate
-            block = task.data_addr // self._block_bytes
-            if not self.holds_block(block):
-                # The block was lent away after this task was queued; it
-                # must chase its data (data-first execution).
-                self.accept_task(task)
-                continue
-            return task
+            # holds_block's test, inline.
+            if self._home_start <= block < self._home_end:
+                if block not in self.islent.lent:
+                    return task
+            else:
+                self._stat_sram.add()
+                if self.borrowed.contains(block):
+                    return task
+            # The block was lent away after this task was queued; it must
+            # chase its data (data-first execution).
+            self.accept_task(task)
 
     def _try_start(self) -> None:
         if self.core_busy or self.blocked_on_mailbox:
@@ -633,8 +640,9 @@ class NDPUnit:
     # epoch barrier
     # ------------------------------------------------------------------
     def on_epoch(self, epoch: int) -> None:
+        block_bytes = self._block_bytes
         for task in self.future.pop(epoch, []):
-            self._push_runnable(task)
+            self._push_runnable(task, task.data_addr // block_bytes)
         self._try_start()
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -101,9 +101,9 @@ class TaskContext:
             raise ValueError(
                 f"child timestamp {ts} precedes current epoch {self.epoch}"
             )
+        # Positional: Task's first seven fields, in declaration order.
         task = Task(
-            func=func, ts=ts, data_addr=data_addr, workload=workload,
-            args=args, actual_cycles=actual_cycles, read_only=read_only,
+            func, ts, data_addr, workload, args, actual_cycles, read_only
         )
         self._spawned.append(task)
         return task

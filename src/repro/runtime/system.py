@@ -86,8 +86,8 @@ class NDPSystem:
         Raises :class:`SimulationError` when the event queue empties while
         work is still outstanding (a lost task/message -- a model bug),
         when the run stalls (:meth:`check_stalled`), when ``max_cycles``
-        is exceeded, or when a message sits where the tracker does not
-        count it in flight.
+        is exceeded, when a message sits where the tracker does not
+        count it in flight, or when a unit still holds a task.
 
         Equivalent to :meth:`start` followed by :meth:`finish`; callers
         that need to pause at a cycle (the open-loop driver, perfbench)
@@ -137,6 +137,7 @@ class NDPSystem:
                 f"task_msgs={self.tracker.task_messages_in_flight}"
             )
         self._check_resident()
+        self._check_idle()
         return self
 
     def _check_resident(self) -> None:
@@ -150,6 +151,27 @@ class NDPSystem:
                         f"{msg.msg_id} at the end of the run, but the "
                         f"tracker counts it delivered or never sent"
                     )
+
+    def _check_idle(self) -> None:
+        """A finished run has completed as many tasks as it created, so
+        every core must be free and no unit may still hold a task.  A
+        task message delivered twice makes up the count while its task
+        sits in some unit; this names the first such unit."""
+        for unit in self.units:
+            reserved = unit.reserved
+            held = {
+                "queue": len(unit.queue),
+                "reserved": reserved.total_tasks if reserved is not None else 0,
+                "future": sum(map(len, unit.future.values())),
+                "parked": sum(map(len, unit.parked.values())),
+            }
+            if not (unit.core_busy or any(held.values())):
+                continue
+            raise SimulationError(
+                f"unit{unit.unit_id} is not idle at the end of the run: "
+                f"core busy={unit.core_busy}, tasks held "
+                + ", ".join(f"{k}={v}" for k, v in held.items())
+            )
 
     # ------------------------------------------------------------------
     def check_stalled(self) -> None:

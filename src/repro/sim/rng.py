@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -36,6 +36,11 @@ class DeterministicRNG:
     # -- delegating helpers ------------------------------------------------
     def random(self) -> float:
         return self._rng.random()
+
+    def random_fn(self) -> Callable[[], float]:
+        """The stream's own ``random``: a loop that draws many times binds
+        it once and skips this wrapper, drawing the same values."""
+        return self._rng.random
 
     def randint(self, a: int, b: int) -> int:
         return self._rng.randint(a, b)

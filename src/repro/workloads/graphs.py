@@ -12,7 +12,7 @@ provides the low-skew contrast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..sim import DeterministicRNG
 
@@ -85,30 +85,37 @@ def rmat_graph(
     d = 1.0 - a - b - c
     if d < 0:
         raise ValueError("R-MAT probabilities must sum to <= 1")
-    edges: Set[Tuple[int, int]] = set()
+    # An edge (u, v) is the int ``u << levels | v``: v < n, so the ints
+    # sort as the pairs would.
+    edges: Set[int] = set()
     target_edges = n * avg_degree
+    max_attempts = 10 * target_edges
     attempts = 0
-    while len(edges) < target_edges and attempts < 10 * target_edges:
+    draw = rng.random_fn()
+    ab = a + b
+    abc = ab + c
+    while len(edges) < target_edges and attempts < max_attempts:
         attempts += 1
         u = v = 0
         for _ in range(levels):
-            r = rng.random()
+            r = draw()
             u <<= 1
             v <<= 1
             if r < a:
                 pass
-            elif r < a + b:
+            elif r < ab:
                 v |= 1
-            elif r < a + b + c:
+            elif r < abc:
                 u |= 1
             else:
                 u |= 1
                 v |= 1
         if u != v:
-            edges.add((u, v))
+            edges.add(u << levels | v)
     adj: List[List[int]] = [[] for _ in range(n)]
-    for u, v in sorted(edges):
-        adj[u].append(v)
+    mask = n - 1
+    for edge in sorted(edges):
+        adj[edge >> levels].append(edge & mask)
     weights = None
     if weighted:
         weights = [

@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import default_config
 from repro.energy.area import (
-    AreaBreakdown,
     BUFFER_CHIP_MM2,
     bridge_sram_bytes,
     estimate_area,

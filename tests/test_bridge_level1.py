@@ -1,9 +1,6 @@
 """Tests for the level-1 (rank) bridge: rounds, routing, backpressure."""
 
-import pytest
-
 from repro.config import Design, TriggerMode, tiny_config
-from repro.messages import DataMessage, TaskMessage
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
 

@@ -1,7 +1,5 @@
 """Tests for the level-2 bridge: cross-rank routing and load balancing."""
 
-import pytest
-
 from repro import make_app, run_app
 from repro.analysis.audit import audit_system
 from repro.config import (

@@ -1,7 +1,5 @@
 """Protocol-order tests: a lend's data block travels before its tasks."""
 
-import pytest
-
 from repro.config import Design, tiny_config
 from repro.messages import DataMessage, TaskMessage
 from repro.runtime.system import NDPSystem

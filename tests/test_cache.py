@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import Design, scaled_config, tiny_config
-from repro.ndp.cache import HIT_LATENCY, L1Cache
+from repro.ndp.cache import L1Cache
 
 from .conftest import component_registry
 

@@ -1,7 +1,5 @@
 """Tests for cross-rank load balancing specifics (Section VI-A end)."""
 
-import pytest
-
 from repro.config import Design, SystemConfig, TopologyConfig
 from repro.runtime.system import NDPSystem
 

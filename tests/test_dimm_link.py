@@ -2,8 +2,6 @@
 
 from dataclasses import replace
 
-import pytest
-
 from repro.config import Design, SystemConfig, TopologyConfig
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bridge.fabric import BridgeFabric, build_fabric
+from repro.bridge.fabric import BridgeFabric
 from repro.bridge.host_path import HostForwardingFabric
 from repro.bridge.rowclone import RowCloneFabric
 from repro.config import Design, tiny_config

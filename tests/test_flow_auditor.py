@@ -4,9 +4,10 @@
 and delivery.  A data message carries an ``in_flight`` flag: a second
 departure, a double delivery and a phantom delivery each raise.  A task
 message carries none; sending one twice fails the run through
-``RunTracker.task_completed``.  At ``NDPSystem.finish()`` no task
-message may sit in any container, and a data message only while it is
-in flight.  None of this overrides a method on a live object.
+``RunTracker.task_completed``, or at ``NDPSystem.finish()``, where every
+unit must be idle.  At ``finish()`` no task message may sit in any
+container either, and a data message only while it is in flight.  None
+of this overrides a method on a live object.
 """
 
 from dataclasses import replace
@@ -76,8 +77,19 @@ def test_copy_of_an_in_flight_message_is_not_in_flight():
         tracker.message_delivered(copy)
 
 
-@pytest.mark.parametrize("design", [Design.B, Design.O, Design.C])
-def test_task_message_sent_twice_fails_the_run(design, monkeypatch):
+@pytest.mark.parametrize("app, config, error, match", [
+    pytest.param("bfs", small_config(design), RuntimeError,
+                 "more completions than creations", id=str(design))
+    for design in (Design.B, Design.O, Design.C)
+] + [
+    # The surplus completion lets the tracker finish the run while unit 3
+    # still holds the task: the run-end idle check names the unit.
+    pytest.param("ll", tiny_config(Design.W), SimulationError,
+                 "unit3 is not idle.*queue=1", id="ll-Design.W"),
+])
+def test_task_message_sent_twice_fails_the_run(
+    app, config, error, match, monkeypatch
+):
     send = NDPUnit._send
     doubled = []
 
@@ -88,8 +100,8 @@ def test_task_message_sent_twice_fails_the_run(design, monkeypatch):
             send(self, msg)
 
     monkeypatch.setattr(NDPUnit, "_send", send_first_task_twice)
-    with pytest.raises(RuntimeError, match="more completions than creations"):
-        run_app(make_app("bfs", scale=0.05, seed=7), small_config(design))
+    with pytest.raises(error, match=match):
+        run_app(make_app(app, scale=0.05, seed=7), config)
     assert doubled
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import make_app
 from repro.baselines.host_system import HostSystem
-from repro.config import Design, default_config, tiny_config
+from repro.config import Design, tiny_config
 from repro.runtime.runner import build_system, run_app
 from repro.runtime.task import Task
 

@@ -5,11 +5,8 @@ budget, giver selection, bridge assignment + metadata update, receiver
 delivery, and eventual execution at the receiver.
 """
 
-import pytest
-
 from repro.config import Design, tiny_config
 from repro.runtime.system import NDPSystem
-from repro.runtime.task import Task
 
 from .conftest import noop_task
 

@@ -8,7 +8,6 @@ delivers, every task executes exactly once, and buffers drain.
 
 from typing import List, Tuple
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import Design, SystemConfig, TopologyConfig, tiny_config

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import RunMetrics, collect_metrics
+from repro.analysis import RunMetrics
 from repro.apps import make_app
 from repro.config import Design, tiny_config
 from repro.energy import EnergyBreakdown

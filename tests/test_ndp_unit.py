@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import Design, tiny_config
-from repro.messages import DataMessage, TaskMessage
+from repro.messages import DataMessage
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
 
@@ -183,3 +183,49 @@ class TestMetadataPaths:
         assert not u.holds_block(u._base_block)
         u.islent.clear_lent(u._base_block)
         assert u.holds_block(u._base_block)
+
+
+def test_sketch_eviction_returns_reserved_tasks_to_the_queue_tail():
+    """A 1-bucket, 1-way sketch: a second hot block decays the first one
+    out, whose reserved tasks rejoin the main queue's tail in order."""
+    cfg = tiny_config(Design.O)
+    cfg = cfg.replace(
+        sketch=replace(cfg.sketch, buckets=1, entries_per_bucket=1),
+        # One chunk in the pool: the first block's chain holds 8 tasks
+        # and later ones wait in the main queue.
+        unit_mem=replace(cfg.unit_mem, reserved_queue_chunks=1),
+    )
+    system = NDPSystem(cfg)
+    system.registry.register("noop", lambda ctx, task: None)
+    unit = system.units[0]
+    first, second = 0, 1  # two home blocks of unit 0, one sketch bucket
+    block_bytes = cfg.comm.g_xfer_bytes
+
+    def accept(block, workload):
+        task = noop_task(block * block_bytes, workload=workload)
+        system.tracker.task_created(0)
+        unit.accept_task(task)
+        return task
+
+    # The first task starts at once; the next 8 fill the first block's
+    # chain behind the busy core, and the last 2 overflow to the queue.
+    tasks = [accept(first, 1) for _ in range(11)]
+    reserved = tasks[1:9]
+    assert unit.core_busy and unit.reserved.tasks_of(first) == reserved
+    assert list(unit.queue) == tasks[9:]
+    for _ in range(50):  # each decay of the light entry succeeds often
+        before_queue, before_workload = list(unit.queue), unit.queue_workload
+        task = accept(second, 16)
+        tasks.append(task)
+        if first not in unit.reserved:
+            break
+        assert not unit.sketch.contains(second)
+    else:
+        pytest.fail("the second block never decayed the first out")
+    assert unit.sketch.contains(second) and not unit.sketch.contains(first)
+    assert list(unit.queue) == before_queue + reserved
+    assert unit.reserved.tasks_of(second) == [task]
+    # Moving tasks between the queues leaves the queued work unchanged.
+    assert unit.queue_workload == before_workload + task.workload_estimate
+    system.run()
+    assert unit.tasks_executed == len(tasks)

@@ -1,7 +1,5 @@
 """Tests for the bundle-profitability guard (transfer-aware selection)."""
 
-import pytest
-
 from repro.config import Design, tiny_config
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task

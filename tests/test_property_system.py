@@ -13,7 +13,6 @@ system-level invariants that must hold for *any* program:
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.audit import audit_system

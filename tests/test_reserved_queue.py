@@ -143,6 +143,7 @@ def test_oldest_matches_brute_force_under_random_operations():
             q.pop_one(block)
         else:
             q.extract(block)
-        heads = [(q.tasks_of(b)[0].task_id, b)
-                 for b in q.blocks() if q.tasks_of(b)]
+        # oldest() reads every chain's head: no chain is ever empty.
+        assert all(q.tasks_of(b) for b in q.blocks())
+        heads = [(q.tasks_of(b)[0].task_id, b) for b in q.blocks()]
         assert q.oldest() == (min(heads) if heads else None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bridge.level1 import UP, Level1Bridge
+from repro.bridge.level1 import UP
 from repro.config import Design, tiny_config
 from repro.messages import DataMessage, TaskMessage
 from repro.runtime.system import NDPSystem

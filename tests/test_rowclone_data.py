@@ -1,7 +1,5 @@
 """Additional RowClone fabric coverage: bus contention and latency."""
 
-import pytest
-
 from repro.bridge.rowclone import ROW_COPY_LATENCY
 from repro.config import Design, tiny_config
 from repro.runtime.system import NDPSystem

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import Design, default_config
+from repro.config import default_config
 from repro.dram import DRAMBank
 from repro.links import Link
 from repro.sim import Simulator, StatsRegistry

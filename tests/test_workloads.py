@@ -1,7 +1,6 @@
 """Tests for workload/data generators."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.sim import DeterministicRNG
 from repro.workloads import (
@@ -99,6 +98,59 @@ class TestGraphs:
         g1 = rmat_graph(256, 4, DeterministicRNG(7, "g"))
         g2 = rmat_graph(256, 4, DeterministicRNG(7, "g"))
         assert g1.adj == g2.adj
+
+
+def _reference_rmat(n, avg_degree, rng, a=0.57, b=0.19, c=0.19,
+                    weighted=False, max_weight=16):
+    """The plain R-MAT loop: one wrapper call per draw, edges as pairs."""
+    levels = n.bit_length() - 1
+    edges = set()
+    target_edges = n * avg_degree
+    attempts = 0
+    while len(edges) < target_edges and attempts < 10 * target_edges:
+        attempts += 1
+        u = v = 0
+        for _ in range(levels):
+            r = rng.random()
+            u <<= 1
+            v <<= 1
+            if r < a:
+                pass
+            elif r < a + b:
+                v |= 1
+            elif r < a + b + c:
+                u |= 1
+            else:
+                u |= 1
+                v |= 1
+        if u != v:
+            edges.add((u, v))
+    adj = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        adj[u].append(v)
+    weights = None
+    if weighted:
+        weights = [[rng.randint(1, max_weight) for _ in row] for row in adj]
+    return adj, weights
+
+
+@pytest.mark.parametrize("n, degree", [(1, 4), (2, 3), (64, 1), (128, 16),
+                                       (512, 4)])
+@pytest.mark.parametrize("abc", [(0.57, 0.19, 0.19), (0.25, 0.25, 0.25),
+                                 (0.45, 0.15, 0.4), (0.9, 0.05, 0.0)])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed", [1, 17])
+def test_rmat_matches_the_reference_loop(n, degree, abc, weighted, seed):
+    """Same adjacency, same weights, and the stream left in the same
+    state, so every later draw is the same too."""
+    a, b, c = abc
+    fast_rng, ref_rng = DeterministicRNG(seed, "g"), DeterministicRNG(seed, "g")
+    g = rmat_graph(n, degree, fast_rng, a, b, c, weighted=weighted)
+    adj, weights = _reference_rmat(n, degree, ref_rng, a, b, c,
+                                   weighted=weighted)
+    assert g.adj == adj
+    assert g.weights == weights
+    assert fast_rng._rng.getstate() == ref_rng._rng.getstate()
 
 
 class TestMatrices:
