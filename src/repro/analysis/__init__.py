@@ -1,6 +1,7 @@
-"""Result analysis: metrics, reporting, and metadata audits."""
+"""Result analysis: metrics, reports, timelines, latency percentiles and
+analytic bounds.  (The lending-metadata checks are not here: every run
+makes them in ``NDPSystem.finish``.)"""
 
-from .audit import AuditReport, audit_system
 from .timeline import UnitActivity, render_timeline, system_timeline, utilization_summary
 from .latency import LatencyRecorder, exact_percentile
 from .metrics import RunMetrics, collect_metrics
@@ -15,12 +16,10 @@ from .report import (
 )
 
 __all__ = [
-    "AuditReport",
     "UnitActivity",
     "render_timeline",
     "system_timeline",
     "utilization_summary",
-    "audit_system",
     "LatencyRecorder",
     "exact_percentile",
     "RunMetrics",

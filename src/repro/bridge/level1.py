@@ -24,7 +24,7 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 from ..balance.metadata import DataBorrowedTable
 from ..balance.policy import ChildLoad, SchedulePlan, SchedulingPolicy
-from ..config import SystemConfig
+from ..config import GATHER_HEADROOM_BLOCKS, SystemConfig
 from ..dram.commands import BridgeOp, CommandCodec
 from ..links import Link
 from ..messages import (
@@ -397,7 +397,7 @@ class Level1Bridge:
         (Section V-A backpressure)."""
         return (
             self.backup_capacity - self._backup_bytes
-            < 4 * self.config.comm.g_xfer_bytes
+            < GATHER_HEADROOM_BLOCKS * self._g_xfer
         )
 
     def _maybe_start_round(self) -> None:
@@ -654,30 +654,27 @@ class Level1Bridge:
         return min(candidates)[1]
 
     def _route_to(self, msg: Message, dst: int) -> None:
-        if dst == UP:
-            self._stat_routed_up.add()
-            if UP in self._backup or not self.up_mailbox.push(msg):
-                self._overflow(msg, UP)
-            if self.on_up_push is not None:
-                self.on_up_push()
-            return
-        msg.dst_unit = dst
-        if dst in self._unit_ids:
-            self._stat_routed_local.add()
-            # FIFO per destination: once a message for ``dst`` waits in the
-            # backup buffer, everything behind it must queue there too --
-            # otherwise a full scatter buffer can starve an overflowed data
-            # message behind a churn of task messages forever.
-            if dst in self._backup or not self.scatter_buffers[dst].push(msg):
-                self._overflow(msg, dst)
-            else:
-                self._scatter_pending.add(dst)
-        else:
-            self._stat_routed_up.add()
-            if UP in self._backup or not self.up_mailbox.push(msg):
-                self._overflow(msg, UP)
-            if self.on_up_push is not None:
-                self.on_up_push()
+        if dst != UP:
+            msg.dst_unit = dst
+            if dst in self._unit_ids:
+                self._stat_routed_local.add()
+                # FIFO per destination: once a message for ``dst`` waits in
+                # the backup buffer, everything behind it must queue there
+                # too -- otherwise a full scatter buffer can starve an
+                # overflowed data message behind a churn of task messages
+                # forever.
+                if (dst in self._backup
+                        or not self.scatter_buffers[dst].push(msg)):
+                    self._overflow(msg, dst)
+                else:
+                    self._scatter_pending.add(dst)
+                return
+        # Up to the level-2 bridge: explicitly, or a unit of another rank.
+        self._stat_routed_up.add()
+        if UP in self._backup or not self.up_mailbox.push(msg):
+            self._overflow(msg, UP)
+        if self.on_up_push is not None:
+            self.on_up_push()
 
     def _overflow(self, msg: Message, route_key: int) -> None:
         """Destination buffer full: fall back to the shared backup buffer."""

@@ -8,6 +8,7 @@ from .system import (
     Design,
     DRAMTimingConfig,
     EnergyConfig,
+    GATHER_HEADROOM_BLOCKS,
     HostConfig,
     SketchConfig,
     SRAMConfig,
@@ -33,6 +34,7 @@ __all__ = [
     "Design",
     "DRAMTimingConfig",
     "EnergyConfig",
+    "GATHER_HEADROOM_BLOCKS",
     "HostConfig",
     "SketchConfig",
     "SRAMConfig",

@@ -125,6 +125,12 @@ class UnitMemConfig:
     reserved_queue_chunks: int = 1280   # Section VI-C: ~10000 tasks
 
 
+#: A level-1 bridge pauses gathering while its backup buffer has fewer
+#: than this many ``G_xfer`` blocks free (Section V-A backpressure), so a
+#: backup buffer smaller than this never lets a round gather.
+GATHER_HEADROOM_BLOCKS = 4
+
+
 @dataclass(frozen=True)
 class BridgeConfig:
     """Level-1 (rank) bridge buffer sizes (Table I / Section V-A)."""

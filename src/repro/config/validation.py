@@ -9,7 +9,7 @@ them, Section V-B) plus basic sanity bounds.
 from __future__ import annotations
 
 from ..messages.types import MESSAGE_BYTES
-from .system import Design, SystemConfig
+from .system import GATHER_HEADROOM_BLOCKS, Design, SystemConfig
 
 
 class ConfigError(ValueError):
@@ -68,6 +68,13 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError("unit mailbox must hold at least one G_xfer block")
     if cfg.bridge.scatter_buffer_bytes_per_bank < MESSAGE_BYTES:
         raise ConfigError("scatter buffer must hold at least one message")
+    headroom = GATHER_HEADROOM_BLOCKS * comm.g_xfer_bytes
+    if cfg.bridge.backup_buffer_bytes < headroom:
+        raise ConfigError(
+            f"bridge backup buffer ({cfg.bridge.backup_buffer_bytes} B) "
+            f"must hold {GATHER_HEADROOM_BLOCKS} G_xfer blocks ({headroom} B)"
+            ", or no level-1 round ever gathers"
+        )
 
     core = cfg.core
     if core.freq_mhz <= 0:

@@ -74,16 +74,16 @@ class CommandCodec:
             if budget < 0:
                 raise ValueError("SCHEDULE budget must be non-negative")
             return EncodedCommand(
-                DDRCommand.ACTIVATE, row=SCHEDULE_ROW_PREFIX | budget
+                DDRCommand.ACTIVATE, row=SCHEDULE_ROW_PREFIX + budget
             )
         raise ValueError(f"unknown bridge op {op}")
 
     @staticmethod
     def decode(cmd: EncodedCommand) -> "DecodedCommand":
         if cmd.ddr is DDRCommand.ACTIVATE and cmd.row is not None:
-            if cmd.row & SCHEDULE_ROW_PREFIX:
+            if cmd.row >= SCHEDULE_ROW_PREFIX:
                 return DecodedCommand(
-                    BridgeOp.SCHEDULE, budget=cmd.row & ~SCHEDULE_ROW_PREFIX
+                    BridgeOp.SCHEDULE, budget=cmd.row - SCHEDULE_ROW_PREFIX
                 )
             if cmd.row == R_ROW:
                 return DecodedCommand(BridgeOp.STATE_GATHER)

@@ -8,7 +8,7 @@ tasks, then :meth:`run` to completion.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..bridge.fabric import build_fabric
 from ..config import SystemConfig, validate_config
@@ -87,7 +87,8 @@ class NDPSystem:
         work is still outstanding (a lost task/message -- a model bug),
         when the run stalls (:meth:`check_stalled`), when ``max_cycles``
         is exceeded, when a message sits where the tracker does not
-        count it in flight, or when a unit still holds a task.
+        count it in flight, when a unit still holds a task, or when the
+        lending metadata disagrees (:meth:`_check_metadata`).
 
         Equivalent to :meth:`start` followed by :meth:`finish`; callers
         that need to pause at a cycle (the open-loop driver, perfbench)
@@ -138,6 +139,7 @@ class NDPSystem:
             )
         self._check_resident()
         self._check_idle()
+        self._check_metadata()
         return self
 
     def _check_resident(self) -> None:
@@ -172,6 +174,49 @@ class NDPSystem:
                 f"core busy={unit.core_busy}, tasks held "
                 + ", ".join(f"{k}={v}" for k, v in held.items())
             )
+
+    def _check_metadata(self) -> None:
+        """Data-first scheduling (Section VI-B) is sound only while the
+        home isLent bitmaps and the dataBorrowed tables agree:
+
+        * I1: a block lent at its home has exactly one holder;
+        * I2: a block a unit holds is lent at its home;
+        * I3: a rank bridge's entry for a block names a unit holding it.
+
+        A block whose data message is still in flight, in a buffer
+        (which :meth:`_check_resident` allows) or on a link, is between
+        holders and excused.
+        """
+        moving = self.tracker.blocks_in_flight
+        holders: Dict[int, List[int]] = {}
+        for unit in self.units:
+            for entry in unit.borrowed.entries():
+                holders.setdefault(entry.block_id, []).append(unit.unit_id)
+        for unit in self.units:
+            for block in sorted(unit.islent.lent):
+                held_by = holders.get(block, [])
+                if len(held_by) != 1 and not moving.get(block):
+                    raise SimulationError(
+                        f"I1: block {block} is lent by unit{unit.unit_id} "
+                        f"but held by {len(held_by)} units {held_by}"
+                    )
+        for block, held_by in holders.items():
+            home = self.addr_map.unit_of_block(block)
+            if not (self.units[home].islent.is_lent(block)
+                    or moving.get(block)):
+                raise SimulationError(
+                    f"I2: block {block} is held by unit{held_by[0]} but "
+                    f"its home unit{home} does not mark it lent"
+                )
+        for bridge in getattr(self.fabric, "rank_bridges", ()):
+            for entry in bridge.borrowed.entries():
+                block = entry.block_id
+                if not (entry.value in holders.get(block, ())
+                        or moving.get(block)):
+                    raise SimulationError(
+                        f"I3: bridge{bridge.global_rank} maps block {block} "
+                        f"to unit{entry.value}, which does not hold it"
+                    )
 
     # ------------------------------------------------------------------
     def check_stalled(self) -> None:

@@ -19,8 +19,8 @@ flight (a phantom or a double delivery), raises.  A task message needs no
 flag: a duplicated, phantom or doubly delivered one completes its task
 once too often, which :meth:`RunTracker.task_completed` rejects once the
 surplus shows.  (If the surplus instead ends the last epoch while a real
-task is still queued or running, that task never finishes; only the
-app's own result check sees it.)
+task is still queued or running, that task never finishes;
+``NDPSystem.finish`` then names the unit that still holds it.)
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ class RunTracker:
         self.completed: Dict[int, int] = defaultdict(int)
         self.task_messages_in_flight = 0
         self.data_messages_in_flight = 0
+        #: Data messages in flight per block id.  A block listed here is
+        #: between its holders, which :meth:`NDPSystem.finish` allows.
+        self.blocks_in_flight: Dict[int, int] = defaultdict(int)
         self.epoch = 0
         self.finished = False
         self.total_created = 0
@@ -82,6 +85,7 @@ class RunTracker:
                 )
             msg.in_flight = True
             self.data_messages_in_flight += 1
+            self.blocks_in_flight[msg.block_id] += 1
         else:
             self.task_messages_in_flight += 1
 
@@ -94,6 +98,7 @@ class RunTracker:
                 )
             msg.in_flight = False
             self.data_messages_in_flight -= 1
+            self.blocks_in_flight[msg.block_id] -= 1
         else:
             self.task_messages_in_flight -= 1
             if self.task_messages_in_flight < 0:

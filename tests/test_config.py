@@ -130,6 +130,28 @@ def test_gxfer_config_validation():
             validate_config(_comm(base, g_xfer_bytes=g_xfer))
 
 
+@pytest.mark.parametrize("g_xfer,backup,ok", [
+    (16_384, 64 * 1024, True),    # exactly 4 blocks of headroom
+    (16_448, 64 * 1024, False),   # pr on B and O stalled at 1,002,000
+    (32_768, 64 * 1024, False),
+    (256, 1024, True),
+    (256, 960, False),            # pr on B stalled
+])
+def test_backup_buffer_must_leave_gather_headroom(g_xfer, backup, ok):
+    """A level-1 bridge gathers only while its backup buffer has
+    GATHER_HEADROOM_BLOCKS (4) G_xfer blocks free, so a smaller buffer
+    would make every run stall instead of failing at the config."""
+    cfg = _comm(tiny_config(Design.B), g_xfer_bytes=g_xfer)
+    cfg = cfg.replace(bridge=replace(cfg.bridge, backup_buffer_bytes=backup))
+    if ok:
+        run_app(make_app("pr", scale=0.05), cfg)  # gathers, so it drains
+        return
+    with pytest.raises(ConfigError, match="no level-1 round ever gathers"):
+        validate_config(cfg)
+    with pytest.raises(ConfigError, match="no level-1 round ever gathers"):
+        run_app(make_app("pr", scale=0.05), cfg)
+
+
 def test_istate_and_sketch_configs():
     base = default_config()
     assert validate_config(

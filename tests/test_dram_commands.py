@@ -35,7 +35,10 @@ def test_gather_scatter_use_reserved_column():
 
 
 def test_schedule_budget_encoding():
-    for budget in (0, 1, 255, 65535):
+    # A budget with bit 21 set once decoded 2**21 too small; bfs on W at
+    # 128 units and scale 4 issues 2,168,096.
+    for budget in (0, 1, 255, 65535, 2**21 - 1, 2**21, 2_168_096,
+                   4_811_006):
         enc = CommandCodec.encode(BridgeOp.SCHEDULE, budget=budget)
         assert CommandCodec.decode(enc).budget == budget
 

@@ -6,7 +6,7 @@ system-level invariants that must hold for *any* program:
 
 * every created task completes exactly once (conservation);
 * all designs compute identical application-visible results;
-* the metadata audit passes after balanced runs;
+* balanced runs pass the end-of-run lending-metadata checks;
 * determinism: re-running the same program reproduces cycle counts.
 """
 
@@ -15,7 +15,6 @@ from typing import List, Tuple
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.audit import audit_system
 from repro.config import Design, tiny_config
 from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
@@ -101,9 +100,9 @@ def test_all_designs_agree_on_results(program):
           suppress_health_check=[HealthCheck.too_slow])
 @given(program=program_strategy)
 def test_balanced_runs_pass_audit(program):
-    result = run_program(program, Design.O)
-    report = audit_system(result.system)
-    assert report.ok, str(report)
+    # run() ends in finish(), which checks the lending metadata; a second
+    # finish() checks it again.
+    run_program(program, Design.O).system.finish()
 
 
 @settings(max_examples=8, deadline=None,
