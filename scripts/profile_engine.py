@@ -2,8 +2,11 @@
 """cProfile hook for the simulation hot path.
 
 Runs the fixed tree-on-O workload (the same one ``benchmarks/
-bench_engine.py`` times) under cProfile, prints the top functions by
-cumulative time, and records wall-clock + events/sec into
+bench_engine.py`` times), profiling ``NDPSystem.run`` alone: the system
+is built, attached and seeded before the profiler starts, and the result
+is verified after it stops.  Prints the Python calls per task (cProfile's
+total call count divided by the tasks executed) and the top functions by
+cumulative time, and records both rates and the profiled wall-clock into
 ``BENCH_engine.json`` under the ``profile_tree_on_O`` key.
 
 Usage:
@@ -44,28 +47,39 @@ def main() -> int:
         args.scale = 0.1
 
     from benchmarks.common import record
-    from repro import Design, make_app, run_app
+    from repro import Design, make_app
     from repro.config import scaled_config
+    from repro.runtime.runner import VerificationError, build_system
 
     cfg = scaled_config(args.units, Design.O, seed=args.seed)
+    app = make_app("tree", scale=args.scale, seed=args.seed)
+    system = build_system(cfg)
+    app.attach(system)
+    app.seed_tasks(system)
 
     profiler = cProfile.Profile()
-    app = make_app("tree", scale=args.scale, seed=args.seed)
     t0 = time.perf_counter()
     profiler.enable()
-    result = run_app(app, cfg)
+    system.run()
     profiler.disable()
     wall_s = time.perf_counter() - t0
-    events = result.system.sim.events_processed
-
-    print(f"tree-on-O: units={args.units} scale={args.scale} "
-          f"seed={args.seed}")
-    print(f"makespan={result.metrics.makespan} events={events} "
-          f"wall={wall_s:.3f}s ({events / wall_s:,.0f} events/s under "
-          f"profiler)\n")
+    if not app.verify():
+        raise VerificationError("tree on design O: wrong result")
+    events = system.sim.events_processed
+    tasks = system.total_tasks_executed
 
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
+    calls_per_task = stats.total_calls / tasks
+
+    print(f"tree-on-O: units={args.units} scale={args.scale} "
+          f"seed={args.seed}")
+    print(f"makespan={system.makespan} events={events} tasks={tasks} "
+          f"wall={wall_s:.3f}s ({events / wall_s:,.0f} events/s under "
+          f"profiler)")
+    print(f"NDPSystem.run: {stats.total_calls:,} Python calls, "
+          f"{calls_per_task:.1f} per task\n")
+
     stats.sort_stats(args.sort).print_stats(args.top)
     print(stream.getvalue())
 
@@ -78,8 +92,10 @@ def main() -> int:
         "units": args.units,
         "scale": args.scale,
         "seed": args.seed,
-        "makespan": result.metrics.makespan,
+        "makespan": system.makespan,
         "events": events,
+        "tasks": tasks,
+        "calls_per_task": round(calls_per_task, 1),
         "wall_s_profiled": round(wall_s, 4),
         "events_per_s_profiled": round(events / wall_s),
     })

@@ -100,11 +100,6 @@ class ReservedQueue:
         chain.workload += task.workload_estimate
         return True
 
-    def _release_chunks(self, chain: _BlockChain) -> None:
-        # The first chunk is the static one; only dynamic chunks return
-        # to the pool.
-        self._free_dynamic += max(0, chain.chunks - 1)
-
     def pop_one(self, block_id: int) -> Optional[Task]:
         """Dequeue a single task from a block's chain for local execution.
 
@@ -124,7 +119,9 @@ class ReservedQueue:
             chain.chunks -= 1
             self._free_dynamic += 1
         if not chain.tasks:
-            self._release_chunks(chain)
+            # The first chunk is the static one (a chain holds at least
+            # one); only dynamic chunks return to the pool.
+            self._free_dynamic += chain.chunks - 1
             del self._chains[block_id]
         return task
 
@@ -151,7 +148,7 @@ class ReservedQueue:
         chain = self._chains.pop(block_id, None)
         if chain is None:
             return []
-        self._release_chunks(chain)
+        self._free_dynamic += chain.chunks - 1  # the dynamic chunks
         return chain.tasks
 
     def evict(self, block_id: int) -> List[Task]:

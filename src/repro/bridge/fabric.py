@@ -26,6 +26,10 @@ from .rowclone import RowCloneFabric
 class BridgeFabric:
     """NDPBridge hardware: hierarchical bridges along the DRAM hierarchy."""
 
+    #: Whether :meth:`try_direct` can ever take a message; a unit asks
+    #: only a fabric that has a direct path.
+    has_direct_path = False
+
     def __init__(
         self,
         sim: Simulator,

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence
 
 from ..config import SystemConfig
 from ..links import Link
-from ..messages import DataMessage, Message, TaskMessage
+from ..messages import DataMessage, Message, TaskMessage, unknown_message
 from ..ndp.unit import NDPUnit
 from ..sim import Simulator, StatsRegistry
 
@@ -36,6 +36,9 @@ HOST_ACCESS_INEFFICIENCY = 4.0
 
 class HostForwardingFabric:
     """Design C: the host CPU is the only cross-unit message path."""
+
+    #: No message skips the host (see BridgeFabric.has_direct_path).
+    has_direct_path = False
 
     def __init__(
         self,
@@ -91,14 +94,14 @@ class HostForwardingFabric:
         topo = self.config.topology
         t0 = self.sim.now
         for unit in self.system.units:
-            if unit.mailbox.is_empty():
+            if not unit.mailbox.used_bytes:
                 continue
             coord = self.system.addr_map.coord_of_unit(unit.unit_id)
             rank = self.system.addr_map.rank_of_unit(unit.unit_id)
             chip_link = self.chip_links[rank][coord.chip]
             channel_link = self.channel_links[coord.channel]
             msgs = unit.mailbox.drain_all()
-            nbytes = sum(m.wire_bytes for m in msgs)
+            nbytes = sum(m.size for m in msgs)
             wire_bytes = int(nbytes * HOST_ACCESS_INEFFICIENCY)
             start = max(t0, chip_link.busy_until)
             acc = unit.bank.access(
@@ -147,7 +150,7 @@ class HostForwardingFabric:
             rank = self.system.addr_map.rank_of_unit(dst)
             chip_link = self.chip_links[rank][coord.chip]
             channel_link = self.channel_links[coord.channel]
-            nbytes = sum(m.wire_bytes for m in group)
+            nbytes = sum(m.size for m in group)
             wire_bytes = int(nbytes * HOST_ACCESS_INEFFICIENCY)
             chan_finish = channel_link.transfer(t0, wire_bytes)
             start = max(chan_finish, chip_link.busy_until)
@@ -165,7 +168,9 @@ class HostForwardingFabric:
     @staticmethod
     def _deliver(unit: NDPUnit, msgs: Sequence[Message]) -> None:
         for msg in msgs:
-            if isinstance(msg, DataMessage):
+            if type(msg) is TaskMessage:
+                unit.deliver_task_message(msg)
+            elif type(msg) is DataMessage:
                 unit.deliver_data_message(msg)
             else:
-                unit.deliver_task_message(msg)
+                raise unknown_message(msg, "host")

@@ -25,6 +25,7 @@ from ..messages import (
     Message,
     MessageBuffer,
     TaskMessage,
+    unknown_message,
 )
 from ..sim import Simulator, StatsRegistry
 from .level1 import Level1Bridge
@@ -202,23 +203,33 @@ class Level2Bridge:
     # message rounds over the channels
     # ------------------------------------------------------------------
     def maybe_start_round(self) -> None:
-        if self._finished() or self._round_active:
+        """The nudge a level-1 bridge gives on each upward message."""
+        if self._round_active or self.system.tracker.finished:
             return
         self._maybe_start_round()
 
     def _maybe_start_round(self) -> None:
         if self._round_active:
             return
-        up_lens = [b.up_mailbox.used_bytes for b in self.rank_bridges]
-        down_pending = any(not b.is_empty() for b in self.down_buffers)
-        if not any(up_lens) and not down_pending:
+        # A round starts at once for anything to scatter down or a full
+        # round's worth in some rank's up mailbox; any other upward
+        # traffic waits for I_min.  One pass over each side.
+        for buf in self.down_buffers:
+            if buf.used_bytes:
+                self._start_round()
+                return
+        budget = self.round_budget
+        waiting = False
+        for bridge in self.rank_bridges:
+            used = bridge.up_mailbox.used_bytes
+            if used >= budget:
+                self._start_round()
+                return
+            if used:
+                waiting = True
+        if not waiting:
             return
-        elapsed = self.sim.now - self.last_round_end
-        if (
-            any(l >= self.round_budget for l in up_lens)
-            or down_pending
-            or elapsed >= self.i_min
-        ):
+        if self.sim.now - self.last_round_end >= self.i_min:
             self._start_round()
             return
         # Traffic is waiting but I_min has not elapsed: wake up then.
@@ -244,7 +255,7 @@ class Level2Bridge:
         # -- gather from each rank's up mailbox ---------------------------
         for rank, bridge in enumerate(self.rank_bridges):
             mailbox = bridge.up_mailbox
-            if mailbox.is_empty():
+            if not mailbox.used_bytes:
                 continue
             link = self._uplink(rank)
             msgs, nbytes = mailbox.pop_up_to(budget)
@@ -269,7 +280,7 @@ class Level2Bridge:
         # -- scatter toward each rank --------------------------------------
         for rank, bridge in enumerate(self.rank_bridges):
             buf = self.down_buffers[rank]
-            if buf.is_empty():
+            if not buf.used_bytes:
                 continue
             link = self._uplink(rank)
             msgs, nbytes = buf.pop_up_to(budget)
@@ -291,7 +302,7 @@ class Level2Bridge:
         self, bridge: Level1Bridge, rank: int, msgs: Sequence[Message]
     ) -> None:
         for msg in msgs:
-            if isinstance(msg, DataMessage) and not msg.returning:
+            if type(msg) is DataMessage and not msg.returning:
                 self.inflight_to[rank] = max(
                     0, self.inflight_to.get(rank, 0) - msg.bundle_workload
                 )
@@ -308,26 +319,27 @@ class Level2Bridge:
 
     def _route_one(self, msg: Message) -> None:
         self._stat_routed.add()
-        if isinstance(msg, DataMessage):
+        if type(msg) is TaskMessage:
+            block = msg.task.data_addr // self.config.comm.g_xfer_bytes
+            entry = self.borrowed.lookup(block)
+            if entry is not None:
+                self._push_down(msg, entry.value)
+            else:
+                self._push_down(msg, self.addr_map.rank_of_block(block))
+        elif type(msg) is DataMessage:
             if msg.returning:
                 self.borrowed.remove(msg.block_id)
                 self._push_down(
                     msg, self.addr_map.rank_of_unit(msg.dst_unit)
                 )
-                return
-            if msg.lb_pending:
-                rank = self._assign_rank(msg)
-                self._push_down(msg, rank)
-                return
-            self._push_down(msg, self.addr_map.rank_of_unit(msg.dst_unit))
-            return
-        if isinstance(msg, TaskMessage):
-            block = msg.task.data_addr // self.config.comm.g_xfer_bytes
-            entry = self.borrowed.lookup(block)
-            if entry is not None:
-                self._push_down(msg, entry.value)
-                return
-            self._push_down(msg, self.addr_map.rank_of_block(block))
+            elif msg.lb_pending:
+                self._push_down(msg, self._assign_rank(msg))
+            else:
+                self._push_down(
+                    msg, self.addr_map.rank_of_unit(msg.dst_unit)
+                )
+        else:
+            raise unknown_message(msg, "level2")
 
     def _assign_rank(self, msg: DataMessage) -> int:
         giver_rank = self.addr_map.rank_of_unit(msg.src_unit)

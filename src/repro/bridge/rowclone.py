@@ -31,6 +31,8 @@ ROW_COPY_LATENCY = 40
 class RowCloneFabric(HostForwardingFabric):
     """Design R: RowClone inside each chip, host forwarding across chips."""
 
+    has_direct_path = True
+
     def __init__(self, sim: Simulator, config: SystemConfig,
                  stats: StatsRegistry, system: "object"):
         super().__init__(sim, config, stats, system)
@@ -57,18 +59,18 @@ class RowCloneFabric(HostForwardingFabric):
         bus = self.chip_buses[(rank, coord.chip)]
         # The copy occupies both banks (read out, write in) and the bus.
         src_acc = unit.bank.access(
-            max(self.sim.now, bus.busy_until), 0, msg.wire_bytes,
+            max(self.sim.now, bus.busy_until), 0, msg.size,
             is_write=False, bytes_per_cycle=bus.bytes_per_cycle,
             from_bridge=True,
         )
         dst_unit = self.system.units[dst]
         dst_acc = dst_unit.bank.access(
-            src_acc.finish, 0, msg.wire_bytes,
+            src_acc.finish, 0, msg.size,
             is_write=True, bytes_per_cycle=bus.bytes_per_cycle,
             from_bridge=True,
         )
         finish = dst_acc.finish + ROW_COPY_LATENCY
-        bus.occupy_until(finish, msg.wire_bytes)
+        bus.occupy_until(finish, msg.size)
         self._stat_rowclone.add()
         self.sim.schedule_at(
             finish, lambda u=dst_unit, m=msg: self._deliver(u, [m])

@@ -42,16 +42,17 @@ class CommTrigger:
             return elapsed >= i_min
         if mode is TriggerMode.FIXED_2X:
             return elapsed >= 2 * i_min
-        # Dynamic triggering.
+        # Dynamic triggering: one pass over the lengths.
         g_xfer = self.config.g_xfer_bytes
-        if any(l >= g_xfer for l in mailbox_lens):
-            return True
-        have_traffic = internal_pending or any(l > 0 for l in mailbox_lens)
-        if not have_traffic:
+        have_traffic = internal_pending
+        for length in mailbox_lens:
+            if length >= g_xfer:
+                return True
+            if length > 0:
+                have_traffic = True
+        if not have_traffic or elapsed < i_min:
             return False
-        if internal_pending and elapsed >= i_min:
-            return True
-        return any_idle_child and elapsed >= i_min
+        return internal_pending or any_idle_child
 
     def gathers_empty_children(self) -> bool:
         """Fixed modes issue GATHERs blindly (the wasted-energy source)."""

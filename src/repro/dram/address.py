@@ -90,7 +90,12 @@ class AddressMap:
         return block_id * self.block_bytes
 
     def unit_of_block(self, block_id: int) -> int:
-        return self.unit_of_addr(block_id * self.block_bytes)
+        """Unit holding the block's first byte (``unit_of_addr``'s
+        arithmetic, made here)."""
+        addr = block_id * self.block_bytes
+        if not 0 <= addr < self.total_bytes:
+            raise ValueError(f"address {addr:#x} out of range")
+        return addr // self.bank_bytes
 
     def rank_of_block(self, block_id: int) -> int:
         """Global rank of the unit holding the block's first byte."""

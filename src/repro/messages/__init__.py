@@ -8,6 +8,7 @@ from .types import (
     TaskMessage,
     frame_bytes,
     sub_message_count,
+    unknown_message,
 )
 from .mailbox import Mailbox
 from .buffers import MessageBuffer
@@ -20,6 +21,7 @@ __all__ = [
     "TaskMessage",
     "frame_bytes",
     "sub_message_count",
+    "unknown_message",
     "Mailbox",
     "MessageBuffer",
 ]

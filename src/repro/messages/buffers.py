@@ -24,23 +24,21 @@ class MessageBuffer:
         self.name = name
         self.capacity_bytes = capacity_bytes
         self._queue: Deque[Message] = deque()
-        self._used = 0
+        #: Bytes buffered.  Every message is at least one 64 B frame, so
+        #: this is 0 exactly when the buffer is empty.
+        self.used_bytes = 0
         # Rejection accounting, mirroring Mailbox: every push that
         # returns False is recorded so no message can vanish silently.
         self.dropped_messages = 0
         self.dropped_bytes = 0
 
     @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    @property
     def free_bytes(self) -> int:
-        return self.capacity_bytes - self._used
+        return self.capacity_bytes - self.used_bytes
 
     def push(self, msg: Message) -> bool:
-        size = msg.wire_bytes
-        if size > self.capacity_bytes - self._used:
+        size = msg.size
+        if size > self.capacity_bytes - self.used_bytes:
             # A message larger than the whole buffer is physically a train
             # of 64 B sub-messages streamed through it; accept it alone in
             # an otherwise-empty buffer (store-and-forward minimum), else
@@ -50,7 +48,7 @@ class MessageBuffer:
                 self.dropped_bytes += size
                 return False
         self._queue.append(msg)
-        self._used += size
+        self.used_bytes += size
         return True
 
     def force_push(self, msg: Message) -> None:
@@ -63,13 +61,13 @@ class MessageBuffer:
         byte accounting stays coherent.
         """
         self._queue.append(msg)
-        self._used += msg.wire_bytes
+        self.used_bytes += msg.size
 
     def pop(self) -> Optional[Message]:
         if not self._queue:
             return None
         msg = self._queue.popleft()
-        self._used -= msg.wire_bytes
+        self.used_bytes -= msg.size
         return msg
 
     def pop_up_to(self, budget_bytes: int) -> Tuple[List[Message], int]:
@@ -81,14 +79,14 @@ class MessageBuffer:
         taken = 0
         queue = self._queue
         while queue:
-            size = queue[0].wire_bytes
+            size = queue[0].size
             # Stop at the first message past the budget, unless it is the
             # head: a single over-budget message still moves alone (the
             # link model charges its true size), and nothing follows it.
             if taken + size > budget_bytes and out:
                 break
             out.append(queue.popleft())
-            self._used -= size
+            self.used_bytes -= size
             taken += size
         return out, taken
 
@@ -104,4 +102,7 @@ class MessageBuffer:
         return not self._queue
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"MessageBuffer({self.name}, {self._used}/{self.capacity_bytes}B)"
+        return (
+            f"MessageBuffer({self.name}, "
+            f"{self.used_bytes}/{self.capacity_bytes}B)"
+        )

@@ -31,7 +31,10 @@ class Mailbox:
             raise ValueError("mailbox capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self._queue: Deque[Message] = deque()
-        self._used = 0
+        #: L_mailbox: bytes waiting to be gathered.  Every message is at
+        #: least one 64 B frame, so this is 0 exactly when the mailbox is
+        #: empty.
+        self.used_bytes = 0
         self._head_fetched = 0  # bytes of head message already gathered
         # Rejection accounting: a False return hands the message back to
         # the caller, and a caller that forgets it has silently dropped
@@ -42,13 +45,8 @@ class Mailbox:
 
     # -- producer side -----------------------------------------------------
     @property
-    def used_bytes(self) -> int:
-        """L_mailbox: bytes waiting to be gathered."""
-        return self._used
-
-    @property
     def free_bytes(self) -> int:
-        return self.capacity_bytes - self._used
+        return self.capacity_bytes - self.used_bytes
 
     def enqueue(self, msg: Message) -> bool:
         """Append at the tail.  Returns False when the region is full.
@@ -56,13 +54,13 @@ class Mailbox:
         A rejected message stays the caller's responsibility; the
         rejection is recorded in ``dropped_messages``/``dropped_bytes``.
         """
-        size = msg.wire_bytes
-        if size > self.capacity_bytes - self._used:
+        size = msg.size
+        if size > self.capacity_bytes - self.used_bytes:
             self.dropped_messages += 1
             self.dropped_bytes += size
             return False
         self._queue.append(msg)
-        self._used += size
+        self.used_bytes += size
         return True
 
     # -- consumer (bridge GATHER) side --------------------------------------
@@ -86,14 +84,14 @@ class Mailbox:
         queue = self._queue
         while queue and taken < budget_bytes:
             head = queue[0]
-            size = head.wire_bytes
+            size = head.size
             chunk = min(size - self._head_fetched, budget_bytes - taken)
             taken += chunk
             self._head_fetched += chunk
             if self._head_fetched == size:
                 completed.append(head)
                 queue.popleft()
-                self._used -= size
+                self.used_bytes -= size
                 self._head_fetched = 0
         return completed, taken
 
@@ -106,6 +104,6 @@ class Mailbox:
         """Remove and return every queued message (host-forwarding path)."""
         out = list(self._queue)
         self._queue.clear()
-        self._used = 0
+        self.used_bytes = 0
         self._head_fetched = 0
         return out

@@ -12,18 +12,21 @@ STATE-GATHER, is modelled without a message object: the bridge occupies
 its chip links for the gather and reads each unit's
 :meth:`~repro.ndp.unit.NDPUnit.collect_state` directly.
 
-Every message is framed into 64-byte sub-messages on the wire
-(``wire_bytes``); larger payloads span several sub-messages, matching the
-index field of Fig. 5.
+Every message is framed into 64-byte sub-messages on the wire; larger
+payloads span several sub-messages, matching the index field of Fig. 5.
+A message's payload is fixed at construction, so its framed size is
+computed once there and kept in the plain attribute ``size``, which
+every mailbox and buffer operation reads (``wire_bytes`` returns it).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
+
+from ..sim import SimulationError
 
 if TYPE_CHECKING:  # annotation only: config validation imports this module
     from ..runtime.task import Task
@@ -42,7 +45,7 @@ def frame_bytes(payload_bytes: int, frame: int = MESSAGE_BYTES) -> int:
     """Bytes on the wire after 64 B framing (sub-message padding)."""
     if payload_bytes <= 0:
         raise ValueError("payload must be positive")
-    return frame * math.ceil(payload_bytes / frame)
+    return frame * -(-payload_bytes // frame)
 
 
 def sub_message_count(payload_bytes: int, frame: int = MESSAGE_BYTES) -> int:
@@ -56,9 +59,11 @@ class Message:
     src_unit: int
     dst_unit: Optional[int]          # None while awaiting bridge assignment
     msg_id: int = field(default_factory=_message_ids.__next__)
-    _wire_cache: Optional[int] = field(
-        default=None, repr=False, compare=False
-    )
+    #: Framed bytes on the wire, set once at construction.
+    size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.size = frame_bytes(self.payload_bytes)
 
     @property
     def mtype(self) -> MessageType:
@@ -70,11 +75,8 @@ class Message:
 
     @property
     def wire_bytes(self) -> int:
-        # Cached: the payload is fixed at construction and this is on the
-        # hot path of every buffer operation.
-        if self._wire_cache is None:
-            self._wire_cache = frame_bytes(self.payload_bytes)
-        return self._wire_cache
+        """Framed bytes on the wire: ``size``."""
+        return self.size
 
     @property
     def sub_messages(self) -> int:
@@ -88,6 +90,10 @@ class TaskMessage(Message):
     task: Task = None
     lb_assigned: bool = False        # part of a load-balancing bundle
     bounces: int = 0                 # times forwarded off a stale home
+
+    def __post_init__(self) -> None:
+        # payload_bytes, framed, without the property hop.
+        self.size = frame_bytes(self.task.size_bytes)
 
     @property
     def mtype(self) -> MessageType:
@@ -122,3 +128,12 @@ class DataMessage(Message):
     def payload_bytes(self) -> int:
         # 16 B header (type/index/address) plus the block itself.
         return 16 + self.block_bytes
+
+
+def unknown_message(msg: Message, where: str) -> SimulationError:
+    """The error for a message of neither class, which no router or
+    delivery path may drop: the tracker counts it in flight."""
+    return SimulationError(
+        f"{where} got a {type(msg).__name__} message, which is neither "
+        f"a TaskMessage nor a DataMessage"
+    )

@@ -257,10 +257,6 @@ class NDPUnit:
     def queue_workload(self) -> int:
         return self._queue_workload
 
-    @property
-    def idle(self) -> bool:
-        return not self.core_busy and self._queue_workload == 0
-
     def _next_task(self) -> Optional[Task]:
         queue = self.queue
         reserved = self.reserved  # None unless the unit selects hot blocks
@@ -347,15 +343,17 @@ class NDPUnit:
         """Hand the task's children to the runtime and free the core."""
         task = self._task
         self.finish_time = self.sim.now
-        system = self.system
-        for child in self._children:
-            system.spawn(self.unit_id, child)
-        self.core_busy = False
-        # Completion may end the epoch / the run, and may start the
-        # next task (through an epoch listener) before it returns.
         tracker = self._tracker
+        for child in self._children:
+            # NDPSystem.spawn, without the hop through the facade.
+            tracker.task_created(child.ts)
+            self.accept_task(child)
+        self.core_busy = False
+        # Completion may end the epoch / the run, and may refill this
+        # unit (an epoch listener), so the queue is read after it; an
+        # empty one holds nothing for the core to start.
         tracker.task_completed(task.ts)
-        if not tracker.finished:
+        if self._queue_workload and not tracker.finished:
             self._try_start()
 
     # ------------------------------------------------------------------
@@ -365,7 +363,7 @@ class NDPUnit:
         self._tracker.message_departed(msg)
         # RowClone-style fabrics may short-circuit same-chip messages.
         fabric = self.system.fabric
-        if fabric.try_direct(self, msg):
+        if fabric.has_direct_path and fabric.try_direct(self, msg):
             return
         if self._backlog or not self.mailbox.enqueue(msg):
             if not self._backlog:
@@ -628,12 +626,12 @@ class NDPUnit:
     # state gathering
     # ------------------------------------------------------------------
     def collect_state(self) -> UnitState:
+        queued = self._queue_workload
+        # Fields in order: unit_id, queue_workload, finished_workload,
+        # busy_cycles, and idle (the core free and nothing queued).
         return UnitState(
-            unit_id=self.unit_id,
-            queue_workload=self._queue_workload,
-            finished_workload=self.finished_workload,
-            busy_cycles=self.busy_cycles,
-            idle=self.idle,
+            self.unit_id, queued, self.finished_workload, self.busy_cycles,
+            not self.core_busy and queued == 0,
         )
 
     # ------------------------------------------------------------------

@@ -64,7 +64,10 @@ class NDPSystem:
         return getattr(self.fabric, "level2", None) is not None
 
     def spawn(self, src_unit: int, task: Task) -> None:
-        """A task function on ``src_unit`` spawned a child task."""
+        """A task function on ``src_unit`` spawned a child task.
+
+        ``NDPUnit._retire`` makes these two calls itself, without the
+        hop through the facade."""
         self.tracker.task_created(task.ts)
         self.units[src_unit].accept_task(task)
 

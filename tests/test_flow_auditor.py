@@ -15,11 +15,17 @@ from dataclasses import replace
 import pytest
 
 from repro.apps import make_app
-from repro.config import Design, default_config, small_config, tiny_config
-from repro.messages import DataMessage, Mailbox, TaskMessage
+from repro.config import (
+    Design,
+    default_config,
+    scaled_config,
+    small_config,
+    tiny_config,
+)
+from repro.messages import DataMessage, Mailbox, Message, TaskMessage
 from repro.ndp.unit import NDPUnit
 from repro.runtime.runner import run_app
-from repro.runtime.system import NDPSystem
+from repro.runtime.system import STALL_WINDOW_CYCLES, NDPSystem
 from repro.runtime.task import Task
 from repro.runtime.tracker import RunTracker
 from repro.sim import SimulationError
@@ -121,6 +127,45 @@ def test_intentional_leak_caught_through_real_containers(monkeypatch):
     with pytest.raises(SimulationError, match="run stalled.*task_msgs=1"):
         run_app(make_app("bfs", scale=0.05, seed=7), tiny_config(Design.B))
     assert lost
+
+
+# ----------------------------------------------------------------------
+# a message of neither class
+# ----------------------------------------------------------------------
+class StrayMessage(Message):
+    """Neither a task nor a data message, with a one-frame payload."""
+
+    payload_bytes = 40
+
+
+NEITHER = "StrayMessage message, which is neither a TaskMessage nor a"
+
+
+@pytest.mark.parametrize("design, where", [
+    (Design.B, "bridge0"),   # the level-1 router
+    (Design.C, "host"),      # the host's delivery
+])
+def test_message_of_neither_class_fails_where_it_is_routed(design, where):
+    """The tracker counts the stray message in flight, so dropping it
+    would only show as the stall report, 10^6 cycles later."""
+    system = NDPSystem(tiny_config(design))
+    system.units[0]._send(StrayMessage(src_unit=0, dst_unit=5))
+    system.start()  # the message in flight keeps the run open
+    with pytest.raises(SimulationError, match=f"^{where} got a {NEITHER}"):
+        system.finish()
+    assert system.sim.now < STALL_WINDOW_CYCLES // 10
+
+
+def test_message_of_neither_class_fails_on_every_bridge_path():
+    system = NDPSystem(scaled_config(128, Design.B))
+    bridge = system.fabric.rank_bridges[1]
+    stray = StrayMessage(src_unit=0, dst_unit=70)
+    with pytest.raises(SimulationError, match=f"^bridge1 got a {NEITHER}"):
+        bridge._deliver(system.units[70], [stray])
+    with pytest.raises(SimulationError, match=f"^bridge1 got a {NEITHER}"):
+        bridge.receive_from_l2(stray)
+    with pytest.raises(SimulationError, match=f"^level2 got a {NEITHER}"):
+        system.fabric.level2._route_one(stray)
 
 
 # ----------------------------------------------------------------------

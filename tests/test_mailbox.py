@@ -163,3 +163,54 @@ def test_byte_conservation_property(arg_counts, budget):
         out.extend(got)
     assert out == msgs
     assert mb.used_bytes == 0
+
+
+#: One mailbox operation: an enqueue of a task message with 0-20
+#: arguments (64, 128 or 192 wire bytes) or of a data message (128, 320
+#: or 576 wire bytes, the last larger than the mailbox), a fetch of 1-640
+#: bytes (often not a whole number of frames, so the head is left part
+#: fetched), or a drain_all.
+_mailbox_op = st.one_of(
+    st.tuples(st.just("enqueue"), st.just("task"),
+              st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("enqueue"), st.just("data"),
+              st.sampled_from((64, 304, 560))),
+    st.tuples(st.just("fetch"), st.just(""),
+              st.integers(min_value=1, max_value=640)),
+    st.tuples(st.just("drain_all"), st.just(""), st.just(0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_mailbox_op, max_size=60))
+def test_used_bytes_tracks_pending_messages(ops):
+    """After every operation ``used_bytes`` is the summed wire size of
+    the pending messages (a part-fetched head counts whole), and it is 0
+    exactly when the mailbox is empty."""
+    mb = Mailbox(512)
+    ref = []  # the messages the mailbox should hold, oldest first
+    for i, (op, kind, n) in enumerate(ops):
+        if op == "enqueue":
+            if kind == "task":
+                msg = TaskMessage(src_unit=0, dst_unit=1, task=Task(
+                    func="f", ts=0, data_addr=i * 64, args=tuple(range(n)),
+                ))
+            else:
+                msg = DataMessage(src_unit=0, dst_unit=1, block_id=i,
+                                  block_bytes=n)
+            free = mb.capacity_bytes - sum(m.wire_bytes for m in ref)
+            admitted = mb.enqueue(msg)
+            assert admitted is (msg.wire_bytes <= free)
+            if admitted:
+                ref.append(msg)
+        elif op == "fetch":
+            got, taken = mb.fetch(n)
+            assert got == ref[:len(got)] and taken <= n
+            del ref[:len(got)]
+        else:
+            assert mb.drain_all() == ref
+            ref = []
+        assert list(mb.pending_messages()) == ref
+        assert mb.used_bytes == sum(m.wire_bytes for m in ref)
+        assert (mb.used_bytes == 0) is (not ref) is mb.is_empty()
+        assert mb.free_bytes == mb.capacity_bytes - mb.used_bytes

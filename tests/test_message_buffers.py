@@ -156,7 +156,7 @@ def _make(i, kind, size):
 def test_byte_accounting_property(ops):
     """Random traffic on a small buffer matches a plain reference FIFO:
     bytes, order, pop_up_to's budget rule and byte count, and the drop
-    counters."""
+    counters.  ``used_bytes`` is 0 exactly when the buffer is empty."""
     buf = MessageBuffer("b", 256)
     ref = []       # the messages the buffer should hold, oldest first
     dropped = []   # every message a push rejected
@@ -188,5 +188,6 @@ def test_byte_accounting_property(ops):
             del ref[:len(got)]
         assert list(buf.pending_messages()) == ref
         assert buf.used_bytes == sum(m.wire_bytes for m in ref)
+        assert (buf.used_bytes == 0) is (not ref) is buf.is_empty()
         assert buf.dropped_messages == len(dropped)
         assert buf.dropped_bytes == sum(m.wire_bytes for m in dropped)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import Design, tiny_config
 from repro.messages import (
     DataMessage,
     MESSAGE_BYTES,
@@ -11,6 +12,7 @@ from repro.messages import (
     frame_bytes,
     sub_message_count,
 )
+from repro.runtime.system import NDPSystem
 from repro.runtime.task import Task
 
 
@@ -61,3 +63,38 @@ def test_message_ids_unique():
     a = TaskMessage(src_unit=0, dst_unit=1, task=make_task())
     b = TaskMessage(src_unit=0, dst_unit=1, task=make_task())
     assert a.msg_id != b.msg_id
+
+
+# ----------------------------------------------------------------------
+# the framed size, computed once at construction
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n_args", range(17))
+def test_task_message_size_is_its_framed_payload(n_args):
+    msg = TaskMessage(src_unit=0, dst_unit=1, task=make_task(n_args))
+    assert msg.size == msg.wire_bytes == frame_bytes(msg.payload_bytes)
+
+
+@pytest.mark.parametrize("block_bytes", (64, 256, 1024, 4096))
+def test_data_message_size_is_its_framed_payload(block_bytes):
+    msg = DataMessage(src_unit=0, dst_unit=1, block_id=3,
+                      block_bytes=block_bytes)
+    assert msg.size == msg.wire_bytes == frame_bytes(msg.payload_bytes)
+    assert msg.size == frame_bytes(16 + block_bytes)
+
+
+def test_bounced_task_keeps_its_wire_size():
+    """A task forwarded toward its home, then bounced off it because the
+    block is lent, travels in a new message of the same framed size."""
+    system = NDPSystem(tiny_config(Design.O))
+    system.tracker.task_created(0)  # keep the (unstarted) run open
+    sender, home = system.units[0], system.units[3]
+    task = Task(func="f", ts=0, data_addr=3 * system.addr_map.bank_bytes,
+                workload=10, args=tuple(range(9)))
+    sender.accept_task(task)
+    (first,) = sender.mailbox.pending_messages()
+    home.islent.set_lent(system.addr_map.block_of_addr(task.data_addr))
+    home.deliver_task_message(first)
+    (bounced,) = home.mailbox.pending_messages()
+    assert bounced is not first and bounced.task is task
+    assert (first.bounces, bounced.bounces) == (0, 1)
+    assert first.size == bounced.size == frame_bytes(task.size_bytes) == 128
