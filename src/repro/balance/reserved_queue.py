@@ -16,20 +16,15 @@ from typing import Dict, List, Optional, Tuple
 from ..runtime.task import Task
 
 
-class _BlockChain:
-    """The chunk chain holding one block's reserved tasks; never empty
-    (the queue deletes a chain as its last task leaves)."""
-
-    __slots__ = ("chunks", "tasks", "workload")
-
-    def __init__(self) -> None:
-        self.chunks = 1                  # includes the statically owned chunk
-        self.tasks: List[Task] = []
-        self.workload = 0
-
-
 class ReservedQueue:
-    """Chunked, bitmap-allocated reserved task storage."""
+    """Chunked, bitmap-allocated reserved task storage.
+
+    A block's chain is the list of its reserved tasks, never empty (the
+    queue deletes a chain as its last task leaves).  A chain of ``n``
+    tasks holds ``ceil(n / tasks_per_chunk)`` chunks, its statically
+    owned one included, so the chunk count follows from the length and
+    is not stored.
+    """
 
     def __init__(
         self,
@@ -45,7 +40,7 @@ class ReservedQueue:
         self.tasks_per_chunk = max(1, chunk_bytes // avg_task_bytes)
         # Chunks statically assigned to sketch entries are always "allocated".
         self._free_dynamic = total_chunks - static_chunks
-        self._chains: Dict[int, _BlockChain] = {}
+        self._chains: Dict[int, List[Task]] = {}
 
     # -- capacity ----------------------------------------------------------
     @property
@@ -54,26 +49,28 @@ class ReservedQueue:
 
     @property
     def total_tasks(self) -> int:
-        return sum(len(c.tasks) for c in self._chains.values())
+        return sum(len(chain) for chain in self._chains.values())
 
     @property
     def total_workload(self) -> int:
-        return sum(c.workload for c in self._chains.values())
+        return sum(
+            task.workload_estimate
+            for chain in self._chains.values() for task in chain
+        )
 
     def blocks(self) -> List[int]:
         return list(self._chains.keys())
 
     def tasks_of(self, block_id: int) -> List[Task]:
-        chain = self._chains.get(block_id)
-        return list(chain.tasks) if chain else []
+        return list(self._chains.get(block_id, ()))
 
     def workload_of(self, block_id: int) -> int:
-        chain = self._chains.get(block_id)
-        return chain.workload if chain else 0
+        return sum(
+            task.workload_estimate for task in self._chains.get(block_id, ())
+        )
 
     def task_count(self, block_id: int) -> int:
-        chain = self._chains.get(block_id)
-        return len(chain.tasks) if chain else 0
+        return len(self._chains.get(block_id, ()))
 
     def __contains__(self, block_id: int) -> bool:
         return block_id in self._chains
@@ -89,15 +86,14 @@ class ReservedQueue:
         if chain is None:
             # A new chain's static chunk holds at least one task, so the
             # chain is never left empty.
-            chain = _BlockChain()
-            self._chains[block_id] = chain
-        elif len(chain.tasks) >= chain.chunks * self.tasks_per_chunk:
+            self._chains[block_id] = [task]
+            return True
+        if not len(chain) % self.tasks_per_chunk:
+            # Every chunk the chain holds is full: link a dynamic one.
             if self._free_dynamic <= 0:
                 return False
             self._free_dynamic -= 1
-            chain.chunks += 1
-        chain.tasks.append(task)
-        chain.workload += task.workload_estimate
+        chain.append(task)
         return True
 
     def pop_one(self, block_id: int) -> Optional[Task]:
@@ -110,19 +106,14 @@ class ReservedQueue:
         chain = self._chains.get(block_id)
         if chain is None:
             return None
-        task = chain.tasks.pop(0)
-        chain.workload -= task.workload_estimate
-        if (
-            chain.chunks > 1
-            and len(chain.tasks) <= (chain.chunks - 1) * self.tasks_per_chunk
-        ):
-            chain.chunks -= 1
-            self._free_dynamic += 1
-        if not chain.tasks:
-            # The first chunk is the static one (a chain holds at least
-            # one); only dynamic chunks return to the pool.
-            self._free_dynamic += chain.chunks - 1
+        task = chain.pop(0)
+        if not chain:
+            # The chain held one chunk, the static one; only dynamic
+            # chunks return to the pool.
             del self._chains[block_id]
+        elif not len(chain) % self.tasks_per_chunk:
+            # The last chunk just emptied: unlink it.
+            self._free_dynamic += 1
         return task
 
     def oldest(self) -> Optional[Tuple[int, int]]:
@@ -137,7 +128,7 @@ class ReservedQueue:
         best_block: Optional[int] = None
         best_id = 0
         for block_id, chain in self._chains.items():
-            head_id = chain.tasks[0].task_id
+            head_id = chain[0].task_id
             if best_block is None or head_id < best_id:
                 best_id = head_id
                 best_block = block_id
@@ -148,8 +139,9 @@ class ReservedQueue:
         chain = self._chains.pop(block_id, None)
         if chain is None:
             return []
-        self._free_dynamic += chain.chunks - 1  # the dynamic chunks
-        return chain.tasks
+        # The dynamic chunks: all but the first of ceil(n / per-chunk).
+        self._free_dynamic += (len(chain) - 1) // self.tasks_per_chunk
+        return chain
 
     def evict(self, block_id: int) -> List[Task]:
         """Entry fell out of the sketch: return its tasks to the caller

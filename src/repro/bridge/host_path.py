@@ -104,14 +104,14 @@ class HostForwardingFabric:
             nbytes = sum(m.size for m in msgs)
             wire_bytes = int(nbytes * HOST_ACCESS_INEFFICIENCY)
             start = max(t0, chip_link.busy_until)
-            acc = unit.bank.access(
+            finish = unit.bank.access(
                 start, MAILBOX_REGION_OFFSET, wire_bytes,
                 is_write=False,
                 bytes_per_cycle=chip_link.bytes_per_cycle,
                 from_bridge=True,
             )
-            chip_link.occupy_until(acc.finish, wire_bytes)
-            chan_finish = channel_link.transfer(acc.finish, wire_bytes)
+            chip_link.occupy_until(finish, wire_bytes)
+            chan_finish = channel_link.transfer(finish, wire_bytes)
             overhead = (
                 self.config.comm.host_per_message_overhead_cycles * len(msgs)
             )
@@ -123,7 +123,7 @@ class HostForwardingFabric:
             self._thread_busy[tid] = proc_finish
             self._stat_forwarded.add(len(msgs))
             self.sim.schedule_at(
-                acc.finish, lambda u=unit: u.on_mailbox_drained()
+                finish, lambda u=unit: u.on_mailbox_drained()
             )
             self.sim.schedule_at(
                 proc_finish, lambda m=msgs: self._scatter(m)
@@ -154,15 +154,15 @@ class HostForwardingFabric:
             wire_bytes = int(nbytes * HOST_ACCESS_INEFFICIENCY)
             chan_finish = channel_link.transfer(t0, wire_bytes)
             start = max(chan_finish, chip_link.busy_until)
-            acc = unit.bank.access(
+            finish = unit.bank.access(
                 start, SCATTER_REGION_OFFSET, wire_bytes,
                 is_write=True,
                 bytes_per_cycle=chip_link.bytes_per_cycle,
                 from_bridge=True,
             )
-            chip_link.occupy_until(acc.finish, wire_bytes)
+            chip_link.occupy_until(finish, wire_bytes)
             self.sim.schedule_at(
-                acc.finish, lambda u=unit, g=group: self._deliver(u, g)
+                finish, lambda u=unit, g=group: self._deliver(u, g)
             )
 
     @staticmethod

@@ -497,7 +497,7 @@ class Level1Bridge:
                     busy_until if busy_until > t0 else t0,
                     MAILBOX_REGION_OFFSET, nbytes, False,
                     link.bytes_per_cycle, True,
-                ).finish
+                )
                 link.occupy_until(finish, nbytes)
                 if used == 0:
                     self._stat_wasted_gathers.add()
@@ -531,7 +531,7 @@ class Level1Bridge:
                 busy_until if busy_until > t0 else t0,
                 SCATTER_REGION_OFFSET, nbytes, True,
                 link.bytes_per_cycle, True,
-            ).finish
+            )
             link.occupy_until(finish, nbytes)
             schedule_at(
                 finish,
@@ -550,6 +550,9 @@ class Level1Bridge:
         self.sim.schedule_at(max_finish, self._round_done)
 
     def _round_done(self) -> None:
+        # The re-check for every gather and scatter of the round: each
+        # one completes no later than, and before, this event, so while
+        # they run ``_round_active`` is set and they need not check.
         self._round_active = False
         self.last_round_end = self.sim.now
         self._maybe_start_round()
@@ -577,7 +580,6 @@ class Level1Bridge:
                 unit.deliver_data_message(msg)
             else:
                 raise unknown_message(msg, f"bridge{self.global_rank}")
-        self._maybe_start_round()
 
     # ------------------------------------------------------------------
     # the message router

@@ -294,6 +294,9 @@ class Level2Bridge:
         self.sim.schedule_at(max(max_finish, t0 + 1), self._round_done)
 
     def _round_done(self) -> None:
+        # The re-check for every route and delivery of the round: each
+        # one runs no later than, and before, this event, so while they
+        # run ``_round_active`` is set and they need not check.
         self._round_active = False
         self.last_round_end = self.sim.now
         self._maybe_start_round()
@@ -307,7 +310,6 @@ class Level2Bridge:
                     0, self.inflight_to.get(rank, 0) - msg.bundle_workload
                 )
             bridge.receive_from_l2(msg)
-        self._maybe_start_round()
 
     # ------------------------------------------------------------------
     # routing
@@ -315,7 +317,6 @@ class Level2Bridge:
     def _route_messages(self, msgs: Sequence[Message]) -> None:
         for msg in msgs:
             self._route_one(msg)
-        self._maybe_start_round()
 
     def _route_one(self, msg: Message) -> None:
         self._stat_routed.add()

@@ -58,18 +58,17 @@ class RowCloneFabric(HostForwardingFabric):
         rank = self.system.addr_map.rank_of_unit(unit.unit_id)
         bus = self.chip_buses[(rank, coord.chip)]
         # The copy occupies both banks (read out, write in) and the bus.
-        src_acc = unit.bank.access(
+        read_done = unit.bank.access(
             max(self.sim.now, bus.busy_until), 0, msg.size,
             is_write=False, bytes_per_cycle=bus.bytes_per_cycle,
             from_bridge=True,
         )
         dst_unit = self.system.units[dst]
-        dst_acc = dst_unit.bank.access(
-            src_acc.finish, 0, msg.size,
+        finish = dst_unit.bank.access(
+            read_done, 0, msg.size,
             is_write=True, bytes_per_cycle=bus.bytes_per_cycle,
             from_bridge=True,
-        )
-        finish = dst_acc.finish + ROW_COPY_LATENCY
+        ) + ROW_COPY_LATENCY
         bus.occupy_until(finish, msg.size)
         self._stat_rowclone.add()
         self.sim.schedule_at(

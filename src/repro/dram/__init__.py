@@ -1,7 +1,7 @@
 """DRAM hierarchy model: addressing, banks, and DDR command encoding."""
 
 from .address import AddressMap, UnitCoord
-from .bank import BankAccess, DRAMBank
+from .bank import DRAMBank
 from .commands import (
     BridgeOp,
     CommandCodec,
@@ -16,7 +16,6 @@ from .commands import (
 __all__ = [
     "AddressMap",
     "UnitCoord",
-    "BankAccess",
     "DRAMBank",
     "BridgeOp",
     "CommandCodec",

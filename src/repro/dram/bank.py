@@ -16,21 +16,10 @@ change relative results.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..config import SystemConfig
 from ..sim import Simulator, StatsRegistry
-
-
-class BankAccess(NamedTuple):
-    """Timing of one completed bank access."""
-
-    start: int
-    finish: int
-
-    @property
-    def latency(self) -> int:
-        return self.finish - self.start
 
 
 class DRAMBank:
@@ -74,8 +63,8 @@ class DRAMBank:
         is_write: bool,
         bytes_per_cycle: float,
         from_bridge: bool = False,
-    ) -> BankAccess:
-        """Reserve the bank for one access and return its timing.
+    ) -> int:
+        """Reserve the bank for one access and return its finish cycle.
 
         ``bytes_per_cycle`` is the data-path bandwidth of the requesting
         master (the core's DMA or the chip's DQ slice toward the bridge).
@@ -104,7 +93,7 @@ class DRAMBank:
         self.busy_until = finish
         self._busy_cycles.add(latency)
 
-        words = math.ceil(nbytes / 8)  # at least 1: nbytes is positive
+        words = -(-nbytes // 8)  # at least 1: nbytes is positive
         if is_write:
             self._writes.add(words)
         else:
@@ -115,7 +104,7 @@ class DRAMBank:
         else:
             self._core_accesses.add()
             self._local_words.add(words)
-        return BankAccess(start, finish)
+        return finish
 
     # convenience views for energy accounting ------------------------------
     @property

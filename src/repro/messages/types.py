@@ -52,17 +52,25 @@ def sub_message_count(payload_bytes: int, frame: int = MESSAGE_BYTES) -> int:
     return frame_bytes(payload_bytes, frame) // frame
 
 
-@dataclass
 class Message:
-    """Base class: routing metadata shared by all message types."""
+    """Base class: routing metadata shared by all message types.
 
-    src_unit: int
-    dst_unit: Optional[int]          # None while awaiting bridge assignment
-    msg_id: int = field(default_factory=_message_ids.__next__)
-    #: Framed bytes on the wire, set once at construction.
-    size: int = field(init=False, repr=False, compare=False)
+    Slotted, as is :class:`TaskMessage`: a run builds one task message
+    per remote task.  ``size``, the framed bytes on the wire, is set
+    once at construction.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("src_unit", "dst_unit", "msg_id", "size")
+
+    def __init__(
+        self,
+        src_unit: int,
+        dst_unit: Optional[int],     # None while awaiting bridge assignment
+        msg_id: Optional[int] = None,
+    ) -> None:
+        self.src_unit = src_unit
+        self.dst_unit = dst_unit
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
         self.size = frame_bytes(self.payload_bytes)
 
     @property
@@ -83,17 +91,30 @@ class Message:
         return sub_message_count(self.payload_bytes)
 
 
-@dataclass
 class TaskMessage(Message):
     """Push one task to a remote unit (remote child, or load balancing)."""
 
-    task: Task = None
-    lb_assigned: bool = False        # part of a load-balancing bundle
-    bounces: int = 0                 # times forwarded off a stale home
+    __slots__ = ("task", "lb_assigned", "bounces")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        src_unit: int,
+        dst_unit: Optional[int],
+        task: Task,
+        lb_assigned: bool = False,   # part of a load-balancing bundle
+        bounces: int = 0,            # times forwarded off a stale home
+        msg_id: Optional[int] = None,
+    ) -> None:
+        # The base's fields, set here rather than by a super() call,
+        # which every remote task would pay for.
+        self.src_unit = src_unit
+        self.dst_unit = dst_unit
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.task = task
+        self.lb_assigned = lb_assigned
+        self.bounces = bounces
         # payload_bytes, framed, without the property hop.
-        self.size = frame_bytes(self.task.size_bytes)
+        self.size = frame_bytes(task.size_bytes)
 
     @property
     def mtype(self) -> MessageType:
@@ -103,11 +124,27 @@ class TaskMessage(Message):
     def payload_bytes(self) -> int:
         return self.task.size_bytes
 
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"TaskMessage(src_unit={self.src_unit}, "
+            f"dst_unit={self.dst_unit}, msg_id={self.msg_id}, "
+            f"task={self.task!r}, lb_assigned={self.lb_assigned}, "
+            f"bounces={self.bounces})"
+        )
+
 
 @dataclass
 class DataMessage(Message):
-    """Move a data block for data-first scheduling (Section VI)."""
+    """Move a data block for data-first scheduling (Section VI).
 
+    A dataclass over the slotted base: it declares the base's three
+    constructor fields itself, so its keyword constructor and
+    :func:`dataclasses.replace` (which keeps ``msg_id``) cover them.
+    """
+
+    src_unit: int
+    dst_unit: Optional[int]
+    msg_id: int = field(default_factory=_message_ids.__next__)
     block_id: int = -1
     block_bytes: int = 256
     returning: bool = False          # block going back to its home unit
@@ -119,6 +156,9 @@ class DataMessage(Message):
     in_flight: bool = field(
         default=False, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self.size = frame_bytes(self.payload_bytes)
 
     @property
     def mtype(self) -> MessageType:

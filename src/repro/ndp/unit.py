@@ -36,15 +36,27 @@ from .cache import HIT_LATENCY, L1Cache
 MAX_BOUNCES = 1
 
 
-@dataclass
 class UnitState:
     """State snapshot returned to a STATE-GATHER (Section V-B)."""
 
-    unit_id: int
-    queue_workload: int       # W_queue
-    finished_workload: int    # W_finish
-    busy_cycles: int = 0      # cycles spent executing (for S_exe)
-    idle: bool = False
+    __slots__ = (
+        "unit_id", "queue_workload", "finished_workload", "busy_cycles",
+        "idle",
+    )
+
+    def __init__(
+        self,
+        unit_id: int,
+        queue_workload: int,      # W_queue
+        finished_workload: int,   # W_finish
+        busy_cycles: int,         # cycles spent executing (for S_exe)
+        idle: bool,
+    ) -> None:
+        self.unit_id = unit_id
+        self.queue_workload = queue_workload
+        self.finished_workload = finished_workload
+        self.busy_cycles = busy_cycles
+        self.idle = idle
 
 
 @dataclass
@@ -148,11 +160,11 @@ class NDPUnit:
         self._task_cycles = 0
         self._children: List[Task] = []
         self.blocked_on_mailbox = False
-        # Same-block spawn statistics: how often a task generates a child
-        # on its own data block.  A migrated block attracts that follow-up
-        # work "for free" (Section VI-C: migrated data automatically
-        # attract more tasks), so it multiplies a bundle's effective value.
-        self._exec_count = 0
+        # Same-block spawn statistics: how often a task (of the
+        # ``tasks_executed``) generates a child on its own data block.  A
+        # migrated block attracts that follow-up work "for free" (Section
+        # VI-C: migrated data automatically attract more tasks), so it
+        # multiplies a bundle's effective value.
         self._same_block_spawns = 0
         self._backlog: Deque[Message] = deque()
         self.busy_cycles = 0
@@ -199,24 +211,30 @@ class NDPUnit:
         # handed on so that no later step divides again.
         block = task.data_addr // self._block_bytes
         if self._home_start <= block < self._home_end:
-            if block not in self.islent.lent:
-                self._enqueue_local(task, block)
+            if block in self.islent.lent:
+                # Home unit but block lent out: the bridge metadata will
+                # redirect it.  After several bounces the block must be
+                # in return transit; park until it lands.
+                if bounces >= MAX_BOUNCES:
+                    self.parked.setdefault(block, []).append(task)
+                    self._stat_parked.add()
+                    return
+                self._stat_bounced.add()
+                self._forward(task, bounces + 1)
                 return
-            # Home unit but block lent out: the bridge metadata will
-            # redirect it.  After several bounces the block must be in
-            # return transit; park until it lands.
-            if bounces >= MAX_BOUNCES:
-                self.parked.setdefault(block, []).append(task)
-                self._stat_parked.add()
+        else:
+            self._stat_sram.add()
+            if not self.borrowed.contains(block):
+                self._forward(task, bounces)
                 return
-            self._stat_bounced.add()
-            self._forward(task, bounces + 1)
+        # The block is local: queue the task.
+        if task.ts > self._tracker.epoch:
+            self.future.setdefault(task.ts, []).append(task)
             return
-        self._stat_sram.add()
-        if self.borrowed.contains(block):
-            self._enqueue_local(task, block)
-            return
-        self._forward(task, bounces)
+        self._push_runnable(task, block)
+        # A busy or blocked core picks the task up when it frees.
+        if not (self.core_busy or self.blocked_on_mailbox):
+            self._try_start()
 
     def _forward(self, task: Task, bounces: int) -> None:
         home = self.system.addr_map.unit_of_addr(task.data_addr)
@@ -225,15 +243,6 @@ class NDPUnit:
         )
         self._stat_forwarded.add()
         self._send(msg)
-
-    def _enqueue_local(self, task: Task, block: int) -> None:
-        if task.ts > self._tracker.epoch:
-            self.future.setdefault(task.ts, []).append(task)
-            return
-        self._push_runnable(task, block)
-        # A busy or blocked core picks the task up when it frees.
-        if not (self.core_busy or self.blocked_on_mailbox):
-            self._try_start()
 
     def _push_runnable(self, task: Task, block: int) -> None:
         workload = task.workload_estimate
@@ -306,7 +315,7 @@ class NDPUnit:
             access_cycles = self.bank.access(
                 start, task.data_addr % self._bank_bytes, task.data_bytes,
                 False, self._dma_bytes_per_cycle,
-            ).finish - start
+            ) - start
         duration = (
             self._dispatch_overhead
             + access_cycles
@@ -327,7 +336,6 @@ class NDPUnit:
         self.busy_cycles += self._task_cycles + child_cost
         self.tasks_executed += 1
         self.finished_workload += task.workload_estimate
-        self._exec_count += 1
         block_bytes = self._block_bytes
         parent_block = task.data_addr // block_bytes
         for child in children:
@@ -584,8 +592,9 @@ class NDPUnit:
         )
         # Follow-up credit: tasks that spawn children on their own block
         # bring a geometric chain of future work along with the block.
-        if self._exec_count:
-            ratio = min(0.9, self._same_block_spawns / self._exec_count)
+        executed = self.tasks_executed
+        if executed:
+            ratio = min(0.9, self._same_block_spawns / executed)
             work_cycles /= (1.0 - ratio)
         if work_cycles < transfer_cycles:
             return False

@@ -16,7 +16,6 @@ Both are fixed at construction: the derived ``workload_estimate`` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 _task_ids = itertools.count()
@@ -27,48 +26,67 @@ TASK_HEADER_BYTES = 13
 ARG_BYTES = 8
 
 
-@dataclass
 class Task:
-    """One data-centric task."""
+    """One data-centric task.
 
-    func: str
-    ts: int
-    data_addr: int
-    workload: Optional[int] = None
-    args: Tuple = ()
-    actual_cycles: Optional[int] = None
-    #: Read-only tasks on the same element can run concurrently on a
-    #: shared-memory host; writers serialize on the element's cacheline
-    #: (atomic update / coherence ping-pong).  NDP execution is unaffected
-    #: (one core per bank serializes either way).
-    read_only: bool = False
-    #: Bytes of the data element the task touches (sizing its DRAM/cache
-    #: access and its share of host memory bandwidth).
-    data_bytes: int = 64
-    task_id: int = field(default_factory=_task_ids.__next__)
-    #: The estimate the scheduler sees (Section VI uses this).
-    workload_estimate: int = field(init=False, compare=False, repr=False)
-    #: The true cycles the core spends executing this task.
-    execution_cycles: int = field(init=False, compare=False, repr=False)
+    A run builds one object per task, so the class is slotted (no
+    ``__dict__``) and built by one ``__init__``.  The positional order of
+    its first seven arguments is the one :meth:`TaskContext.enqueue_task`
+    passes.
+    """
+
+    __slots__ = (
+        "func", "ts", "data_addr", "workload", "args", "actual_cycles",
+        "read_only", "data_bytes", "task_id",
+        "workload_estimate", "execution_cycles",
+    )
 
     DEFAULT_WORKLOAD = 16
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        func: str,
+        ts: int,
+        data_addr: int,
+        workload: Optional[int] = None,
+        args: Tuple = (),
+        actual_cycles: Optional[int] = None,
+        read_only: bool = False,
+        data_bytes: int = 64,
+        task_id: Optional[int] = None,
+    ) -> None:
+        self.func = func
+        self.ts = ts
+        self.data_addr = data_addr
+        self.workload = workload
+        self.args = args
+        self.actual_cycles = actual_cycles
+        #: Read-only tasks on the same element can run concurrently on a
+        #: shared-memory host; writers serialize on the element's
+        #: cacheline (atomic update / coherence ping-pong).  NDP execution
+        #: is unaffected (one core per bank serializes either way).
+        self.read_only = read_only
+        #: Bytes of the data element the task touches (sizing its
+        #: DRAM/cache access and its share of host memory bandwidth).
+        self.data_bytes = data_bytes
+        self.task_id = next(_task_ids) if task_id is None else task_id
         # Nothing changes ``workload`` or ``actual_cycles`` after
         # construction, so both costs are fixed here, once per task.
         # Each is a whole number of at least one cycle; the positive
         # ints every application passes are taken as they are.
-        w = self.workload
+        w = workload
         if w is None:
             w = self.DEFAULT_WORKLOAD
         elif w.__class__ is not int or w < 1:
             w = max(1, int(w))
+        #: The estimate the scheduler sees (Section VI uses this).
         self.workload_estimate = w
-        c = self.actual_cycles
+        c = actual_cycles
         if c is None:
             c = w
         elif c.__class__ is not int or c < 1:
             c = max(1, int(c))
+        #: The true cycles the core spends executing this task.
         self.execution_cycles = c
 
     @property

@@ -78,7 +78,7 @@ class RunTracker:
         self.check_progress()
 
     def message_departed(self, msg: Message) -> None:
-        if isinstance(msg, DataMessage):
+        if type(msg) is DataMessage:
             if msg.in_flight:
                 raise RuntimeError(
                     f"data message {msg.msg_id} departed twice"
@@ -90,7 +90,7 @@ class RunTracker:
             self.task_messages_in_flight += 1
 
     def message_delivered(self, msg: Message) -> None:
-        if isinstance(msg, DataMessage):
+        if type(msg) is DataMessage:
             if not msg.in_flight:
                 raise RuntimeError(
                     f"data message {msg.msg_id} delivered while not in "

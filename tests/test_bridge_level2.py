@@ -152,3 +152,43 @@ class TestBoundedBufferOverflow:
         assert system.fabric.level2._stat_schedules.value >= 1
         assert up_mailbox_refusals(system) > 0
         assert_drained(system)
+
+
+class TestRoundsCoverTheirCompletions:
+    """Every scatter a level-1 round makes, and every route and delivery
+    a level-2 round makes, completes while that round is active: no
+    later than, and before, the round's ``_round_done``.  So none of
+    them needs to re-check the round trigger; ``_round_done`` does."""
+
+    def test_completions_run_inside_their_round(self, monkeypatch):
+        from repro.bridge.level1 import Level1Bridge
+        from repro.bridge.level2 import Level2Bridge
+
+        seen = {}
+
+        def inside_round(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args):
+                seen.setdefault(f"{cls.__name__}.{name}", []).append(
+                    self._round_active
+                )
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        inside_round(Level1Bridge, "_deliver")
+        inside_round(Level2Bridge, "_deliver")
+        inside_round(Level2Bridge, "_route_messages")
+        # Two ranks of 64 units, so the level-2 bridge runs.
+        for app, design in (("pr", Design.B), ("tree", Design.O)):
+            seen.clear()
+            run_app(make_app(app, scale=0.1, seed=7),
+                    scaled_config(128, design, seed=7))
+            assert sorted(seen) == [
+                "Level1Bridge._deliver",
+                "Level2Bridge._deliver",
+                "Level2Bridge._route_messages",
+            ], app
+            for name, active in seen.items():
+                assert all(active), f"{app}: {name} ran outside its round"

@@ -14,33 +14,36 @@ def make_bank():
 
 def test_first_access_pays_activation():
     bank, cfg = make_bank()
-    acc = bank.access(0, addr=0, nbytes=64, is_write=False, bytes_per_cycle=8.0)
-    # tRCD + tCAS + 64/8 transfer cycles.
-    assert acc.latency == cfg.t_rcd_cycles + cfg.t_cas_cycles + 8
-    assert acc.start == 0
+    finish = bank.access(0, addr=0, nbytes=64, is_write=False,
+                         bytes_per_cycle=8.0)
+    # Starts at cycle 0, then tRCD + tCAS + 64/8 transfer cycles.
+    assert finish == cfg.t_rcd_cycles + cfg.t_cas_cycles + 8
+    assert bank.busy_until == finish
 
 
 def test_row_hit_is_cheaper():
     bank, cfg = make_bank()
     a1 = bank.access(0, 0, 64, False, 8.0)
-    a2 = bank.access(a1.finish, 64, 64, False, 8.0)  # same 1 kB row
-    assert a2.latency == cfg.t_cas_cycles + 8
-    assert a2.latency < a1.latency
+    a2 = bank.access(a1, 64, 64, False, 8.0)  # same 1 kB row
+    # Each access starts at its issue cycle (0, then a1): the bank is free.
+    assert a2 - a1 == cfg.t_cas_cycles + 8
+    assert a2 - a1 < a1
 
 
 def test_row_conflict_pays_precharge():
     bank, cfg = make_bank()
     a1 = bank.access(0, 0, 64, False, 8.0)
-    a2 = bank.access(a1.finish, 4096, 64, False, 8.0)  # different row
-    assert a2.latency == cfg.t_rp_cycles + cfg.t_rcd_cycles + cfg.t_cas_cycles + 8
+    a2 = bank.access(a1, 4096, 64, False, 8.0)  # different row
+    assert a2 - a1 == cfg.t_rp_cycles + cfg.t_rcd_cycles + cfg.t_cas_cycles + 8
 
 
 def test_accesses_serialize():
-    bank, _ = make_bank()
+    bank, cfg = make_bank()
     a1 = bank.access(0, 0, 64, False, 8.0)
     a2 = bank.access(0, 64, 64, False, 8.0)  # issued at the same time
-    assert a2.start == a1.finish
-    assert a2.finish > a1.finish
+    # a2 waits for a1, then pays a row hit: it starts at a1's finish.
+    assert a2 == a1 + cfg.t_cas_cycles + 8
+    assert a2 > a1
 
 
 def test_word_counters_split_by_master():
@@ -51,6 +54,10 @@ def test_word_counters_split_by_master():
     assert bank.total_writes_64bit == 16
     assert bank._local_words.value == 8
     assert bank._comm_words.value == 16
+    # A partial word counts as a whole one: 9 bytes are 2 words.
+    bank.access(0, 192, 9, False, 8.0, from_bridge=True)
+    assert bank.total_reads_64bit == 10
+    assert bank._comm_words.value == 18
 
 
 def test_zero_byte_access_rejected():
@@ -71,8 +78,9 @@ def test_row_hit_miss_counters():
 def test_write_to_read_turnaround():
     bank, cfg = make_bank()
     w = bank.access(0, 0, 64, True, 8.0)
-    r_after_w = bank.access(w.finish, 64, 64, False, 8.0)
-    # Same row, but the read pays the tWTR bubble after a write.
-    assert r_after_w.latency == cfg.t_cas_cycles + 8 + bank._t_wtr
-    r_after_r = bank.access(r_after_w.finish, 128, 64, False, 8.0)
-    assert r_after_r.latency == cfg.t_cas_cycles + 8
+    r_after_w = bank.access(w, 64, 64, False, 8.0)
+    # Same row, but the read pays the tWTR bubble after a write.  Each
+    # access starts at its issue cycle, the previous one's finish.
+    assert r_after_w - w == cfg.t_cas_cycles + 8 + bank._t_wtr
+    r_after_r = bank.access(r_after_w, 128, 64, False, 8.0)
+    assert r_after_r - r_after_w == cfg.t_cas_cycles + 8

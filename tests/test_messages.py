@@ -1,5 +1,7 @@
 """Tests for message formats and 64 B framing (paper Fig. 5)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +74,24 @@ def test_message_ids_unique():
 def test_task_message_size_is_its_framed_payload(n_args):
     msg = TaskMessage(src_unit=0, dst_unit=1, task=make_task(n_args))
     assert msg.size == msg.wire_bytes == frame_bytes(msg.payload_bytes)
+    assert msg.size == frame_bytes(msg.task.size_bytes)
+
+
+def test_task_message_is_slotted():
+    msg = TaskMessage(src_unit=0, dst_unit=None, task=make_task(),
+                      lb_assigned=True, bounces=1)
+    assert not hasattr(msg, "__dict__")
+    assert (msg.src_unit, msg.dst_unit, msg.lb_assigned, msg.bounces) == (
+        0, None, True, 1)
+
+
+def test_data_message_stays_a_dataclass():
+    msg = DataMessage(src_unit=0, dst_unit=1, block_id=3, home_unit=0)
+    copy = dataclasses.replace(msg, dst_unit=2)
+    assert dataclasses.is_dataclass(copy)
+    assert copy.msg_id == msg.msg_id
+    assert (copy.src_unit, copy.dst_unit, copy.block_id) == (0, 2, 3)
+    assert copy.size == msg.size == frame_bytes(16 + 256)
 
 
 @pytest.mark.parametrize("block_bytes", (64, 256, 1024, 4096))

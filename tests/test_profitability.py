@@ -36,17 +36,17 @@ class TestBundleProfitable:
         _, unit = make_unit()
         unit._queue_workload = 100_000
         # Marginal bundle: unprofitable without chain credit...
-        unit._exec_count = 0
+        unit.tasks_executed = 0
         assert not unit._bundle_profitable(500, 100)
         # ...but profitable when tasks spawn same-block successors.
-        unit._exec_count = 100
+        unit.tasks_executed = 100
         unit._same_block_spawns = 80
         assert unit._bundle_profitable(500, 100)
 
     def test_chain_ratio_capped(self):
         _, unit = make_unit()
         unit._queue_workload = 100_000
-        unit._exec_count = 10
+        unit.tasks_executed = 10
         unit._same_block_spawns = 10  # ratio would be 1.0 -> capped at 0.9
         assert unit._bundle_profitable(300, 50)
 
@@ -66,7 +66,7 @@ class TestSameBlockSpawnTracking:
                               workload=4, args=(5,)))
         system.run()
         unit = system.units[0]
-        assert unit._exec_count == 6
+        assert unit.tasks_executed == 6
         assert unit._same_block_spawns == 5
 
     def test_cross_block_children_not_counted(self):

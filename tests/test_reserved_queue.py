@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.balance import ReservedQueue
 from repro.runtime.task import Task
@@ -147,3 +148,151 @@ def test_oldest_matches_brute_force_under_random_operations():
         assert all(q.tasks_of(b) for b in q.blocks())
         heads = [(q.tasks_of(b)[0].task_id, b) for b in q.blocks()]
         assert q.oldest() == (min(heads) if heads else None)
+
+
+# ----------------------------------------------------------------------
+# list chains against the chunk-chain accounting they replaced
+# ----------------------------------------------------------------------
+class _BlockChain:
+    __slots__ = ("chunks", "tasks", "workload")
+
+    def __init__(self):
+        self.chunks = 1
+        self.tasks = []
+        self.workload = 0
+
+
+class ChunkChainModel:
+    """The reference: a chain object per block that counts its chunks
+    and its workload as tasks come and go."""
+
+    def __init__(self, total_chunks, chunk_bytes, static_chunks,
+                 avg_task_bytes=32):
+        self.tasks_per_chunk = max(1, chunk_bytes // avg_task_bytes)
+        self.free_dynamic_chunks = total_chunks - static_chunks
+        self._chains = {}
+
+    @property
+    def total_tasks(self):
+        return sum(len(c.tasks) for c in self._chains.values())
+
+    def workload_of(self, block_id):
+        chain = self._chains.get(block_id)
+        return chain.workload if chain else 0
+
+    def task_count(self, block_id):
+        chain = self._chains.get(block_id)
+        return len(chain.tasks) if chain else 0
+
+    def reserve(self, block_id, task):
+        chain = self._chains.get(block_id)
+        if chain is None:
+            chain = _BlockChain()
+            self._chains[block_id] = chain
+        elif len(chain.tasks) >= chain.chunks * self.tasks_per_chunk:
+            if self.free_dynamic_chunks <= 0:
+                return False
+            self.free_dynamic_chunks -= 1
+            chain.chunks += 1
+        chain.tasks.append(task)
+        chain.workload += task.workload_estimate
+        return True
+
+    def pop_one(self, block_id):
+        chain = self._chains.get(block_id)
+        if chain is None:
+            return None
+        task = chain.tasks.pop(0)
+        chain.workload -= task.workload_estimate
+        if (
+            chain.chunks > 1
+            and len(chain.tasks) <= (chain.chunks - 1) * self.tasks_per_chunk
+        ):
+            chain.chunks -= 1
+            self.free_dynamic_chunks += 1
+        if not chain.tasks:
+            self.free_dynamic_chunks += chain.chunks - 1
+            del self._chains[block_id]
+        return task
+
+    def oldest(self):
+        best_block = None
+        best_id = 0
+        for block_id, chain in self._chains.items():
+            head_id = chain.tasks[0].task_id
+            if best_block is None or head_id < best_id:
+                best_id = head_id
+                best_block = block_id
+        return None if best_block is None else (best_id, best_block)
+
+    def extract(self, block_id):
+        chain = self._chains.pop(block_id, None)
+        if chain is None:
+            return []
+        self.free_dynamic_chunks += chain.chunks - 1
+        return chain.tasks
+
+    evict = extract
+
+
+BLOCKS = range(4)
+
+
+def drive_both(geometry, ops, arrivals):
+    """Apply ``ops`` to the list-based queue and to the model, checking
+    after each step that they agree; returns how many reserves were
+    refused."""
+    queue, model = ReservedQueue(*geometry), ChunkChainModel(*geometry)
+    tasks = iter(arrivals)
+    refused = 0
+    for op, block in ops:
+        if op == "reserve":
+            task = next(tasks)
+            got, want = queue.reserve(block, task), model.reserve(block, task)
+            assert got is want
+            refused += not got
+        elif op == "pop_one":
+            assert queue.pop_one(block) is model.pop_one(block)
+        else:
+            got = getattr(queue, op)(block)
+            want = getattr(model, op)(block)
+            assert [id(t) for t in got] == [id(t) for t in want]
+        assert queue.free_dynamic_chunks == model.free_dynamic_chunks
+        assert queue.total_tasks == model.total_tasks
+        for b in BLOCKS:
+            assert queue.task_count(b) == model.task_count(b)
+            assert queue.workload_of(b) == model.workload_of(b)
+        assert queue.total_workload == sum(model.workload_of(b) for b in BLOCKS)
+        assert queue.oldest() == model.oldest()
+    return refused
+
+
+#: (total, chunk bytes, static): 1, 2, 3 and 8 tasks per chunk; the
+#: first two pools hold one and two dynamic chunks, so reserves fail.
+GEOMETRIES = [(2, 32, 1), (3, 64, 1), (6, 96, 2), (12, 256, 4)]
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["reserve", "reserve", "reserve", "pop_one",
+                         "pop_one", "extract", "evict"]),
+        st.sampled_from(BLOCKS),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GEOMETRIES), OPS, st.randoms(use_true_random=False))
+def test_list_chains_match_the_chunk_chain_model(geometry, ops, rng):
+    arrivals = [task(w=rng.randint(1, 20)) for _ in ops]
+    rng.shuffle(arrivals)  # arrival order is not task-id order
+    drive_both(geometry, ops, arrivals)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES[:2])
+def test_model_comparison_covers_refused_reserves(geometry):
+    rng = random.Random(5)
+    ops = [(rng.choice(["reserve"] * 4 + ["pop_one", "extract"]),
+            rng.choice(BLOCKS)) for _ in range(400)]
+    arrivals = [task(w=rng.randint(1, 20)) for _ in ops]
+    rng.shuffle(arrivals)
+    assert drive_both(geometry, ops, arrivals) > 0

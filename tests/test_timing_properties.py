@@ -15,20 +15,39 @@ access_spec = st.tuples(
 )
 
 
+def service_cycles(cfg, bank, addr, nbytes, is_write):
+    """Cycles an access to ``addr`` will hold the bank, from its row
+    state now: tWTR after a write, tRP + tRCD on a row conflict (tRCD
+    alone on a closed bank), tCAS, then the transfer at 8 B/cycle."""
+    row = addr // cfg.dram.row_bytes
+    cycles = cfg.t_cas_cycles + max(1, -(-nbytes // 8))
+    if bank._last_was_write and not is_write:
+        cycles += bank._t_wtr
+    if bank.open_row != row:
+        cycles += cfg.t_rcd_cycles
+        if bank.open_row is not None:
+            cycles += cfg.t_rp_cycles
+    return cycles
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(access_spec, min_size=1, max_size=40))
 def test_bank_accesses_never_overlap(accesses):
-    bank = DRAMBank(Simulator(), default_config(), StatsRegistry(), 0)
+    cfg = default_config()
+    bank = DRAMBank(Simulator(), cfg, StatsRegistry(), 0)
     now = 0
     prev_finish = 0
     for addr, nbytes, is_write, gap in accesses:
         now += gap
-        acc = bank.access(now, addr, nbytes, is_write, 8.0)
-        # Serialization: starts no earlier than issue and previous finish.
-        assert acc.start >= now
-        assert acc.start >= prev_finish
-        assert acc.finish > acc.start
-        prev_finish = acc.finish
+        service = service_cycles(cfg, bank, addr, nbytes, is_write)
+        finish = bank.access(now, addr, nbytes, is_write, 8.0)
+        # Serialization: the access starts at the later of its issue and
+        # the previous finish (so no earlier than either), and it ends
+        # after its service time, which is positive.
+        start = max(now, prev_finish)
+        assert finish == start + service
+        assert service > 0
+        prev_finish = finish
 
 
 @settings(max_examples=40, deadline=None)
@@ -39,12 +58,14 @@ def test_row_hit_never_slower_than_miss(accesses):
     # Prime a row, then every same-row read must not exceed the
     # conflict-path latency for the same size.
     for addr, nbytes, is_write, gap in accesses:
-        acc = bank.access(bank.busy_until, addr, nbytes, is_write, 8.0)
+        # Issued when the bank frees, the access starts at its issue.
+        start = bank.busy_until
+        finish = bank.access(start, addr, nbytes, is_write, 8.0)
         worst = (
             cfg.t_rp_cycles + cfg.t_rcd_cycles + cfg.t_cas_cycles
             + bank._t_wtr + (nbytes // 8) + 2
         )
-        assert acc.latency <= worst
+        assert finish - start <= worst
 
 
 @settings(max_examples=40, deadline=None)
