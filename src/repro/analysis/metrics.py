@@ -84,11 +84,10 @@ def collect_metrics(system: "object", app_name: str) -> RunMetrics:
     energy = None
     if not is_host and hasattr(system, "stats"):
         stats = system.stats
-        task_msgs = stats.sum_counters(".tasks_forwarded")
-        data_msgs = (
-            stats.sum_counters(".blocks_lent")
-            + stats.sum_counters(".blocks_returned")
+        task_msgs, lent, returned = stats.sum_suffixes(
+            ".tasks_forwarded", ".blocks_lent", ".blocks_returned"
         )
+        data_msgs = lent + returned
         energy = account_energy(config, stats, makespan, sum(busy))
 
     return RunMetrics(

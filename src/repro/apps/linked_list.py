@@ -67,7 +67,7 @@ class LinkedListApp(NDPApplication):
         zipf = ZipfGenerator(self.n_lists, self.skew, self.rng.substream("q"))
         self._perm = shuffled_identity(self.n_lists, self.rng.substream("perm"))
         self.queries = [
-            self._perm[zipf.sample()] for _ in range(self.n_queries)
+            self._perm[rank] for rank in zipf.sample_many(self.n_queries)
         ]
 
     def _node_index(self, lst: int, pos: int) -> int:

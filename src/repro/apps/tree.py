@@ -55,7 +55,7 @@ class TreeApp(NDPApplication):
         zipf = ZipfGenerator(self.n_nodes, self.skew, self.rng.substream("q"))
         self._perm = shuffled_identity(self.n_nodes, self.rng.substream("perm"))
         self.queries = [
-            self._perm[zipf.sample()] for _ in range(self.n_queries)
+            self._perm[rank] for rank in zipf.sample_many(self.n_queries)
         ]
 
     def _traverse(self, ctx, task: Task) -> None:

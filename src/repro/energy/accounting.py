@@ -67,21 +67,22 @@ def account_energy(
     e = config.energy
     cycle_ns = config.cycle_ns
 
+    # The four machine-wide totals below, in one pass over the registry.
+    sram_accesses, local_words, comm_words, link_bytes = stats.sum_suffixes(
+        ".sram_accesses", ".local_words_64bit", ".comm_words_64bit", ".bytes"
+    )
+
     # Core + SRAM.
     core_pj = total_busy_cycles * _mw_to_pj_per_cycle(
         e.core_power_mw, cycle_ns
     )
-    sram_accesses = stats.sum_counters(".sram_accesses")
     core_sram_pj = core_pj + sram_accesses * e.sram_access_pj
 
     # DRAM bank words, split local vs communication.
-    local_words = stats.sum_counters(".local_words_64bit")
-    comm_words = stats.sum_counters(".comm_words_64bit")
     local_dram_pj = local_words * e.bank_access_pj_per_64bit
     comm_dram_pj = comm_words * e.bank_access_pj_per_64bit
 
     # Off-chip movement: every link byte recorded by any Link.
-    link_bytes = stats.sum_counters(".bytes")
     comm_dram_pj += link_bytes * e.channel_pj_per_byte
 
     # Static power: all units plus one bridge per rank (and the level-2

@@ -164,7 +164,8 @@ class NDPUnit:
         # ``tasks_executed``) generates a child on its own data block.  A
         # migrated block attracts that follow-up work "for free" (Section
         # VI-C: migrated data automatically attract more tasks), so it
-        # multiplies a bundle's effective value.
+        # multiplies a bundle's effective value.  Only a hot-selecting
+        # unit prices bundles, so only it counts.
         self._same_block_spawns = 0
         self._backlog: Deque[Message] = deque()
         self.busy_cycles = 0
@@ -336,11 +337,12 @@ class NDPUnit:
         self.busy_cycles += self._task_cycles + child_cost
         self.tasks_executed += 1
         self.finished_workload += task.workload_estimate
-        block_bytes = self._block_bytes
-        parent_block = task.data_addr // block_bytes
-        for child in children:
-            if child.data_addr // block_bytes == parent_block:
-                self._same_block_spawns += 1
+        if self._hot:
+            block_bytes = self._block_bytes
+            parent_block = task.data_addr // block_bytes
+            for child in children:
+                if child.data_addr // block_bytes == parent_block:
+                    self._same_block_spawns += 1
         self._children = children
         if child_cost:
             self.sim.schedule(child_cost, self._retire)

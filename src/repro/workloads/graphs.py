@@ -86,7 +86,16 @@ def rmat_graph(
     if d < 0:
         raise ValueError("R-MAT probabilities must sum to <= 1")
     # An edge (u, v) is the int ``u << levels | v``: v < n, so the ints
-    # sort as the pairs would.
+    # sort as the pairs would.  Each level's draw sets the next lower bit
+    # of v, of u, or of both; that level's row of ``bits`` holds those
+    # bits already in their place in the code.
+    bits = [
+        (1 << k, 1 << (k + levels), 1 << k | 1 << (k + levels))
+        for k in range(levels - 1, -1, -1)
+    ]
+    # u == v exactly when the code is a multiple of 2**levels + 1 (the
+    # code is u * 2**levels + v, and 2**levels is -1 modulo that).
+    loop_mod = (1 << levels) + 1
     edges: Set[int] = set()
     target_edges = n * avg_degree
     max_attempts = 10 * target_edges
@@ -96,22 +105,19 @@ def rmat_graph(
     abc = ab + c
     while len(edges) < target_edges and attempts < max_attempts:
         attempts += 1
-        u = v = 0
-        for _ in range(levels):
+        code = 0
+        for v_bit, u_bit, uv_bits in bits:
             r = draw()
-            u <<= 1
-            v <<= 1
             if r < a:
                 pass
             elif r < ab:
-                v |= 1
+                code |= v_bit
             elif r < abc:
-                u |= 1
+                code |= u_bit
             else:
-                u |= 1
-                v |= 1
-        if u != v:
-            edges.add(u << levels | v)
+                code |= uv_bits
+        if code % loop_mod:
+            edges.add(code)
     adj: List[List[int]] = [[] for _ in range(n)]
     mask = n - 1
     for edge in sorted(edges):

@@ -26,13 +26,16 @@ Arrival processes
 Key streams are per-tenant :class:`~repro.workloads.zipf.ZipfSampler`
 draws; the skew at each request's arrival cycle comes from the tenant's
 piecewise :class:`SkewSchedule`, so a mid-run skew shift moves the hot
-set deterministically.
+set deterministically.  :func:`generate_requests` draws each tenant's
+requests in one pass and merges the tenants with one sort.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from math import inf, log
+from typing import List, NamedTuple, Sequence, Tuple
 
 from ..sim import DeterministicRNG
 from .zipf import ZipfSampler
@@ -46,10 +49,16 @@ class PoissonArrivals:
             raise ValueError("mean_gap must be positive")
         self.mean_gap = mean_gap
         self.rng = rng
+        # A gap is ``rng.expovariate(lambd)``, rounded.  It is written
+        # out as ``random.Random`` computes it, on the stream's bound
+        # ``random``: the same value, without two wrapper calls.
+        self._draw = rng.random_fn()
+        self._lambd = 1.0 / mean_gap
 
     def next_gap(self) -> int:
         """The integer gap (>= 1 cycle) to the next arrival."""
-        return max(1, int(round(self.rng.expovariate(1.0 / self.mean_gap))))
+        gap = round(-log(1.0 - self._draw()) / self._lambd)
+        return gap if gap > 1 else 1
 
 
 class BurstyArrivals:
@@ -77,14 +86,24 @@ class BurstyArrivals:
         self.burst_switch = burst_switch
         self.rng = rng
         self.bursting = False
+        # Gaps are drawn as in PoissonArrivals, at the state's rate.
+        self._draw = rng.random_fn()
+        self._calm_lambd = 1.0 / mean_gap
+        self._burst_lambd = 1.0 / burst_gap
 
     def next_gap(self) -> int:
-        gap_mean = self.burst_gap if self.bursting else self.mean_gap
-        gap = max(1, int(round(self.rng.expovariate(1.0 / gap_mean))))
-        flip = self.burst_switch if self.bursting else self.calm_switch
-        if self.rng.random() < flip:
-            self.bursting = not self.bursting
-        return gap
+        """The integer gap (>= 1 cycle) to the next arrival, then the
+        state flip."""
+        draw = self._draw
+        if self.bursting:
+            gap = round(-log(1.0 - draw()) / self._burst_lambd)
+            if draw() < self.burst_switch:
+                self.bursting = False
+        else:
+            gap = round(-log(1.0 - draw()) / self._calm_lambd)
+            if draw() < self.calm_switch:
+                self.bursting = True
+        return gap if gap > 1 else 1
 
 
 class SkewSchedule:
@@ -166,8 +185,7 @@ class OpenLoopSpec:
             raise ValueError("warmup must be non-negative")
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One request: born at ``arrival``, touching Zipf rank ``rank``.
 
     ``req_id`` is the global injection order; ``tenant_seq`` the
@@ -194,31 +212,42 @@ def _make_arrivals(spec: TenantSpec, rng: DeterministicRNG):
     return PoissonArrivals(spec.mean_gap, rng)
 
 
-def tenant_stream(
+def _tenant_rows(
     spec: TenantSpec,
     tenant_index: int,
     keyspace: int,
     root: DeterministicRNG,
-) -> Iterator[Request]:
-    """One tenant's requests in arrival order (req_id assigned later).
+    rows: List[Tuple[int, int, int, int]],
+) -> None:
+    """Append one tenant's ``(arrival, tenant_index, tenant_seq, rank)``
+    rows, in arrival order.
 
-    Arrival gaps and key draws come from *separate* named substreams, so
-    changing a tenant's skew schedule never perturbs its arrival times.
+    Each request draws its gap from the tenant's arrival process (a
+    bursty tenant's state flip follows the gap), then its key as
+    ``ZipfSampler.sample`` would at the skew of the arrival cycle.  Gaps
+    and keys come from *separate* named substreams, so changing a
+    tenant's skew schedule never perturbs its arrival times.
     """
-    arrivals = _make_arrivals(spec, root.substream(f"{spec.name}/arrivals"))
+    next_gap = _make_arrivals(
+        spec, root.substream(f"{spec.name}/arrivals")
+    ).next_gap
     sampler = ZipfSampler(keyspace, root.substream(f"{spec.name}/keys"))
-    schedule = SkewSchedule(spec.skew)
+    draw_key = sampler.rng.random_fn()
+    segments = SkewSchedule(spec.skew).segments
+    # Arrivals never go back, so the segment covering them only advances:
+    # to segment ``seg + 1`` once an arrival reaches ``starts[seg]``.
+    starts = [start for start, _ in segments[1:]] + [inf]
+    seg = 0
+    cdf = sampler.cdf(segments[0][1])
     now = spec.start
+    append = rows.append
+    bisect_left = bisect.bisect_left
     for seq in range(spec.n_requests):
-        now += arrivals.next_gap()
-        yield Request(
-            req_id=-1,
-            tenant=spec.name,
-            tenant_index=tenant_index,
-            tenant_seq=seq,
-            arrival=now,
-            rank=sampler.sample(schedule.skew_at(now)),
-        )
+        now += next_gap()
+        while now >= starts[seg]:
+            seg += 1
+            cdf = sampler.cdf(segments[seg][1])
+        append((now, tenant_index, seq, bisect_left(cdf, draw_key())))
 
 
 def generate_requests(
@@ -238,18 +267,15 @@ def generate_requests(
     if len(set(names)) != len(names):
         raise ValueError("tenant names must be unique")
     root = DeterministicRNG(seed, "openloop")
-    merged: List[Request] = []
+    rows: List[Tuple[int, int, int, int]] = []
     for index, spec in enumerate(tenants):
-        merged.extend(tenant_stream(spec, index, keyspace, root))
-    merged.sort(key=lambda r: (r.arrival, r.tenant_index, r.tenant_seq))
+        _tenant_rows(spec, index, keyspace, root, rows)
+    # Rows sort by (arrival, tenant_index, tenant_seq), which no two
+    # share, so the rank never decides.  Each request is built once, by
+    # what ``Request._make`` does, without its Python-level call.
+    rows.sort()
+    new = tuple.__new__
     return [
-        Request(
-            req_id=i,
-            tenant=r.tenant,
-            tenant_index=r.tenant_index,
-            tenant_seq=r.tenant_seq,
-            arrival=r.arrival,
-            rank=r.rank,
-        )
-        for i, r in enumerate(merged)
+        new(Request, (i, names[index], index, seq, arrival, rank))
+        for i, (arrival, index, seq, rank) in enumerate(rows)
     ]

@@ -50,7 +50,10 @@ class ZipfGenerator:
         return bisect.bisect_left(self._cdf, self.rng.random())
 
     def sample_many(self, count: int) -> List[int]:
-        return [self.sample() for _ in range(count)]
+        """``count`` calls of :meth:`sample`, drawing the same values."""
+        cdf = self._cdf
+        draw = self.rng.random_fn()
+        return [bisect.bisect_left(cdf, draw()) for _ in range(count)]
 
     def probability(self, rank: int) -> float:
         if not 0 <= rank < self.n:
@@ -66,6 +69,8 @@ class ZipfSampler:
     open-loop driver shifts skew mid-stream on a schedule; this sampler
     accepts the skew per draw and caches one CDF per distinct skew so a
     piecewise schedule costs one CDF build per segment, not per request.
+    :func:`~repro.workloads.openloop.generate_requests` makes the same
+    draws in its own loop, which looks up :meth:`cdf` once per segment.
     """
 
     def __init__(self, n: int, rng: DeterministicRNG):
@@ -75,7 +80,8 @@ class ZipfSampler:
         self.rng = rng
         self._cdfs: Dict[float, List[float]] = {}
 
-    def _cdf(self, skew: float) -> List[float]:
+    def cdf(self, skew: float) -> List[float]:
+        """The CDF at ``skew``: built on its first use, then kept."""
         key = float(skew)
         cdf = self._cdfs.get(key)
         if cdf is None:
@@ -85,12 +91,12 @@ class ZipfSampler:
 
     def sample(self, skew: float) -> int:
         """One Zipf(``skew``)-distributed rank in ``[0, n)``."""
-        return bisect.bisect_left(self._cdf(skew), self.rng.random())
+        return bisect.bisect_left(self.cdf(skew), self.rng.random())
 
     def probability(self, rank: int, skew: float) -> float:
         if not 0 <= rank < self.n:
             raise IndexError(f"rank {rank} out of range")
-        cdf = self._cdf(skew)
+        cdf = self.cdf(skew)
         lo = cdf[rank - 1] if rank > 0 else 0.0
         return cdf[rank] - lo
 

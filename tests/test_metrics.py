@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.analysis import RunMetrics
+from repro.analysis import RunMetrics, collect_metrics
 from repro.apps import make_app
 from repro.config import Design, tiny_config
 from repro.energy import EnergyBreakdown
 from repro.runtime.runner import run_app
+from repro.sim import StatsRegistry
 
 
 def make_metrics(makespan=100, avg=50.0, wait=0.2):
@@ -54,3 +55,33 @@ def test_wait_fraction_reflects_communication():
 def test_imbalanced_app_shows_low_avg_over_max():
     r = run_app(make_app("ll", scale=0.1), tiny_config(Design.B))
     assert r.metrics.avg_over_max < 0.9
+
+
+#: The machine-wide totals metrics and energy collection sum: task
+#: messages, data messages (lent plus returned), SRAM accesses, bank
+#: words by master, and link bytes.
+TOTALS = (
+    ".tasks_forwarded", ".blocks_lent", ".blocks_returned",
+    ".sram_accesses", ".local_words_64bit", ".comm_words_64bit", ".bytes",
+)
+
+
+@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+def test_metrics_equal_one_registry_pass_per_total(monkeypatch, design):
+    """RunMetrics, energy included, are what one ``sum_counters`` pass
+    per machine-wide total made of them."""
+    result = run_app(make_app("tree", scale=0.05), tiny_config(design))
+    got = collect_metrics(result.system, "tree")
+    summed = []
+
+    def one_pass_each(self, *suffixes):
+        summed.extend(suffixes)
+        return tuple(self.sum_counters(s) for s in suffixes)
+
+    monkeypatch.setattr(StatsRegistry, "sum_suffixes", one_pass_each)
+    assert got == collect_metrics(result.system, "tree")
+    assert got == result.metrics
+    if design is not Design.H:
+        assert sorted(summed) == sorted(TOTALS)
+        assert got.task_messages > 0
+        assert got.energy.comm_dram_pj > 0

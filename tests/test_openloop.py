@@ -5,7 +5,9 @@ Four layers:
 * statistical goodness-of-fit for the generators (chi-square against the
   exact Zipf / exponential models -- deterministic seeds, so the
   statistics are reproducible numbers, not flaky draws),
-* determinism and stream-independence of request generation,
+* determinism and stream-independence of request generation, and its
+  equivalence with the old per-tenant generator and two-pass merge,
+  kept here as the reference,
 * exact nearest-rank percentile semantics (edge cases pinned bit-for-bit),
 * the request driver end-to-end, including the composition oracle:
   paused-and-resumed vs run-through.
@@ -15,6 +17,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.latency import LatencyRecorder, exact_percentile
 from repro.apps import make_app
@@ -25,6 +28,7 @@ from repro.workloads import (
     BurstyArrivals,
     OpenLoopSpec,
     PoissonArrivals,
+    Request,
     SkewSchedule,
     TenantSpec,
     ZipfSampler,
@@ -238,6 +242,149 @@ class TestGenerateRequests:
         spec = TenantSpec(name="t", n_requests=5, mean_gap=10.0, start=500)
         reqs = generate_requests((spec,), 16, 1)
         assert reqs[0].arrival > 500
+
+
+# ----------------------------------------------------------------------
+# request generation against the two-pass reference
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class _RefRequest:
+    req_id: int
+    tenant: str
+    tenant_index: int
+    tenant_seq: int
+    arrival: int
+    rank: int
+
+
+class _RefPoisson:
+    def __init__(self, mean_gap, rng):
+        self.mean_gap = mean_gap
+        self.rng = rng
+
+    def next_gap(self):
+        return max(1, int(round(self.rng.expovariate(1.0 / self.mean_gap))))
+
+
+class _RefBursty:
+    def __init__(self, mean_gap, burst_gap, rng, calm_switch, burst_switch):
+        self.mean_gap = mean_gap
+        self.burst_gap = burst_gap
+        self.calm_switch = calm_switch
+        self.burst_switch = burst_switch
+        self.rng = rng
+        self.bursting = False
+
+    def next_gap(self):
+        gap_mean = self.burst_gap if self.bursting else self.mean_gap
+        gap = max(1, int(round(self.rng.expovariate(1.0 / gap_mean))))
+        flip = self.burst_switch if self.bursting else self.calm_switch
+        if self.rng.random() < flip:
+            self.bursting = not self.bursting
+        return gap
+
+
+def _ref_tenant_stream(spec, tenant_index, keyspace, root):
+    if spec.arrival == "bursty":
+        arrivals = _RefBursty(spec.mean_gap, spec.burst_gap,
+                              root.substream(f"{spec.name}/arrivals"),
+                              spec.calm_switch, spec.burst_switch)
+    else:
+        arrivals = _RefPoisson(spec.mean_gap,
+                               root.substream(f"{spec.name}/arrivals"))
+    sampler = ZipfSampler(keyspace, root.substream(f"{spec.name}/keys"))
+    schedule = SkewSchedule(spec.skew)
+    now = spec.start
+    for seq in range(spec.n_requests):
+        now += arrivals.next_gap()
+        yield _RefRequest(req_id=-1, tenant=spec.name,
+                          tenant_index=tenant_index, tenant_seq=seq,
+                          arrival=now,
+                          rank=sampler.sample(schedule.skew_at(now)))
+
+
+def _reference_requests(tenants, keyspace, seed):
+    """The generator as it was: one record per request from a per-tenant
+    generator, a merge sorted on a key, and a second record per request
+    to set its ``req_id``."""
+    root = DeterministicRNG(seed, "openloop")
+    merged = []
+    for index, spec in enumerate(tenants):
+        merged.extend(_ref_tenant_stream(spec, index, keyspace, root))
+    merged.sort(key=lambda r: (r.arrival, r.tenant_index, r.tenant_seq))
+    return [dataclasses.replace(r, req_id=i) for i, r in enumerate(merged)]
+
+
+@st.composite
+def tenant_lists(draw):
+    """1-3 tenants with mean gaps near one cycle, so that tenants often
+    arrive in the same cycle, and 1-3 skew segments, some starting in the
+    first few cycles and some after a start offset."""
+    tenants = []
+    for i in range(draw(st.integers(1, 3))):
+        starts = draw(st.lists(st.integers(1, 60), max_size=2, unique=True))
+        skews = draw(st.lists(st.sampled_from([0.0, 0.4, 0.9, 1.3]),
+                              min_size=len(starts) + 1,
+                              max_size=len(starts) + 1))
+        bursty = draw(st.booleans())
+        tenants.append(TenantSpec(
+            name=f"t{i}",
+            n_requests=draw(st.integers(1, 40)),
+            mean_gap=draw(st.floats(0.3, 3.0)),
+            skew=tuple(zip([0] + sorted(starts), skews)),
+            arrival="bursty" if bursty else "poisson",
+            burst_gap=draw(st.floats(0.3, 2.0)) if bursty else 0.0,
+            calm_switch=draw(st.floats(0.0, 1.0)),
+            burst_switch=draw(st.floats(0.0, 1.0)),
+            start=draw(st.integers(0, 30)),
+        ))
+    return tuple(tenants)
+
+
+class TestGenerateRequestsMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(tenants=tenant_lists(), keyspace=st.integers(1, 50),
+           seed=st.integers(0, 2**16))
+    def test_same_requests_as_the_two_pass_merge(self, tenants, keyspace,
+                                                 seed):
+        got = generate_requests(tenants, keyspace, seed)
+        want = _reference_requests(tenants, keyspace, seed)
+        assert [tuple(r) for r in got] == [
+            dataclasses.astuple(r) for r in want]
+
+    def test_perfbench_stream_matches(self):
+        # Two tenants over 3,020 requests: a skew shift, bursty arrivals.
+        tenants = (
+            TenantSpec(name="hot", n_requests=2000, mean_gap=200.0,
+                       skew=((0, 0.6), (150_000, 1.2))),
+            TenantSpec(name="burst", n_requests=1020, mean_gap=400.0,
+                       arrival="bursty", burst_gap=80.0, skew=((0, 1.0),)),
+        )
+        got = generate_requests(tenants, 1432, 17)
+        want = _reference_requests(tenants, 1432, 17)
+        assert [tuple(r) for r in got] == [
+            dataclasses.astuple(r) for r in want]
+
+
+class TestRequestRecord:
+    REQ = Request(req_id=3, tenant="hot", tenant_index=0, tenant_seq=2,
+                  arrival=150, rank=7)
+
+    def test_repr_pinned(self):
+        assert repr(self.REQ) == (
+            "Request(req_id=3, tenant='hot', tenant_index=0, tenant_seq=2, "
+            "arrival=150, rank=7)")
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.REQ.rank = 8
+
+    def test_hashable_and_equal_by_fields(self):
+        twin = Request(req_id=3, tenant="hot", tenant_index=0,
+                       tenant_seq=2, arrival=150, rank=7)
+        assert twin == self.REQ
+        assert {self.REQ: "a"}[twin] == "a"
+        assert Request(3, "hot", 0, 2, 151, 7) != self.REQ
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,23 @@ class TestSameBlockSpawnTracking:
         system.run()
         assert system.units[0]._same_block_spawns == 0
 
+    def test_units_that_price_no_bundle_count_nothing(self):
+        # Design B selects no hot blocks, so nothing reads the count.
+        system = NDPSystem(tiny_config(Design.B))
+
+        def chain(ctx, task):
+            if task.args[0] > 0:
+                ctx.enqueue_task("chain", task.ts, task.data_addr,
+                                 workload=4, args=(task.args[0] - 1,))
+
+        system.registry.register("chain", chain)
+        system.seed_task(Task(func="chain", ts=0, data_addr=64,
+                              workload=4, args=(5,)))
+        system.run()
+        unit = system.units[0]
+        assert unit.tasks_executed == 6
+        assert unit._same_block_spawns == 0
+
 
 def test_unprofitable_schedule_keeps_tasks_home():
     """A giver full of tiny, spawn-free tasks declines to lend."""

@@ -1,5 +1,9 @@
 """Determinism tests for the named RNG streams."""
 
+import copy
+import pickle
+import random
+
 import pytest
 
 from repro.config import Design, scaled_config
@@ -90,3 +94,80 @@ def test_streams_derived_from_root_match_nested_derivation():
         assert [got.random() for _ in range(8)] == [
             nested.random() for _ in range(8)
         ]
+
+
+#: Arguments of each delegating method; ``shuffle`` and ``random_fn``
+#: are drawn apart (see ``_draw``).
+ARGS = {
+    "random": (),
+    "randint": (-5, 10**6),
+    "choice": ("abcdefgh",),
+    "sample": (range(100), 7),
+    "uniform": (1.0, 9.0),
+    "expovariate": (0.25,),
+    "paretovariate": (1.83,),
+}
+
+
+def _draw(stream, method):
+    """One draw of ``method`` from a stream or a ``random.Random``."""
+    if method == "random_fn":
+        if isinstance(stream, DeterministicRNG):
+            return stream.random_fn()()
+        return stream.random()
+    if method == "shuffle":
+        items = list(range(20))
+        stream.shuffle(items)
+        return items
+    return getattr(stream, method)(*ARGS[method])
+
+
+def _count_derivations(monkeypatch):
+    """The stream names seeded from now on, in order."""
+    derived = []
+    derive = DeterministicRNG._derive
+
+    def counting(seed, name):
+        derived.append(name)
+        return derive(seed, name)
+
+    monkeypatch.setattr(DeterministicRNG, "_derive", staticmethod(counting))
+    return derived
+
+
+@pytest.mark.parametrize("method", sorted(ARGS) + ["random_fn", "shuffle"])
+def test_stream_seeded_on_first_draw_matches_an_eager_one(monkeypatch,
+                                                          method):
+    """A stream is seeded by its first draw, once, and then draws and
+    ends in the state of a ``random.Random`` seeded as it is built."""
+    eager = random.Random(DeterministicRNG._derive(23, "root/unit7/sketch"))
+    derived = _count_derivations(monkeypatch)
+    lazy = DeterministicRNG(23).substream("unit7/sketch")
+    assert derived == []
+    got = [_draw(lazy, method) for _ in range(5)]
+    assert derived == ["root/unit7/sketch"]
+    assert got == [_draw(eager, method) for _ in range(5)]
+    assert lazy._rng.getstate() == eager.getstate()
+
+
+def test_building_a_machine_seeds_no_stream(monkeypatch):
+    """Of the 131 streams a 128-unit O machine builds, none is seeded
+    before something draws from it."""
+    derived = _count_derivations(monkeypatch)
+    system = NDPSystem(scaled_config(128, Design.O))
+    assert derived == []
+    system.units[3].sketch.rng.random()
+    assert derived == ["root/unit3/sketch"]
+
+
+@pytest.mark.parametrize("clone", [
+    lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_unseeded_stream_clones_like_a_seeded_one(clone):
+    """A stream not yet drawn from pickles and copies, as an eagerly
+    seeded one did, and the clone draws the stream's sequence."""
+    twin = clone(DeterministicRNG(9, "policy"))
+    reference = DeterministicRNG(9, "policy")
+    assert [twin.random() for _ in range(4)] == [
+        reference.random() for _ in range(4)
+    ]

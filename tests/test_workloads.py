@@ -51,6 +51,16 @@ class TestZipf:
         with pytest.raises(ValueError):
             ZipfGenerator(10, -1.0, DeterministicRNG(1, "z"))
 
+    @pytest.mark.parametrize("count", [0, 1, 700])
+    def test_sample_many_is_repeated_sample(self, count):
+        """``sample_many(n)`` draws what ``n`` calls of ``sample()`` draw
+        and leaves the stream in the same state."""
+        many = ZipfGenerator(300, 0.9, DeterministicRNG(4, "z"))
+        one = ZipfGenerator(300, 0.9, DeterministicRNG(4, "z"))
+        assert many.sample_many(count) == [one.sample() for _ in range(count)]
+        assert many.rng._rng.getstate() == one.rng._rng.getstate()
+        assert many.sample() == one.sample()
+
     def test_shuffled_identity_is_permutation(self):
         perm = shuffled_identity(100, DeterministicRNG(3, "p"))
         assert sorted(perm) == list(range(100))
@@ -135,7 +145,7 @@ def _reference_rmat(n, avg_degree, rng, a=0.57, b=0.19, c=0.19,
 
 
 @pytest.mark.parametrize("n, degree", [(1, 4), (2, 3), (64, 1), (128, 16),
-                                       (512, 4)])
+                                       (512, 4), (2048, 8)])
 @pytest.mark.parametrize("abc", [(0.57, 0.19, 0.19), (0.25, 0.25, 0.25),
                                  (0.45, 0.15, 0.4), (0.9, 0.05, 0.0)])
 @pytest.mark.parametrize("weighted", [False, True])
