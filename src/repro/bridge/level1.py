@@ -59,7 +59,25 @@ class _Assignment:
 
 
 class Level1Bridge:
-    """Rank-level bridge coordinating the 64 banks beneath it."""
+    """Rank-level bridge coordinating the 64 banks beneath it.
+
+    Slotted for the reason :class:`~repro.ndp.unit.NDPUnit` is: more
+    than 30 attributes outgrow the keys CPython 3.11 shares per class.
+    """
+
+    __slots__ = (
+        "sim", "config", "system", "global_rank",
+        "units", "_unit_ids", "_unit_base", "chip_links", "_link_of_unit",
+        "scatter_buffers", "_backup", "_backup_bytes", "backup_capacity",
+        "_g_xfer", "up_mailbox", "borrowed", "policy", "trigger", "codec",
+        "pending_assign", "pending_recall_blocks", "_mail_pending",
+        "_scatter_pending", "inflight_to", "up_blocks", "last_snapshot",
+        "on_up_push", "last_round_end", "_round_active",
+        "_recheck_scheduled", "all_idle", "_any_idle", "i_min",
+        "_stat_rounds", "_stat_state_rounds", "_stat_wasted_gathers",
+        "_stat_schedules", "_stat_routed_up", "_stat_routed_local",
+        "_stat_backup_overflow", "_stat_sram",
+    )
 
     def __init__(
         self,

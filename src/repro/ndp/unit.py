@@ -69,7 +69,29 @@ class _Bundle:
 
 
 class NDPUnit:
-    """One bank + core + controller."""
+    """One bank + core + controller.
+
+    Slotted: with more than 30 attributes, a plain instance outgrows the
+    keys CPython 3.11 shares per class, and every ``self.x`` on the
+    dispatch path would become a hashed dict lookup.
+    """
+
+    __slots__ = (
+        "sim", "config", "unit_id", "system", "_tracker", "_registry",
+        "bank", "mailbox", "cache",
+        "_block_bytes", "_bank_bytes", "_dispatch_overhead",
+        "_enqueue_overhead", "_dma_bytes_per_cycle", "_base_block",
+        "_home_start", "_home_end",
+        "islent", "borrowed", "_borrow_slots", "_next_borrow_slot",
+        "_hot", "sketch", "reserved", "_pending_recalls", "_lend_pending",
+        "queue", "future", "parked", "_queue_workload",
+        "core_busy", "_task", "_task_cycles", "_children",
+        "blocked_on_mailbox", "_same_block_spawns", "_backlog",
+        "busy_cycles", "finish_time", "tasks_executed", "finished_workload",
+        "_complete_event", "_retire_event",
+        "_stat_forwarded", "_stat_bounced", "_stat_parked", "_stat_lent",
+        "_stat_borrowed", "_stat_returned", "_stat_stall", "_stat_sram",
+    )
 
     def __init__(
         self,
@@ -172,6 +194,9 @@ class NDPUnit:
         self.finish_time = 0
         self.tasks_executed = 0
         self.finished_workload = 0
+        # The core's two events, bound once rather than once per task.
+        self._complete_event = self._complete
+        self._retire_event = self._retire
 
         scope = f"unit{unit_id}"
         self._stat_forwarded = stats.counter(scope, "tasks_forwarded")
@@ -324,7 +349,7 @@ class NDPUnit:
         )
         self._task = task
         self._task_cycles = duration
-        self.sim.schedule(duration, self._complete)
+        self.sim.schedule(duration, self._complete_event)
 
     def _complete(self) -> None:
         """Run the dispatched task's body; its children cost the core
@@ -345,7 +370,7 @@ class NDPUnit:
                     self._same_block_spawns += 1
         self._children = children
         if child_cost:
-            self.sim.schedule(child_cost, self._retire)
+            self.sim.schedule(child_cost, self._retire_event)
         else:
             self._retire()
 

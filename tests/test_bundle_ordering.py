@@ -1,5 +1,6 @@
 """Protocol-order tests: a lend's data block travels before its tasks."""
 
+from repro.bridge.level1 import Level1Bridge
 from repro.config import Design, tiny_config
 from repro.messages import DataMessage, TaskMessage
 from repro.runtime.system import NDPSystem
@@ -23,26 +24,39 @@ def giver_with_hot_block():
     return system, unit
 
 
-def wire_order(system):
-    """Record the order messages pass the level-1 router."""
-    bridge = system.fabric.rank_bridges[0]
-    seen = []
-    original = bridge._route_one
+def spy_router(monkeypatch, bridge, record):
+    """Call ``record(msg)`` for each message ``bridge``'s router sees.
 
-    def spy(msg):
+    The bridge is slotted, so the spy patches the class and records only
+    for that one bridge before calling the original router.
+    """
+    original = Level1Bridge._route_one
+
+    def spy(self, msg):
+        if self is bridge:
+            record(msg)
+        return original(self, msg)
+
+    monkeypatch.setattr(Level1Bridge, "_route_one", spy)
+
+
+def wire_order(system, monkeypatch):
+    """Record the order messages pass the level-1 router."""
+    seen = []
+
+    def record(msg):
         if isinstance(msg, DataMessage):
             seen.append(("data", msg.block_id))
         elif isinstance(msg, TaskMessage) and msg.lb_assigned:
             seen.append(("task", msg.task.data_addr // 256))
-        return original(msg)
 
-    bridge._route_one = spy
+    spy_router(monkeypatch, system.fabric.rank_bridges[0], record)
     return seen
 
 
-def test_data_message_precedes_its_tasks_on_the_wire():
+def test_data_message_precedes_its_tasks_on_the_wire(monkeypatch):
     system, unit = giver_with_hot_block()
-    seen = wire_order(system)
+    seen = wire_order(system, monkeypatch)
     unit.handle_schedule(budget=800)
     system.run()
     bundles = [b for kind, b in seen if kind == "data"]
@@ -57,22 +71,19 @@ def test_data_message_precedes_its_tasks_on_the_wire():
             )
 
 
-def test_bundle_workload_matches_task_sum():
+def test_bundle_workload_matches_task_sum(monkeypatch):
     system, unit = giver_with_hot_block()
-    bridge = system.fabric.rank_bridges[0]
     bundles = {}
     tasks = {}
-    original = bridge._route_one
 
-    def spy(msg):
+    def record(msg):
         if isinstance(msg, DataMessage) and not msg.returning:
             bundles[msg.block_id] = msg.bundle_workload
         elif isinstance(msg, TaskMessage) and msg.lb_assigned:
             block = msg.task.data_addr // 256
             tasks[block] = tasks.get(block, 0) + msg.task.workload_estimate
-        return original(msg)
 
-    bridge._route_one = spy
+    spy_router(monkeypatch, system.fabric.rank_bridges[0], record)
     unit.handle_schedule(budget=800)
     system.run()
     assert bundles
@@ -80,18 +91,15 @@ def test_bundle_workload_matches_task_sum():
         assert tasks.get(block, 0) == workload
 
 
-def test_lend_pending_blocks_second_schedule():
+def test_lend_pending_blocks_second_schedule(monkeypatch):
     system, unit = giver_with_hot_block()
     data_blocks = []
-    bridge = system.fabric.rank_bridges[0]
-    original = bridge._route_one
 
-    def spy(msg):
+    def record(msg):
         if isinstance(msg, DataMessage) and not msg.returning:
             data_blocks.append(msg.block_id)
-        return original(msg)
 
-    bridge._route_one = spy
+    spy_router(monkeypatch, system.fabric.rank_bridges[0], record)
     unit.handle_schedule(budget=800)
     unit.handle_schedule(budget=800)
     system.run()

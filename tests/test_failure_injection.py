@@ -9,8 +9,10 @@ catches each one loudly.
 import pytest
 
 from repro.apps import make_app
+from repro.bridge.level1 import Level1Bridge
 from repro.config import Design, tiny_config
 from repro.messages import Mailbox, TaskMessage
+from repro.ndp.unit import NDPUnit
 from repro.runtime.requests import run_openloop
 from repro.runtime.runner import build_system
 from repro.runtime.system import STALL_WINDOW_CYCLES, NDPSystem
@@ -20,7 +22,7 @@ from repro.workloads.openloop import OpenLoopSpec, TenantSpec, \
     generate_requests
 
 
-def test_dropped_message_stalls_run_detectably():
+def test_dropped_message_stalls_run_detectably(monkeypatch):
     """If a fabric drops a message, the run must end in SimulationError,
     not silently complete with missing work."""
     system = NDPSystem(tiny_config(Design.B))
@@ -28,16 +30,17 @@ def test_dropped_message_stalls_run_detectably():
     bank = system.addr_map.bank_bytes
 
     bridge = system.fabric.rank_bridges[0]
-    original = bridge._route_messages
+    original = Level1Bridge._route_messages
     dropped = []
 
-    def lossy(msgs):
-        if not dropped and msgs:
+    def lossy(self, msgs):
+        if self is bridge and not dropped and msgs:
             dropped.append(msgs[0])   # swallow exactly one message
             msgs = msgs[1:]
-        original(msgs)
+        original(self, msgs)
 
-    bridge._route_messages = lossy
+    # The bridge is slotted: patch the class, drop only on this bridge.
+    monkeypatch.setattr(Level1Bridge, "_route_messages", lossy)
 
     def spawn(ctx, task):
         for u in range(1, 6):
@@ -50,7 +53,7 @@ def test_dropped_message_stalls_run_detectably():
     assert dropped, "the fault was never injected"
 
 
-def test_lost_data_messages_stall_run_promptly():
+def test_lost_data_messages_stall_run_promptly(monkeypatch):
     """A design-O run that loses every lend stops within the watchdog's
     window, far below max_cycles, and says where its messages are."""
     app = make_app("ht", scale=0.1, seed=7)
@@ -58,8 +61,17 @@ def test_lost_data_messages_stall_run_promptly():
     app.attach(system)
     app.seed_tasks(system)
     lost = []
-    for unit in system.units:
-        unit.deliver_data_message = lost.append
+    targeted = set(system.units)
+    original = NDPUnit.deliver_data_message
+
+    def lose(self, msg):
+        if self in targeted:
+            lost.append(msg)
+            return
+        original(self, msg)
+
+    # Units are slotted: patch the class, lose only this system's lends.
+    monkeypatch.setattr(NDPUnit, "deliver_data_message", lose)
     with pytest.raises(SimulationError, match="run stalled") as err:
         system.run()
     assert lost, "the fault was never injected"

@@ -1,8 +1,13 @@
 """Tests for the discrete-event simulation kernel."""
 
+import heapq
+from typing import NamedTuple, Optional, Tuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import SimulationError, Simulator
+from repro.sim.engine import _not_int
 
 
 def test_events_run_in_time_order():
@@ -195,3 +200,231 @@ def test_run_twice_same_seed_is_bit_identical():
         return sim.now, sim.events_processed, fired
 
     assert build_and_run() == build_and_run()
+
+
+# ----------------------------------------------------------------------
+# equivalence with the per-event heap engine
+# ----------------------------------------------------------------------
+class HeapSimulator:
+    """The per-event heap engine the per-cycle queue replaced, kept as
+    the reference: one ``(time, seq, callback)`` tuple per event."""
+
+    def __init__(self, max_cycles: int = 10_000_000_000) -> None:
+        self.now = 0
+        self.max_cycles = max_cycles
+        self._queue = []
+        self._seq = 0
+        self._events_processed = 0
+        self._stopped = False
+
+    def schedule(self, delay, callback):
+        if type(delay) is not int:
+            raise _not_int("delay", delay)
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (self.now + delay, seq, callback))
+
+    def schedule_at(self, time, callback):
+        if type(time) is not int:
+            raise _not_int("absolute time", time)
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule at t={time}, current time is {self.now}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, callback))
+
+    def stop(self):
+        self._stopped = True
+
+    @property
+    def events_processed(self):
+        return self._events_processed
+
+    @property
+    def pending_events(self):
+        return len(self._queue)
+
+    def run(self, until=None):
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"cannot run until t={until}, current time is {self.now}"
+            )
+        self._stopped = False
+        queue = self._queue
+        heappop = heapq.heappop
+        max_cycles = self.max_cycles
+        limit = max_cycles if until is None else min(until, max_cycles)
+        dispatched = 0
+        try:
+            while queue:
+                nxt = queue[0][0]
+                if nxt > limit:
+                    if until is not None and nxt > until:
+                        self.now = until
+                        break
+                    raise SimulationError(
+                        f"simulation exceeded max_cycles={max_cycles}"
+                    )
+                self.now = nxt
+                while queue and queue[0][0] == nxt:
+                    heappop(queue)[2]()
+                    dispatched += 1
+                    if self._stopped:
+                        return nxt
+        finally:
+            self._events_processed += dispatched
+        return self.now
+
+
+class Boom(Exception):
+    """Raised by a program's event, caught by the driver."""
+
+
+class Node(NamedTuple):
+    """One event of a program: what it does when it runs."""
+
+    #: (node, absolute, offset): schedule ``node`` ``offset`` cycles
+    #: ahead, through ``schedule_at`` when ``absolute``.
+    spawns: Tuple[Tuple[int, bool, int], ...]
+    peek: bool        # log ``pending_events`` mid-batch
+    bad: Optional[str]  # a rejected call: negative, float or past
+    stop: bool
+    raises: bool
+
+
+class Program(NamedTuple):
+    nodes: Tuple[Node, ...]
+    roots: Tuple[Tuple[int, bool, int], ...]
+    #: Cycles past ``now`` for each ``run(until)``, None for ``run()``.
+    runs: Tuple[Optional[int], ...]
+    max_cycles: int
+
+
+def rarely(k: int):
+    return st.integers(0, k - 1).map(lambda x: x == 0)
+
+
+@st.composite
+def programs(draw) -> Program:
+    n = draw(st.integers(1, 24))
+    nodes = []
+    for i in range(n):
+        spawns: Tuple[Tuple[int, bool, int], ...] = ()
+        if i + 1 < n:  # children come later, so every program ends
+            spawns = tuple(draw(st.lists(
+                st.tuples(st.integers(i + 1, n - 1), st.booleans(),
+                          st.integers(0, 4)),
+                max_size=3,
+            )))
+        nodes.append(Node(
+            spawns=spawns,
+            peek=draw(rarely(3)),
+            bad=draw(st.sampled_from((None,) * 5 + ("negative", "float",
+                                                    "past"))),
+            stop=draw(rarely(5)),
+            raises=draw(rarely(7)),
+        ))
+    roots = tuple(draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.booleans(), st.integers(0, 8)),
+        min_size=1, max_size=6,
+    )))
+    runs = tuple(draw(st.lists(
+        st.one_of(st.none(), st.integers(0, 6)), max_size=8,
+    )))
+    max_cycles = draw(st.sampled_from((10_000, 10_000, 14)))
+    return Program(tuple(nodes), roots, runs, max_cycles)
+
+
+#: Events a program may run before its events stop spawning (a program
+#: may otherwise fan out exponentially), and ``run`` calls past its
+#: listed ones: a correct engine consumes an event per ``run`` call on a
+#: non-empty queue, so it drains well inside this.
+EVENT_BUDGET = 200
+MAX_DRAIN_CALLS = 2 * EVENT_BUDGET
+
+
+def play(engine, program: Program):
+    """Run ``program`` on a fresh ``engine``; after every ``run`` call,
+    record its outcome, what its events did, ``now``,
+    ``events_processed`` and ``pending_events``."""
+    sim = engine(max_cycles=program.max_cycles)
+    log = []
+    ran = [0]
+
+    def rejected(call):
+        try:
+            call()
+        except (ValueError, SimulationError) as err:
+            log.append(("rejected", type(err).__name__, str(err)))
+        else:
+            log.append(("accepted",))
+
+    def schedule(node, absolute, offset):
+        if absolute:
+            sim.schedule_at(sim.now + offset, event(node))
+        else:
+            sim.schedule(offset, event(node))
+
+    def event(i):
+        def callback():
+            node = program.nodes[i]
+            log.append(("run", i, sim.now))
+            ran[0] += 1
+            if ran[0] <= EVENT_BUDGET:
+                for spawn in node.spawns:
+                    schedule(*spawn)
+            if node.peek:
+                log.append(("pending", sim.pending_events))
+            if node.bad == "negative":
+                rejected(lambda: sim.schedule(-1, event(i)))
+            elif node.bad == "float":
+                rejected(lambda: sim.schedule(1.0, event(i)))
+            elif node.bad == "past":
+                rejected(lambda: sim.schedule_at(sim.now - 1, event(i)))
+            if node.stop:
+                sim.stop()
+            if node.raises:
+                raise Boom(i)
+        return callback
+
+    for root in program.roots:
+        schedule(*root)
+    trace = []
+    runs = list(program.runs)
+    drain_calls = 0
+    while runs or (sim.pending_events and drain_calls < MAX_DRAIN_CALLS):
+        if not runs:
+            drain_calls += 1
+        until = runs.pop(0) if runs else None
+        try:
+            result = ("returned", sim.run(
+                None if until is None else sim.now + until))
+        except Boom as err:
+            result = ("raised", err.args)
+        except SimulationError as err:
+            result = ("failed", str(err))
+        trace.append((result, log[:], sim.now, sim.events_processed,
+                      sim.pending_events))
+        log.clear()
+        if result[0] == "failed":
+            break
+    return trace
+
+
+@settings(max_examples=400, deadline=None)
+@given(programs())
+def test_per_cycle_queue_matches_the_per_event_heap(program):
+    """Random programs -- ``schedule`` (delay 0 included) and
+    ``schedule_at`` on repeated cycles, rejected calls, ``stop()`` and a
+    raising event mid-cycle, ``run(until)`` pauses on busy and empty
+    cycles, the ``max_cycles`` guard -- leave the same trace on the
+    per-cycle queue as on the per-event heap after every ``run`` call."""
+    expected = play(HeapSimulator, program)
+    got = play(Simulator, program)
+    for k, (want, have) in enumerate(zip(expected, got)):
+        assert have == want, f"after run call {k}"
+    assert len(got) == len(expected)
