@@ -15,7 +15,7 @@ one core's caches.
 A process's memory layout alone moves its speed by about 2% either way,
 which is why every repetition gets fresh processes.  An A/A run (the
 same tree as base and change, 10 repetitions of closed-ll-O on a 2-vCPU
-VM) read a median ratio of 0.996 with quartiles 0.976 and 1.010.  The
+VM) read a median ratio of 0.996 with quartiles 0.979 and 1.006.  The
 tool sizes a change; it does not replace perfbench's protocol of
 alternating 25 s runs.
 

@@ -13,21 +13,20 @@ once, and a dict maps that cycle to the list of its callbacks in
 scheduling order.  :meth:`Simulator.schedule` appends to the cycle's list
 and pushes the cycle onto the heap only when the cycle is new; a model
 run schedules about 2.7 events per distinct cycle, so most calls never
-touch the heap, and the heap compares plain ``int`` cycles instead of
-``(time, seq, callback)`` tuples.  The run loop pops one cycle and drains
-its list, paying the ``until`` / ``max_cycles`` bookkeeping once per cycle
-instead of once per event.  The only per-event test is the flag
-:meth:`Simulator.stop` sets; the owner's ``RunTracker`` calls it when the
-run is over.
+touch the heap, and the heap compares plain ``int`` cycles.  The run
+loop pops one cycle and drains its list, paying the ``until`` /
+``max_cycles`` bookkeeping once per cycle instead of once per event.
+The only per-event test is the flag :meth:`Simulator.stop` sets; the
+owner's ``RunTracker`` calls it when the run is over.
 
 Determinism is a hard requirement -- two runs with the same seed must
 produce identical cycle counts -- so events execute strictly in cycle
-order and, within a cycle, in the order they were scheduled: the order a
-``(time, seq)`` heap gives, without the seq.  No wall-clock or hashing
-order ever influences event order.  Time is an exact ``int``:
-:meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` reject
-anything else on every call, floats and numpy integers included.  Float
-time drifts and breaks bit-identical replays.
+order and, within a cycle, in the order they were scheduled.  No
+wall-clock or hashing order ever influences event order.  Time is an
+exact ``int``: :meth:`Simulator.schedule` and
+:meth:`Simulator.schedule_at` reject anything else on every call, floats
+and numpy integers included.  Float time drifts and breaks bit-identical
+replays.
 """
 
 from __future__ import annotations
