@@ -5,13 +5,26 @@ cell is an independent deterministic simulation.  This module fans the
 cells out over a :class:`concurrent.futures.ProcessPoolExecutor`, backed
 by the on-disk :class:`~repro.exec.cache.ResultCache`, and reassembles
 results in request order so callers see exactly what the old serial loop
-produced.
+produced.  The pool is imported only when one starts, so a process that
+runs its cells serially (or only imports this module) never loads
+``multiprocessing``.
 
 Worker processes rebuild the whole system from the pickled
 :class:`~repro.config.SystemConfig`; nothing mutable crosses the process
 boundary, so a cell's metrics are bit-identical whether it ran in-process,
 in a worker, or came from the cache (the determinism tests assert all
 three).
+
+A worker holds only the cell it runs.  A finished machine is a web of
+reference cycles (units, bridges and the simulator point at each
+other), which reference counting never frees, so each worker freezes
+what it inherited from its parent when it starts (``gc.freeze``: no
+collection walks those objects again) and collects before every cell,
+which frees the machine of its previous one.  Each result is cached as
+it arrives, so a worker that dies costs only the cells it had not
+finished: those run once more in a fresh pool, and a second death
+raises :class:`~concurrent.futures.process.BrokenProcessPool` naming
+them.
 
 Environment knobs:
 
@@ -32,10 +45,10 @@ from the registry.
 
 from __future__ import annotations
 
+import gc
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.metrics import RunMetrics
 from ..config import ConfigError, SystemConfig
@@ -93,6 +106,63 @@ def _execute_cell(request: CellRequest) -> Dict[str, object]:
     return metrics_to_payload(result.metrics)
 
 
+def _pooled_cell(request: CellRequest) -> Dict[str, object]:
+    """Run one cell in a pool worker, after freeing the worker's last one.
+
+    The collection frees the previous cell's machine, whose reference
+    cycles would otherwise stay resident until a full collection
+    happened to run; the objects the worker inherited are frozen
+    (``initializer=gc.freeze``), so it walks only what the worker made.
+    """
+    gc.collect()
+    return _execute_cell(request)
+
+
+def _execute_pooled(
+    requests: Sequence[CellRequest],
+    indices: List[int],
+    jobs: int,
+    store: Callable[[int, Dict[str, object]], None],
+) -> None:
+    """Run ``requests[i]`` for each of ``indices`` over a process pool,
+    handing every payload to ``store`` as it arrives.
+
+    A dead worker fails every cell that has not returned
+    (:class:`~concurrent.futures.process.BrokenProcessPool`); those run
+    once more in a fresh pool, and if that pool breaks too the error
+    names each cell still without a result.
+    """
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    pending = indices
+    for _attempt in range(2):
+        lost: List[int] = []
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(pending)), initializer=gc.freeze,
+        ) as pool:
+            futures = {pool.submit(_pooled_cell, requests[i]): i
+                       for i in pending}
+            for future in as_completed(futures):
+                try:
+                    payload = future.result()
+                except BrokenProcessPool:
+                    lost.append(futures[future])
+                else:
+                    store(futures[future], payload)
+        if not lost:
+            return
+        pending = sorted(lost)
+    raise BrokenProcessPool(
+        "a pool worker died in two pools running "
+        + "; ".join(
+            f"{requests[i].app} on design {requests[i].config.design.value} "
+            f"at scale {requests[i].scale}, seed {requests[i].seed}"
+            for i in pending
+        )
+    )
+
+
 def default_jobs() -> int:
     """Worker count from ``NDPBRIDGE_JOBS``, else the CPU count.
 
@@ -123,7 +193,8 @@ def execute_cells(
 
     Cache hits are returned without simulating; misses run in parallel
     across ``jobs`` worker processes (serially in-process when ``jobs``
-    is 1 or only one miss exists).
+    is 1 or only one miss exists).  A pooled miss is cached as soon as
+    its result arrives.
     """
     if jobs is None:
         jobs = default_jobs()
@@ -140,20 +211,20 @@ def execute_cells(
                 continue
         miss_indices.append(i)
 
+    def store(i: int, payload: Dict[str, object]) -> None:
+        metrics = metrics_from_payload(payload)
+        results[i] = metrics
+        if cache is not None:
+            cache.put(requests[i].key, metrics)
+
     if miss_indices:
         misses = [requests[i] for i in miss_indices]
         if jobs <= 1 or len(misses) == 1:
             payloads = [_execute_cell(r) for r in misses]
+            for i, payload in zip(miss_indices, payloads):
+                store(i, payload)
         else:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(misses))
-            ) as pool:
-                payloads = list(pool.map(_execute_cell, misses))
-        for i, request, payload in zip(miss_indices, misses, payloads):
-            metrics = metrics_from_payload(payload)
-            results[i] = metrics
-            if cache is not None:
-                cache.put(request.key, metrics)
+            _execute_pooled(requests, miss_indices, jobs, store)
 
     out = [m for m in results if m is not None]
     assert len(out) == len(requests)

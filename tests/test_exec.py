@@ -5,11 +5,15 @@ whether the simulation ran in-process, in a pool worker, or came back
 from the on-disk cache.
 """
 
+import functools
+import gc
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -31,6 +35,8 @@ from repro.exec import (
     run_matrix,
 )
 from repro.exec import cache as cache_module
+from repro.exec import runner
+from repro.runtime.system import NDPSystem
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -223,7 +229,11 @@ def test_cache_disabled_via_env(monkeypatch):
 # execution determinism: fresh vs cached vs subprocess
 # ----------------------------------------------------------------------
 def test_fresh_cached_and_subprocess_results_identical(tmp_path):
-    reqs = [request(Design.B), request(Design.O)]
+    # Eight cells over two workers: each worker runs several, so most
+    # cells start in a worker that has just freed its previous machine.
+    reqs = [request(design, seed)
+            for design in (Design.C, Design.B, Design.W, Design.O)
+            for seed in (SEED, SEED + 1)]
 
     fresh = execute_cells(reqs, jobs=1, cache=None)
     pooled = execute_cells(reqs, jobs=2, cache=None)
@@ -237,6 +247,117 @@ def test_fresh_cached_and_subprocess_results_identical(tmp_path):
     for a, b, c, d in zip(fresh, pooled, primed, cached):
         assert a == b == c == d
         assert a.makespan > 0
+
+
+# ----------------------------------------------------------------------
+# pool workers: what they hold, and what a dead one costs
+# ----------------------------------------------------------------------
+#: The real cell runner, which the patched ones below call.
+EXECUTE_CELL = runner._execute_cell
+
+
+def patch_workers(monkeypatch, wrapper):
+    """Replace ``_execute_cell`` here; fork-started pool workers inherit
+    the patch, since the pool forks them after it."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit a patch only when forked")
+    monkeypatch.setattr(runner, "_execute_cell", wrapper)
+
+
+def holds_no_machine(req):
+    """Run ``req``, failing first unless this process froze what it
+    inherited and holds no machine outside that."""
+    assert gc.get_freeze_count() > 0, "the worker froze nothing"
+    held = sum(isinstance(obj, NDPSystem) for obj in gc.get_objects())
+    assert held == 0, f"a worker holds {held} machines before {req.app}"
+    return EXECUTE_CELL(req)
+
+
+def kills_its_worker(victim, cache_root, waits_for, died, ran, req):
+    """Run ``req`` and log its key to the file ``ran``.  As the cell
+    keyed ``victim``, first wait until the parent has cached the keys
+    ``waits_for``, then kill the worker: on the first attempt only when
+    ``died`` names a marker file, else on every attempt."""
+    with open(ran, "a") as log:
+        log.write(req.key + "\n")
+    if req.key == victim and (died is None or not died.exists()):
+        if died is not None:
+            died.touch()
+        cache = ResultCache(cache_root)
+        deadline = time.monotonic() + 30.0
+        while (not all(cache.get(k) is not None for k in waits_for)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        os._exit(1)
+    return EXECUTE_CELL(req)
+
+
+def six_cells():
+    return [request(design, seed) for design in (Design.B, Design.W, Design.O)
+            for seed in (SEED, SEED + 1)]
+
+
+def test_pool_worker_holds_no_finished_machine(monkeypatch):
+    """Every cell starts in a worker holding no machine: the one its
+    previous cell built has been collected, and those it inherited from
+    this process (the serial run's) are frozen, which
+    ``gc.get_objects`` leaves out."""
+    reqs = six_cells()
+    serial = execute_cells(reqs, jobs=1, cache=None)
+    patch_workers(monkeypatch, holds_no_machine)
+    assert execute_cells(reqs, jobs=2, cache=None) == serial
+
+
+def test_importing_the_runner_loads_no_pool():
+    probe = (
+        "import sys\n"
+        "import repro\n"
+        "import repro.exec.runner\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=REPO_ROOT, capture_output=True,
+        text=True, env={"PYTHONPATH": str(REPO_ROOT / "src"),
+                        "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_dead_worker_keeps_finished_cells_and_reruns_its_own(
+        monkeypatch, tmp_path):
+    """A cell that kills its worker on its first attempt only, once every
+    other cell is cached (which the parent does only if it caches each
+    result as it arrives): the others are not run again, and the lost
+    cell runs once more in a fresh pool."""
+    reqs = six_cells()
+    serial = execute_cells(reqs, jobs=1, cache=None)
+    cache = ResultCache(tmp_path / "cache")
+    victim, others = reqs[-1].key, [r.key for r in reqs[:-1]]
+    ran = tmp_path / "ran"
+    patch_workers(monkeypatch, functools.partial(
+        kills_its_worker, victim, cache.root, others, tmp_path / "died", ran))
+    assert execute_cells(reqs, jobs=2, cache=cache) == serial
+    runs = ran.read_text().split()
+    assert {key: runs.count(key) for key in others} == dict.fromkeys(others, 1)
+    assert runs.count(victim) == 2
+    assert [ResultCache(cache.root).get(r.key) for r in reqs] == serial
+
+
+def test_cell_that_kills_every_worker_is_named(monkeypatch, tmp_path):
+    reqs = [request(Design.B), request(Design.O, seed=SEED + 1)]
+    serial = execute_cells(reqs, jobs=1, cache=None)
+    cache = ResultCache(tmp_path / "cache")
+    patch_workers(monkeypatch, functools.partial(
+        kills_its_worker, reqs[1].key, cache.root, [reqs[0].key], None,
+        tmp_path / "ran"))
+    with pytest.raises(BrokenProcessPool) as info:
+        execute_cells(reqs, jobs=2, cache=cache)
+    assert str(info.value).endswith(
+        f"ht on design O at scale {SCALE}, seed {SEED + 1}")
+    assert "design B" not in str(info.value)
+    assert cache.get(reqs[0].key) == serial[0]
 
 
 def test_double_run_same_seed_identical(tmp_path):
@@ -306,3 +427,4 @@ def test_bench_engine_records_the_jobs_the_pool_used(monkeypatch, tmp_path):
     bench_engine.test_fig10_matrix_cold_vs_warm(Benchmark(), tmp_path)
     assert used == [3, 3]
     assert recorded["jobs"] == 3
+    assert recorded["worker_peak_rss_mb"] >= 0

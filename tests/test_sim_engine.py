@@ -10,8 +10,39 @@ from repro.sim import SimulationError, Simulator
 from repro.sim.engine import _not_int
 
 
+class BudgetExceeded(Exception):
+    """More callbacks ran than a test's budget allows."""
+
+
+class Budgeted(Simulator):
+    """The engine, counting the callbacks it dispatches and raising
+    :class:`BudgetExceeded` past ``budget`` of them, so an engine that
+    re-runs a callback fails a test instead of looping forever.  The
+    largest test below dispatches 310."""
+
+    def __init__(self, budget: int = 10_000, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.budget = budget
+        self.dispatched = 0
+
+    def _counted(self, callback):
+        def run():
+            self.dispatched += 1
+            if self.dispatched > self.budget:
+                raise BudgetExceeded(
+                    f"more than {self.budget} callbacks dispatched")
+            callback()
+        return run
+
+    def schedule(self, delay, callback):
+        return super().schedule(delay, self._counted(callback))
+
+    def schedule_at(self, time, callback):
+        return super().schedule_at(time, self._counted(callback))
+
+
 def test_events_run_in_time_order():
-    sim = Simulator()
+    sim = Budgeted()
     order = []
     sim.schedule(30, lambda: order.append("c"))
     sim.schedule(10, lambda: order.append("a"))
@@ -22,7 +53,7 @@ def test_events_run_in_time_order():
 
 
 def test_same_time_events_run_in_schedule_order():
-    sim = Simulator()
+    sim = Budgeted()
     order = []
     for tag in range(5):
         sim.schedule(7, lambda t=tag: order.append(t))
@@ -31,7 +62,7 @@ def test_same_time_events_run_in_schedule_order():
 
 
 def test_schedule_from_callback():
-    sim = Simulator()
+    sim = Budgeted()
     seen = []
 
     def first():
@@ -44,13 +75,13 @@ def test_schedule_from_callback():
 
 
 def test_negative_delay_rejected():
-    sim = Simulator()
+    sim = Budgeted()
     with pytest.raises(ValueError):
         sim.schedule(-1, lambda: None)
 
 
 def test_schedule_at_past_rejected():
-    sim = Simulator()
+    sim = Budgeted()
     sim.schedule(10, lambda: None)
     sim.run()
     with pytest.raises(ValueError):
@@ -58,7 +89,7 @@ def test_schedule_at_past_rejected():
 
 
 def test_run_until_time_bound():
-    sim = Simulator()
+    sim = Budgeted()
     hits = []
     sim.schedule(10, lambda: hits.append(10))
     sim.schedule(100, lambda: hits.append(100))
@@ -70,7 +101,7 @@ def test_run_until_time_bound():
 
 
 def test_stop_from_callback_halts_loop():
-    sim = Simulator()
+    sim = Budgeted()
     hits = []
 
     def hit(t):
@@ -87,7 +118,7 @@ def test_stop_from_callback_halts_loop():
 
 
 def test_run_until_in_the_past_rejected():
-    sim = Simulator()
+    sim = Budgeted()
     fired = []
     sim.schedule(10, lambda: fired.append(sim.now))
     sim.schedule(30, lambda: fired.append(sim.now))
@@ -104,7 +135,7 @@ def test_run_until_in_the_past_rejected():
 
 
 def test_until_beyond_max_cycles_still_guards():
-    sim = Simulator(max_cycles=100)
+    sim = Budgeted(max_cycles=100)
     sim.schedule(150, lambda: None)
     assert sim.run(until=50) == 50
     with pytest.raises(SimulationError, match="max_cycles=100"):
@@ -112,7 +143,7 @@ def test_until_beyond_max_cycles_still_guards():
 
 
 def test_events_processed_counts_events_before_an_error():
-    sim = Simulator()
+    sim = Budgeted()
 
     def boom():
         raise RuntimeError("boom")
@@ -126,7 +157,7 @@ def test_events_processed_counts_events_before_an_error():
 
 
 def test_max_cycles_guard():
-    sim = Simulator(max_cycles=100)
+    sim = Budgeted(max_cycles=100)
 
     def reschedule():
         sim.schedule(60, reschedule)
@@ -137,7 +168,7 @@ def test_max_cycles_guard():
 
 
 def test_events_processed_counter():
-    sim = Simulator()
+    sim = Budgeted()
     for t in range(4):
         sim.schedule(t + 1, lambda: None)
     sim.run()
@@ -145,13 +176,13 @@ def test_events_processed_counter():
 
 
 def test_fast_path_schedule_returns_nothing():
-    sim = Simulator()
+    sim = Budgeted()
     assert sim.schedule(1, lambda: None) is None
     assert sim.schedule_at(2, lambda: None) is None
 
 
 def test_same_cycle_batch_includes_events_scheduled_mid_batch():
-    sim = Simulator()
+    sim = Budgeted()
     order = []
 
     def first():
@@ -166,7 +197,7 @@ def test_same_cycle_batch_includes_events_scheduled_mid_batch():
 
 
 def test_stop_inside_batch_leaves_rest_of_cycle_pending():
-    sim = Simulator()
+    sim = Budgeted()
     order = []
     sim.schedule(5, lambda: (order.append("a"), sim.stop()))
     sim.schedule(5, lambda: order.append("b"))
@@ -183,7 +214,7 @@ def test_run_twice_same_seed_is_bit_identical():
     import random
 
     def build_and_run():
-        sim = Simulator()
+        sim = Budgeted()
         rng = random.Random(1234)
         fired = []
 
